@@ -19,19 +19,20 @@ candidate masks):
   every prediction step, where the legacy side pays the legacy snapshot
   build, dense enumeration, and per-pair dict-lookup scoring, and the new
   side runs the actual library code;
-- **enumeration strategies** — each of the three density-adaptive
-  candidate enumerations (sparse / dense / blocked) forced in turn via
-  ``REPRO_ENUM_STRATEGY``, parity-checked against each other, with the
+- **enumeration strategies** — both density-adaptive candidate
+  enumerations (sparse / dense) run in turn by calling their position
+  functions directly, parity-checked against each other, with the
   auto-chosen strategy and the measured per-strategy timings (the
   crossover data the thresholds in ``repro.metrics.candidates`` encode)
   recorded per size;
 - **full metric sweep** — all registered metrics (18) scored once through
-  the legacy per-metric ``score()`` path (each neighbourhood metric builds
-  its own ``A @ diag(w) @ A``) and once through the batched kernel layer
-  (``score_pairs``: one shared common-neighbour expansion per block).
-  Model fits run *outside* both timed passes, so the ratio isolates
-  scoring.  Scores are asserted **bitwise identical** between passes
-  before the timing is trusted.
+  the matrix oracle of ``tests/matrix_oracle.py`` (each neighbourhood
+  metric builds its own ``A @ diag(w) @ A``, the formulation the kernels
+  replaced) and once through the batched kernel layer (``score_pairs``:
+  one shared common-neighbour expansion per block).  Model fits run
+  *outside* both timed passes, so the ratio isolates scoring.  Scores are
+  asserted **bitwise identical** between passes before the timing is
+  trusted.
 
 Both sides are checked pair-for-pair and score-for-score identical before
 any timing is trusted.  Results go to ``BENCH_core.json`` at the repo root
@@ -58,7 +59,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 import tracemalloc
@@ -68,6 +68,7 @@ import numpy as np
 import scipy.sparse as sp
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from _common import build_report, write_report
@@ -76,11 +77,13 @@ from repro.graph.dyngraph import TemporalGraph
 from repro.graph.snapshots import Snapshot, snapshot_sequence
 from repro.metrics.base import all_metric_names, get_metric
 from repro.metrics.candidates import (
-    ENUM_STRATEGIES,
+    _dense_two_hop_positions,
+    _sparse_two_hop_positions,
     candidate_pairs,
     choose_enumeration_strategy,
 )
 from repro.metrics.kernels import score_pairs
+from tests.matrix_oracle import oracle_scores
 
 #: (label, preset, scale) — three sizes of the dense friendship trace, plus
 #: the sparse subscription trace where the dense n^2 candidate buffers used
@@ -314,7 +317,7 @@ def bench_metric_sweep(trace: TemporalGraph, delta: int) -> dict:
 
 
 def bench_enum_strategies(trace: TemporalGraph) -> dict:
-    """Force each enumeration strategy in turn; record the crossover data."""
+    """Run each enumeration strategy in turn; record the crossover data."""
     snap = Snapshot(trace, trace.num_edges)
     snap.adjacency_matrix()
     stats = snap.csr_stats()
@@ -325,15 +328,15 @@ def bench_enum_strategies(trace: TemporalGraph) -> dict:
         "two_hop_work": stats.two_hop_work,
     }
     baseline = None
-    for strategy in ENUM_STRATEGIES:
-        os.environ["REPRO_ENUM_STRATEGY"] = strategy
-        try:
-            snap.cache.clear()
-            started = time.perf_counter()
-            pairs = candidate_pairs(snap, "two_hop")
-            elapsed = time.perf_counter() - started
-        finally:
-            del os.environ["REPRO_ENUM_STRATEGY"]
+    for strategy, enumerate_positions in (
+        ("sparse", _sparse_two_hop_positions),
+        ("dense", _dense_two_hop_positions),
+    ):
+        snap.cache.clear()
+        started = time.perf_counter()
+        rows, cols = enumerate_positions(snap)
+        pairs = np.column_stack((snap.node_ids[rows], snap.node_ids[cols]))
+        elapsed = time.perf_counter() - started
         if baseline is None:
             baseline = pairs
             out["pairs"] = int(len(pairs))
@@ -347,14 +350,15 @@ def bench_enum_strategies(trace: TemporalGraph) -> dict:
 
 
 def bench_full_sweep(trace: TemporalGraph) -> dict:
-    """All registered metrics, legacy per-metric score vs batched kernels.
+    """All registered metrics, the matrix oracle vs batched kernels.
 
     Every metric is fitted *before* either timed pass (warming the global
     models — eigendecompositions, PPR inverse, shortest paths — that both
     paths share identically), so the two timings isolate scoring: the
-    legacy pass pays each neighbourhood metric's lazy ``A @ diag(w) @ A``
-    build plus its gather, the kernel pass pays one shared expansion per
-    block plus per-metric segment sums.  Scores must match bitwise.
+    legacy (oracle) pass pays each neighbourhood metric's
+    ``A @ diag(w) @ A`` build plus its gather, the kernel pass pays one
+    shared expansion per block plus per-metric segment sums.  Scores must
+    match bitwise.
     """
     snap = Snapshot(trace, trace.num_edges)
     names = sorted(all_metric_names())
@@ -375,10 +379,7 @@ def bench_full_sweep(trace: TemporalGraph) -> dict:
 
     started = time.perf_counter()
     legacy_scores = {
-        name: np.asarray(
-            metric.score(pairs_by_strategy[metric.candidate_strategy]),
-            dtype=np.float64,
-        )
+        name: oracle_scores(metric, pairs_by_strategy[metric.candidate_strategy])
         for name, metric in metrics.items()
     }
     legacy_s = time.perf_counter() - started

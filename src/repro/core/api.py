@@ -27,13 +27,12 @@ from repro.eval.experiment import (
     PairFilter,
     evaluate_step,
     prediction_steps,
+    rank_top_k,
 )
-from repro.eval.ranking import top_k_pairs
 from repro.eval.runner import ExperimentResult, ExperimentSpec, run_experiment
 from repro.graph.dyngraph import TemporalGraph
 from repro.graph.snapshots import Snapshot, snapshot_sequence
 from repro.metrics.base import all_metric_names, get_metric
-from repro.metrics.candidates import candidate_pairs
 from repro.ml import CLASSIFIERS
 from repro.utils.pairs import Pair
 from repro.utils.rng import ensure_rng
@@ -137,15 +136,9 @@ class LinkPredictor:
         """Top-k link recommendations for a snapshot (highest score first)."""
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
-        metric = get_metric(self.metric_name)
-        metric.fit(snapshot)
-        pairs = candidate_pairs(snapshot, metric.candidate_strategy)
-        if self.pair_filter is not None and len(pairs):
-            pairs = pairs[np.asarray(self.pair_filter(snapshot, pairs), dtype=bool)]
-        if len(pairs) == 0:
-            return []
-        scores = metric.score(pairs)
-        top = top_k_pairs(pairs, scores, k, self.rng)
+        _metric, top = rank_top_k(
+            self.metric_name, snapshot, k, self.rng, self.pair_filter
+        )
         return [(int(u), int(v)) for u, v in top]
 
     def evaluate_sequence(

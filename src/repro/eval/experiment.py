@@ -93,6 +93,44 @@ def evaluate_step(
     )
 
 
+def rank_top_k(
+    metric: "SimilarityMetric | str",
+    snapshot: Snapshot,
+    k: int,
+    rng: np.random.Generator,
+    pair_filter: "PairFilter | None" = None,
+    candidates: "np.ndarray | None" = None,
+) -> "tuple[SimilarityMetric, np.ndarray]":
+    """Fit ``metric`` on ``snapshot`` and return its top-k candidate pairs.
+
+    The ranking step shared by the evaluation loop, the
+    :class:`~repro.core.api.LinkPredictor` facade and the missing-link
+    protocol: enumerate the metric's candidate set (or take
+    ``candidates``), prune it with ``pair_filter``, score it through the
+    kernels and keep the ``k`` best, ties broken by ``rng``.  Returns the
+    fitted metric and at most ``k`` pairs; callers decide what to do when
+    the candidate set holds fewer.
+    """
+    if isinstance(metric, str):
+        metric = get_metric(metric)
+    metric.fit(snapshot)
+    pairs = (
+        candidates
+        if candidates is not None
+        else candidate_pairs(snapshot, metric.candidate_strategy)
+    )
+    if pair_filter is not None and len(pairs):
+        mask = np.asarray(pair_filter(snapshot, pairs), dtype=bool)
+        if mask.shape != (len(pairs),):
+            raise ValueError(
+                f"pair filter returned mask of shape {mask.shape} "
+                f"for {len(pairs)} pairs"
+            )
+        pairs = pairs[mask]
+    scores = score_pairs(metric, snapshot, pairs)
+    return metric, top_k_pairs(pairs, scores, k, rng)
+
+
 def _evaluate_step_impl(
     metric: "SimilarityMetric | str",
     previous: Snapshot,
@@ -102,26 +140,11 @@ def _evaluate_step_impl(
     candidates: "np.ndarray | None",
     step: int,
 ) -> MetricStepResult:
-    if isinstance(metric, str):
-        metric = get_metric(metric)
     generator = ensure_rng(rng)
-    metric.fit(previous)
-    pairs = (
-        candidates
-        if candidates is not None
-        else candidate_pairs(previous, metric.candidate_strategy)
-    )
-    if pair_filter is not None and len(pairs):
-        mask = np.asarray(pair_filter(previous, pairs), dtype=bool)
-        if mask.shape != (len(pairs),):
-            raise ValueError(
-                f"pair filter returned mask of shape {mask.shape} "
-                f"for {len(pairs)} pairs"
-            )
-        pairs = pairs[mask]
     k = len(truth)
-    scores = score_pairs(metric, previous, pairs)
-    top = top_k_pairs(pairs, scores, k, generator)
+    metric, top = rank_top_k(
+        metric, previous, k, generator, pair_filter, candidates
+    )
     predicted = {(int(u), int(v)) for u, v in top}
     fill = 0
     if len(predicted) < k:

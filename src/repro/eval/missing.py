@@ -17,11 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.eval.accuracy import StepOutcome, score_prediction
-from repro.eval.ranking import top_k_pairs
+from repro.eval.experiment import evaluate_step, rank_top_k
 from repro.graph.dyngraph import TemporalGraph
 from repro.graph.snapshots import Snapshot
-from repro.metrics.base import SimilarityMetric, get_metric
-from repro.metrics.candidates import candidate_pairs
+from repro.metrics.base import SimilarityMetric
 from repro.utils.pairs import Pair
 from repro.utils.rng import ensure_rng
 
@@ -71,14 +70,7 @@ def detect_missing_links(
     ``k = |hidden|``, mirroring the paper's ground-truth-k convention for
     the future-link task so the two protocols are directly comparable.
     """
-    if isinstance(metric, str):
-        metric = get_metric(metric)
-    generator = ensure_rng(rng)
-    metric.fit(observed)
-    pairs = candidate_pairs(observed, metric.candidate_strategy)
-    k = len(hidden)
-    scores = metric.score(pairs) if len(pairs) else np.zeros(0)
-    top = top_k_pairs(pairs, scores, k, generator)
+    _metric, top = rank_top_k(metric, observed, len(hidden), ensure_rng(rng))
     predicted = {(int(u), int(v)) for u, v in top}
     return score_prediction(observed, predicted, hidden)
 
@@ -99,8 +91,5 @@ def missing_vs_future(
     generator = ensure_rng(rng)
     observed, hidden = hide_edges(previous, hide_fraction, generator)
     missing = detect_missing_links(metric_name, observed, hidden, generator)
-
-    from repro.eval.experiment import evaluate_step
-
     future = evaluate_step(metric_name, previous, truth, rng=generator)
     return missing.ratio, future.outcome.ratio

@@ -7,11 +7,11 @@
 - :mod:`repro.extensions.directed` — directed link prediction ("link
   direction [43]", the other named future-work item), driven by the growth
   engine's record of who initiated each edge;
-- :mod:`repro.extensions.incremental` — incremental maintenance of the
-  candidate machinery under edge insertions, the engineering counterpart
-  of the paper's scalability discussion.  The tracker itself now lives in
-  :mod:`repro.graph.delta` (alongside the full columnar delta engine);
-  this path re-exports it.
+- :class:`~repro.graph.delta.IncrementalNeighborhood` — incremental
+  maintenance of the candidate machinery under edge insertions, the
+  engineering counterpart of the paper's scalability discussion, which
+  lives in :mod:`repro.graph.delta` beside the columnar delta engine and
+  is re-exported here.
 """
 
 from repro.extensions.directed import (
@@ -23,8 +23,6 @@ from repro.extensions.directed import (
     generate_directed_trace,
 )
 
-# Canonical home; the repro.extensions.incremental shim (which warns on
-# import) re-exports the same class for legacy callers.
 from repro.graph.delta import IncrementalNeighborhood
 from repro.extensions.weighted import (
     WeightedAdamicAdar,

@@ -32,7 +32,6 @@ from repro.metrics.base import (
     SimilarityMetric,
     cached,
     matrix_values,
-    pairs_to_indices,
 )
 from repro.utils.pairs import Pair
 
@@ -127,11 +126,9 @@ class _DirectedMetric(SimilarityMetric):
     def _oriented_scores(self, rows, cols) -> np.ndarray:
         raise NotImplementedError
 
-    def score(self, pairs: np.ndarray) -> np.ndarray:
-        snapshot = self._require_fit()
-        if len(pairs) == 0:
-            return np.zeros(0)
-        rows, cols = pairs_to_indices(snapshot, pairs)
+    def score_block(self, block) -> np.ndarray:
+        self._require_fit()
+        rows, cols = block.rows, block.cols
         return np.maximum(
             self._oriented_scores(rows, cols), self._oriented_scores(cols, rows)
         )

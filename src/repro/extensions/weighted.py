@@ -31,6 +31,7 @@ from repro.metrics.base import (
     SimilarityMetric,
     adjacency,
     cached,
+    matrix_values,
     register,
     two_hop_matrix,
 )
@@ -53,8 +54,6 @@ def synthesize_weights(
     two regularities the weak-ties literature builds on.  Weights are
     strictly positive.
     """
-    from repro.metrics.base import matrix_values
-
     rng = ensure_rng(seed)
     a2 = two_hop_matrix(snapshot)
     now = snapshot.time
@@ -140,20 +139,11 @@ class _WeightedNeighbourhoodMetric(SimilarityMetric):
         self._matrix = (w @ diag @ a + a @ diag @ w).tocsr()
         return self
 
-    def score(self, pairs: np.ndarray) -> np.ndarray:
-        snapshot = self._require_fit()
-        from repro.metrics.base import matrix_values, pairs_to_indices
-
-        rows, cols = pairs_to_indices(snapshot, pairs)
-        return matrix_values(self._matrix, rows, cols)
-
     def score_block(self, block) -> np.ndarray:
         # Edge-weighted sums are a different kernel shape (per-edge rather
         # than per-node weights), so the block contributes its shared
         # position columns; the fitted product supplies the values.
         self._require_fit()
-        from repro.metrics.base import matrix_values
-
         return matrix_values(self._matrix, block.rows, block.cols)
 
 

@@ -26,10 +26,9 @@ at the same cutoff — columns, CSR structure, candidate enumeration order,
 and metric scores.  Two properties make the score tables bitwise-stable
 rather than merely close: common-neighbour counts are maintained as exact
 integers (every float64 in ``A @ A`` is an integer below 2^53), and dirty
-AA/RA entries are recomputed through *row-sliced* sparse products
-``A[R] @ diag(w) @ A`` whose per-entry accumulation order is identical to
-the full product's (scipy's CSR matmul accumulates left-to-right over
-ascending intermediate columns, and row slicing preserves rows verbatim).
+AA/RA entries are recomputed through the kernel layer's common-neighbour
+expansion, which sums each pair's weights in the same order as the batch
+path's ``score_block`` (see :mod:`repro.metrics.kernels`).
 ``tests/test_delta_equivalence.py`` enforces this on randomized streams.
 
 Candidate pairs and score tables are keyed by packed ``row * S + col``
@@ -39,9 +38,8 @@ insertion remaps positions *monotonically*, patching a key array after new
 nodes arrive is a decode / gather / re-encode — never a re-sort.
 
 :class:`IncrementalNeighborhood` — the dictionary-based streaming tracker
-this module grew out of (formerly ``repro.extensions.incremental``) —
-lives here too and remains the lightweight id-space option when only CN
-counts are needed; ``repro.extensions.incremental`` re-exports it.
+this module grew out of — lives here too and remains the lightweight
+id-space option when only CN counts are needed.
 """
 
 from __future__ import annotations
@@ -175,10 +173,10 @@ class DeltaGraph:
         # Candidate set + warm score tables via the kernel expansion — the
         # same descending-order accumulation the batch path's score_block
         # performs (and, by the SMMP-order argument in repro.metrics.kernels,
-        # the same float additions as the sparse products a full rebuild
-        # would sample), so the seeded values are bitwise-canonical.  The
-        # chunked loop bounds the expansion's working set; no A^2 or
-        # weighted product is materialised during seeding any more.
+        # the same float additions as sampling A @ diag(w) @ A), so the
+        # seeded values are bitwise-canonical.  The chunked loop bounds the
+        # expansion's working set; no A^2 or weighted product is
+        # materialised during seeding.
         from repro.metrics.base import pairs_to_indices
         from repro.metrics.candidates import two_hop_pairs
         from repro.metrics.kernels import (
@@ -534,8 +532,7 @@ class DeltaGraph:
         recomputed through the kernel layer's common-neighbour expansion
         over the maintained CSR, whose descending-order accumulation is
         bitwise identical to the corresponding full-product entries (see
-        :mod:`repro.metrics.kernels`) — no row-sliced matrix product is
-        built any more.
+        :mod:`repro.metrics.kernels`).
         """
         tracked = [name for name in self._tracked if name != "CN"]
         refreshed = 0

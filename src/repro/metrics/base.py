@@ -4,10 +4,15 @@ Every metric-based prediction algorithm of Table 3 implements the same tiny
 protocol:
 
 - ``fit(snapshot)`` precomputes whatever per-snapshot state the metric needs
-  (sparse matrix powers, embeddings, walk matrices, ...);
-- ``score(pairs)`` returns one similarity score per candidate node pair
-  (an ``(n, 2)`` array of node ids), where a higher score means the pair is
-  more likely to connect next.
+  (degree and weight vectors, embeddings, walk matrices, ...);
+- ``score_block(block)`` returns one similarity score per pair of a
+  :class:`~repro.metrics.kernels.CandidateBlock`, where a higher score
+  means the pair is more likely to connect next.
+
+``score(pairs)`` — the entry point for an ``(n, 2)`` array of node ids —
+is implemented once, here, by routing through
+:func:`~repro.metrics.kernels.score_pairs`, so every caller ranks through
+the same kernel path.
 
 ``candidate_strategy`` declares the candidate set over which the metric's
 top-k prediction is meaningful: the neighbourhood metrics are exactly zero
@@ -137,22 +142,22 @@ class SimilarityMetric(ABC):
         """Precompute per-snapshot state; returns self for chaining."""
 
     @abstractmethod
-    def score(self, pairs: np.ndarray) -> np.ndarray:
-        """Score candidate pairs; ``pairs`` is an ``(n, 2)`` node-id array."""
-
     def score_block(self, block) -> np.ndarray:
         """Score one :class:`~repro.metrics.kernels.CandidateBlock`.
 
-        The batched-kernel protocol: ``block`` carries shared, memoised
-        state (position columns, the common-neighbour expansion, degree
-        gathers) that every metric scoring the same block reuses.  Scores
-        must be *bitwise identical* to ``score(block.pairs)`` — the
-        differential suite enforces this for every registered metric.
-        The default delegates to :meth:`score`, so third-party metrics
-        keep working unchanged; built-in metrics override it to read the
-        block's shared state instead of rebuilding their own.
+        ``block`` carries shared, memoised state (position columns, the
+        common-neighbour expansion, degree gathers) that every metric
+        scoring the same block reuses.  The scores of a pair must not
+        depend on which block it lands in: the kernel-parity suite checks
+        every registered metric split into many blocks against one block.
         """
-        return self.score(block.pairs)
+
+    def score(self, pairs: np.ndarray) -> np.ndarray:
+        """Score candidate pairs; ``pairs`` is an ``(n, 2)`` node-id array."""
+        from repro.metrics.kernels import score_pairs
+
+        snapshot = self._require_fit()
+        return score_pairs(self, snapshot, np.asarray(pairs, dtype=np.int64))
 
     def _require_fit(self) -> Snapshot:
         if self.snapshot is None:

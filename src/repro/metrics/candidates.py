@@ -4,7 +4,7 @@ Link prediction scores *unconnected* node pairs.  Which pairs are worth
 scoring depends on the metric: the common-neighbourhood family is identically
 zero beyond two hops, while PA / Rescal / Katz / PPR are defined globally.
 
-The 2-hop enumeration picks one of three interchangeable strategies from
+The 2-hop enumeration picks one of two interchangeable strategies from
 the snapshot's CSR statistics (:meth:`~repro.graph.snapshots.Snapshot.csr_stats`):
 
 - **sparse** — upper triangle of sparse ``A^2`` with a CSR-sampled edge
@@ -14,20 +14,15 @@ the snapshot's CSR statistics (:meth:`~repro.graph.snapshots.Snapshot.csr_stats`
   masks.  On small dense graphs (facebook-like: thousands of nodes, ≥ 1%
   density) BLAS wins decisively over sparse products whose ``A^2`` is
   nearly full anyway.  Counts stay exact: they are integers below 2^24.
-- **blocked** — degree-balanced row blocks of the sparse product, bounding
-  the partial-product working set when ``A^2`` is too big to hold at once
-  but the graph is too large/sparse for the dense path.
 
-All three produce the *identical* row-major candidate array (the
-differential suite asserts array equality), so the choice is purely a
-performance decision; ``REPRO_ENUM_STRATEGY`` forces one for benchmarks.
+Both produce the *identical* row-major candidate array (the differential
+suite asserts array equality), so the choice is purely a performance
+decision.
 The all-pairs set is generated from triangular-index arithmetic with a
 byte-per-pair knockout mask — no dense float adjacency on that path.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,14 +38,9 @@ from repro.utils.rng import ensure_rng
 #: density-adaptive enumeration" for the measured crossover they encode).
 DENSE_MAX_NODES = 4096
 DENSE_MIN_DENSITY = 0.01
-BLOCKED_MIN_WORK = 50_000_000
-#: multiply-adds per blocked partial product (bounds its working set).
-BLOCKED_TARGET_WORK = 1 << 25
 
 #: snapshot-cache key recording which strategy enumerated ``pairs_two_hop``.
 ENUM_STRATEGY_KEY = "enum_strategy"
-
-ENUM_STRATEGIES = ("sparse", "dense", "blocked")
 
 
 def _empty_pairs() -> np.ndarray:
@@ -118,24 +108,10 @@ def seed_candidate_cache(snapshot: Snapshot, pairs: np.ndarray) -> None:
 # 2-hop enumeration strategies (identical output, different cost shapes)
 # ---------------------------------------------------------------------------
 def choose_enumeration_strategy(snapshot: Snapshot) -> str:
-    """Pick the 2-hop enumeration strategy from CSR statistics.
-
-    ``REPRO_ENUM_STRATEGY`` (``sparse`` / ``dense`` / ``blocked``)
-    overrides the choice — benchmarks use it to measure the crossover.
-    """
-    override = os.environ.get("REPRO_ENUM_STRATEGY", "")
-    if override:
-        if override not in ENUM_STRATEGIES:
-            raise ValueError(
-                f"REPRO_ENUM_STRATEGY must be one of {ENUM_STRATEGIES}, "
-                f"got {override!r}"
-            )
-        return override
+    """Pick the 2-hop enumeration strategy from CSR statistics."""
     stats = snapshot.csr_stats()
     if 2 <= stats.nodes <= DENSE_MAX_NODES and stats.density >= DENSE_MIN_DENSITY:
         return "dense"
-    if stats.two_hop_work >= BLOCKED_MIN_WORK:
-        return "blocked"
     return "sparse"
 
 
@@ -168,55 +144,9 @@ def _dense_two_hop_positions(snapshot: Snapshot) -> tuple[np.ndarray, np.ndarray
     return rows.astype(np.int64), cols.astype(np.int64)
 
 
-def _blocked_two_hop_positions(snapshot: Snapshot) -> tuple[np.ndarray, np.ndarray]:
-    """Degree-balanced row blocks of the sparse product.
-
-    Row ``i`` of ``A @ A`` costs ``sum_{k in N(i)} deg(k)`` multiply-adds;
-    block boundaries equalise that work (not row counts), so hub-heavy
-    front rows do not serialise into one giant partial product.  Each
-    block's partial result is filtered and sorted independently; blocks
-    concatenate in row order, preserving the global row-major contract.
-    """
-    a = adjacency(snapshot)
-    indptr, indices = snapshot.csr_structure()
-    n = snapshot.num_nodes
-    deg = np.diff(indptr)
-    work_prefix = np.concatenate(
-        (np.zeros(1), np.cumsum(deg[indices], dtype=np.float64))
-    )
-    row_work_cum = work_prefix[indptr]  # cumulative work before each row
-    total = float(row_work_cum[-1])
-    num_blocks = max(1, int(np.ceil(total / BLOCKED_TARGET_WORK)))
-    targets = np.arange(1, num_blocks) * (total / num_blocks)
-    cuts = np.searchsorted(row_work_cum[1:], targets, side="left") + 1
-    bounds = np.unique(np.concatenate(([0], cuts, [n])))
-    rows_parts, cols_parts = [], []
-    for r0, r1 in zip(bounds[:-1], bounds[1:]):
-        prod = (a[r0:r1] @ a).tocoo()
-        if prod.nnz == 0:
-            continue
-        rows = prod.row.astype(np.int64) + int(r0)
-        cols = prod.col.astype(np.int64)
-        keep = (prod.data > 0) & (cols > rows)
-        rows, cols = rows[keep], cols[keep]
-        if len(rows) == 0:
-            continue
-        connected = np.asarray(a[rows, cols]).ravel() > 0
-        rows, cols = rows[~connected], cols[~connected]
-        if len(rows) == 0:
-            continue
-        order = np.lexsort((cols, rows))
-        rows_parts.append(rows[order])
-        cols_parts.append(cols[order])
-    if not rows_parts:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    return np.concatenate(rows_parts), np.concatenate(cols_parts)
-
-
 _ENUM_IMPLS = {
     "sparse": _sparse_two_hop_positions,
     "dense": _dense_two_hop_positions,
-    "blocked": _blocked_two_hop_positions,
 }
 
 
@@ -283,9 +213,10 @@ def prewarm_candidate_caches(
     process so every ``(metric, step, seed)`` work cell dispatched to that
     worker finds the sparse adjacency, packed adjacency keys, and
     candidate-pair arrays already cached, instead of each first-arriving
-    cell paying the build.  (``A^2`` is *not* prewarmed any more — the
-    kernel layer's expansion serves the neighbourhood metrics without it,
-    and metrics that do need it build it lazily on first legacy score.)
+    cell paying the build.  (``A^2`` is not prewarmed: the kernel
+    layer's expansion serves the neighbourhood metrics without it, and
+    what does need it — LP's fit, the sparse enumeration — builds it on
+    first use.)
     """
     from repro.metrics.kernels import adjacency_keys
 

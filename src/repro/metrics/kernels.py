@@ -1,11 +1,10 @@
 """Batched scoring kernels over shared CSR neighbour intersections.
 
-Scoring the Table-3 sweep used to repeat the same work per metric: every
-neighbourhood metric built its own ``A @ diag(w) @ A`` product, sampled it
-with its own ``pairs_to_indices`` gather, and threw the intermediates away.
-This module factors the shared parts into a :class:`CandidateBlock` — a
-slice of the candidate set carrying lazily computed, memoised state that
-*every* metric reuses:
+Every metric scores through this module: :func:`score_pairs` splits a
+pair array into :class:`CandidateBlock` slices and calls the metric's
+``score_block`` on each (``SimilarityMetric.score`` is a thin wrapper
+over it).  A block carries lazily computed, memoised state that *every*
+metric scoring it reuses:
 
 - the position columns (``rows`` / ``cols``) — one ``pairs_to_indices``
   per block instead of one per metric;
@@ -15,21 +14,24 @@ slice of the candidate set carrying lazily computed, memoised state that
   per-node weight vector over it; JC adds a degree gather.  One expansion
   replaces six sparse matrix products.
 
-Bitwise parity with the matrix path is load-bearing (the delta engine and
-the serving layer both advertise bit-identical scores) and hinges on
-accumulation order: scipy's SMMP ``csr_matmat`` emits each intermediate
-row's columns in *reverse* order (its linked-list accumulator pushes at
-the head), so ``(A @ diag(w) @ A)[u, v]`` sums ``w`` over the common
-neighbours in **descending** position order.  The expansion therefore
-enumerates each adjacency segment back-to-front, and the per-pair
-``np.bincount`` accumulation replays the exact same float additions the
-sparse product performs — equality is bitwise, not approximate, which
-``tests/test_kernel_parity.py`` enforces for every registered metric.
+The sums are bitwise identical to sampling ``A @ diag(w) @ A`` — the
+formulation the kernels replaced, kept as the reference oracle in
+``tests/matrix_oracle.py`` — and the delta engine and the serving layer
+both advertise bit-identical scores, so the equality is load-bearing.  It
+hinges on accumulation order: scipy's SMMP ``csr_matmat`` emits each
+intermediate row's columns in *reverse* order (its linked-list
+accumulator pushes at the head), so ``(A @ diag(w) @ A)[u, v]`` sums
+``w`` over the common neighbours in **descending** position order.  The
+expansion therefore enumerates each adjacency segment back-to-front, and
+the per-pair ``np.bincount`` accumulation replays the exact same float
+additions the sparse product performs — equality is bitwise, not
+approximate, which ``tests/test_kernel_parity.py`` enforces for every
+registered metric.
 
-:func:`score_pairs` is the routing entry point used by the experiment
-runner, the delta engine's rescoring, and the serving hot path: it splits
-the candidate set into blocks, calls ``metric.score_block`` on each, and
-emits ``kernels.block`` spans plus block-size/latency histograms.
+:func:`score_pairs` emits ``kernels.block`` spans plus block-size/latency
+histograms for every caller: the experiment runner, the classifier
+features, the delta engine's rescoring, the serving hot path and
+``SimilarityMetric.score``.
 """
 
 from __future__ import annotations
@@ -309,9 +311,10 @@ def blocks_for(snapshot: Snapshot, pairs: np.ndarray) -> "list[CandidateBlock]":
 def score_pairs(metric, snapshot: Snapshot, pairs: np.ndarray) -> np.ndarray:
     """Score ``pairs`` under a fitted metric via the block protocol.
 
-    The routing entry point shared by the experiment runner, the serving
-    hot path, and ad-hoc callers: one :class:`CandidateBlock` pipeline
-    with ``kernels.block`` spans and per-block size/latency telemetry.
+    The one scoring route, shared by the experiment runner, the serving
+    hot path, and ``SimilarityMetric.score``: one :class:`CandidateBlock`
+    pipeline with ``kernels.block`` spans and per-block size/latency
+    telemetry.
     """
     if len(pairs) == 0:
         return np.zeros(0, dtype=np.float64)

@@ -1,7 +1,8 @@
 """Common-neighbourhood heuristics: CN, JC, AA, RA (Table 3).
 
-All four reduce to weighted 2-hop path counts, computed as one sparse
-matrix product ``A @ diag(w) @ A`` with a per-intermediate-node weight:
+All four reduce to weighted 2-hop path counts — a sum of a per-node weight
+over each pair's common neighbours — read from the candidate block's
+shared common-neighbour expansion (:mod:`repro.metrics.kernels`):
 
 ======  ==========================  =====================
 metric  weight on intermediate w    normalisation
@@ -16,28 +17,14 @@ RA      1 / deg(w)                  —
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.graph.snapshots import Snapshot
 from repro.metrics.base import (
     SimilarityMetric,
-    adjacency,
-    cached,
     degrees,
-    matrix_values,
     pairs_to_indices,
     register,
-    two_hop_matrix,
 )
-
-
-def weighted_two_hop(snapshot: Snapshot, weights: np.ndarray, key: str) -> sp.csr_matrix:
-    """Cached ``A @ diag(weights) @ A`` for a per-node weight vector."""
-    def compute() -> sp.csr_matrix:
-        a = adjacency(snapshot)
-        return (a @ sp.diags(weights) @ a).tocsr()
-
-    return cached(snapshot, key, compute)
 
 
 def inv_log_degree_weights(deg: np.ndarray) -> np.ndarray:
@@ -86,11 +73,12 @@ def delta_backed_scores(
 ) -> "np.ndarray | None":
     """Serve pair scores from the delta engine's warm table, if possible.
 
-    Returns None — and the caller falls back to the matrix path — when the
-    snapshot has no table for ``name``, a pair's endpoint is unknown, or a
-    pair is missing from the table (the table covers exactly the 2-hop
-    candidate set; anything outside it scores 0 on these metrics, but the
-    matrix path handles arbitrary pairs uniformly, so it keeps that job).
+    Returns None — and the caller computes the scores from the block's
+    common-neighbour expansion — when the snapshot has no table for
+    ``name``, a pair's endpoint is unknown, or a pair is missing from the
+    table (the table covers exactly the 2-hop candidate set; anything
+    outside it scores 0 on these metrics, but the expansion handles
+    arbitrary pairs uniformly, so it keeps that job).
     """
     table = snapshot.cache.get(DELTA_SCORES_KEY)
     if table is None or name not in table:
@@ -126,22 +114,7 @@ class CommonNeighbors(SimilarityMetric):
 
     def fit(self, snapshot: Snapshot) -> "CommonNeighbors":
         self.snapshot = snapshot
-        # The A^2 product is deferred until a score() call actually needs
-        # it: delta-warm snapshots serve the whole candidate set from their
-        # maintained table, and the kernel path (score_block) counts common
-        # neighbours from the shared expansion without any matrix at all.
-        self._matrix = None
         return self
-
-    def score(self, pairs: np.ndarray) -> np.ndarray:
-        snapshot = self._require_fit()
-        warm = delta_backed_scores(snapshot, self.name, pairs)
-        if warm is not None:
-            return warm
-        if self._matrix is None:
-            self._matrix = two_hop_matrix(snapshot)
-        rows, cols = pairs_to_indices(snapshot, pairs)
-        return matrix_values(self._matrix, rows, cols)
 
     def score_block(self, block) -> np.ndarray:
         snapshot = self._require_fit()
@@ -160,20 +133,7 @@ class JaccardCoefficient(SimilarityMetric):
 
     def fit(self, snapshot: Snapshot) -> "JaccardCoefficient":
         self.snapshot = snapshot
-        self._matrix = None  # A^2, built on the first score() call
-        self._deg = degrees(snapshot)
         return self
-
-    def score(self, pairs: np.ndarray) -> np.ndarray:
-        snapshot = self._require_fit()
-        if self._matrix is None:
-            self._matrix = two_hop_matrix(snapshot)
-        rows, cols = pairs_to_indices(snapshot, pairs)
-        cn = matrix_values(self._matrix, rows, cols)
-        union = self._deg[rows] + self._deg[cols] - cn
-        out = np.zeros_like(cn)
-        np.divide(cn, union, out=out, where=union > 0)
-        return out
 
     def score_block(self, block) -> np.ndarray:
         self._require_fit()
@@ -195,18 +155,7 @@ class AdamicAdar(SimilarityMetric):
     def fit(self, snapshot: Snapshot) -> "AdamicAdar":
         self.snapshot = snapshot
         self._weights = _safe_inv_log_degree(snapshot)
-        self._matrix = None  # built on the first score() call that needs it
         return self
-
-    def score(self, pairs: np.ndarray) -> np.ndarray:
-        snapshot = self._require_fit()
-        warm = delta_backed_scores(snapshot, self.name, pairs)
-        if warm is not None:
-            return warm
-        if self._matrix is None:
-            self._matrix = weighted_two_hop(snapshot, self._weights, "AA_mat")
-        rows, cols = pairs_to_indices(snapshot, pairs)
-        return matrix_values(self._matrix, rows, cols)
 
     def score_block(self, block) -> np.ndarray:
         snapshot = self._require_fit()
@@ -226,18 +175,7 @@ class ResourceAllocation(SimilarityMetric):
     def fit(self, snapshot: Snapshot) -> "ResourceAllocation":
         self.snapshot = snapshot
         self._weights = _safe_inv_degree(snapshot)
-        self._matrix = None  # built on the first score() call that needs it
         return self
-
-    def score(self, pairs: np.ndarray) -> np.ndarray:
-        snapshot = self._require_fit()
-        warm = delta_backed_scores(snapshot, self.name, pairs)
-        if warm is not None:
-            return warm
-        if self._matrix is None:
-            self._matrix = weighted_two_hop(snapshot, self._weights, "RA_mat")
-        rows, cols = pairs_to_indices(snapshot, pairs)
-        return matrix_values(self._matrix, rows, cols)
 
     def score_block(self, block) -> np.ndarray:
         snapshot = self._require_fit()

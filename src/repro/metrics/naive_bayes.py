@@ -15,8 +15,8 @@ prior constant ``s = |V|(|V|-1) / (2|E|) - 1`` the three scores are
     BAA(u,v) = sum_w (log(s) + log(R_w)) / log(deg(w))
     BRA(u,v) = sum_w (log(s) + log(R_w)) / deg(w)
 
-each a weighted 2-hop path count, so they share the sparse
-``A @ diag(w) @ A`` machinery of :mod:`repro.metrics.local`.
+each a weighted 2-hop path count, so they share the common-neighbour
+expansion kernel of :mod:`repro.metrics.kernels` with CN/AA/RA.
 """
 
 from __future__ import annotations
@@ -31,12 +31,8 @@ from repro.metrics.base import (
     adjacency,
     cached,
     degrees,
-    matrix_values,
-    pairs_to_indices,
     register,
-    two_hop_matrix,
 )
-from repro.metrics.local import weighted_two_hop
 
 
 def node_triangle_counts(snapshot: Snapshot) -> np.ndarray:
@@ -86,20 +82,7 @@ class _LocalNaiveBayesMetric(SimilarityMetric):
         self.snapshot = snapshot
         log_s = math.log(prior_constant(snapshot))
         self._weights = self._neighbour_weights(snapshot, log_s)
-        # The weighted product is deferred to the first score() call: the
-        # kernel path (score_block) sums self._weights over the shared
-        # common-neighbour expansion and never needs the matrix.
-        self._matrix = None
         return self
-
-    def score(self, pairs: np.ndarray) -> np.ndarray:
-        snapshot = self._require_fit()
-        if self._matrix is None:
-            self._matrix = weighted_two_hop(
-                snapshot, self._weights, f"{self.name}_mat"
-            )
-        rows, cols = pairs_to_indices(snapshot, pairs)
-        return matrix_values(self._matrix, rows, cols)
 
     def score_block(self, block) -> np.ndarray:
         self._require_fit()

@@ -28,8 +28,6 @@ from repro.metrics.base import (
     adjacency,
     cached,
     dense_adjacency,
-    matrix_values,
-    pairs_to_indices,
     register,
     two_hop_matrix,
 )
@@ -55,17 +53,9 @@ class ShortestPath(SimilarityMetric):
         )
         return self
 
-    def score(self, pairs: np.ndarray) -> np.ndarray:
-        snapshot = self._require_fit()
-        rows, cols = pairs_to_indices(snapshot, pairs)
-        return self._score_at(rows, cols)
-
     def score_block(self, block) -> np.ndarray:
         self._require_fit()
-        return self._score_at(block.rows, block.cols)
-
-    def _score_at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        dist = self._dist[rows, cols]
+        dist = self._dist[block.rows, block.cols]
         # Unreachable pairs (inf) get -inf so they rank last.
         return np.where(np.isinf(dist), -np.inf, -dist)
 
@@ -85,22 +75,14 @@ class LocalPath(SimilarityMetric):
 
     def fit(self, snapshot: Snapshot) -> "LocalPath":
         self.snapshot = snapshot
-        self._a2 = two_hop_matrix(snapshot)
         # A^3 = A @ A^2 computed dense: nnz(A^3) approaches n^2 in these
         # small-world snapshots, so dense is both smaller and faster here.
         self._a3 = cached(
             snapshot,
             "A3_dense",
-            lambda: adjacency(snapshot) @ self._a2.toarray(),
+            lambda: adjacency(snapshot) @ two_hop_matrix(snapshot).toarray(),
         )
         return self
-
-    def score(self, pairs: np.ndarray) -> np.ndarray:
-        snapshot = self._require_fit()
-        rows, cols = pairs_to_indices(snapshot, pairs)
-        p2 = matrix_values(self._a2, rows, cols)
-        p3 = self._a3[rows, cols]
-        return p2 + self.epsilon * p3
 
     def score_block(self, block) -> np.ndarray:
         self._require_fit()
@@ -149,18 +131,10 @@ class KatzLowRank(SimilarityMetric):
         self._vec, self._factor = cached(snapshot, key, compute)
         return self
 
-    def score(self, pairs: np.ndarray) -> np.ndarray:
-        snapshot = self._require_fit()
-        rows, cols = pairs_to_indices(snapshot, pairs)
-        return self._score_at(rows, cols)
-
     def score_block(self, block) -> np.ndarray:
         self._require_fit()
-        return self._score_at(block.rows, block.cols)
-
-    def _score_at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        left = self._vec[rows] * self._factor
-        return np.einsum("ij,ij->i", left, self._vec[cols])
+        left = self._vec[block.rows] * self._factor
+        return np.einsum("ij,ij->i", left, self._vec[block.cols])
 
 
 @register
@@ -201,11 +175,6 @@ class KatzTruncated(SimilarityMetric):
 
         self._matrix = cached(snapshot, key, compute)
         return self
-
-    def score(self, pairs: np.ndarray) -> np.ndarray:
-        snapshot = self._require_fit()
-        rows, cols = pairs_to_indices(snapshot, pairs)
-        return self._matrix[rows, cols]
 
     def score_block(self, block) -> np.ndarray:
         self._require_fit()

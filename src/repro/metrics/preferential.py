@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.snapshots import Snapshot
-from repro.metrics.base import SimilarityMetric, degrees, pairs_to_indices, register
+from repro.metrics.base import SimilarityMetric, degrees, register
 
 
 @register
@@ -25,11 +25,6 @@ class PreferentialAttachment(SimilarityMetric):
         self.snapshot = snapshot
         self._deg = degrees(snapshot)
         return self
-
-    def score(self, pairs: np.ndarray) -> np.ndarray:
-        snapshot = self._require_fit()
-        rows, cols = pairs_to_indices(snapshot, pairs)
-        return self._deg[rows] * self._deg[cols]
 
     def score_block(self, block) -> np.ndarray:
         self._require_fit()

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from repro.graph.snapshots import Snapshot
-from repro.metrics.base import SimilarityMetric, adjacency, cached, pairs_to_indices, register
+from repro.metrics.base import SimilarityMetric, adjacency, cached, register
 
 
 def rescal_als(
@@ -120,16 +120,9 @@ class Rescal(SimilarityMetric):
         self._xr = self._x @ self._r
         return self
 
-    def score(self, pairs: np.ndarray) -> np.ndarray:
-        snapshot = self._require_fit()
-        rows, cols = pairs_to_indices(snapshot, pairs)
-        return self._score_at(rows, cols)
-
     def score_block(self, block) -> np.ndarray:
         self._require_fit()
-        return self._score_at(block.rows, block.cols)
-
-    def _score_at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        rows, cols = block.rows, block.cols
         forward = np.einsum("ij,ij->i", self._xr[rows], self._x[cols])
         backward = np.einsum("ij,ij->i", self._xr[cols], self._x[rows])
         return forward + backward

@@ -19,7 +19,6 @@ from repro.metrics.base import (
     cached,
     degrees,
     dense_adjacency,
-    pairs_to_indices,
     register,
 )
 
@@ -66,11 +65,6 @@ class PersonalizedPageRank(SimilarityMetric):
         self._pi = cached(snapshot, key, compute)
         return self
 
-    def score(self, pairs: np.ndarray) -> np.ndarray:
-        snapshot = self._require_fit()
-        rows, cols = pairs_to_indices(snapshot, pairs)
-        return self._pi[rows, cols] + self._pi[cols, rows]
-
     def score_block(self, block) -> np.ndarray:
         self._require_fit()
         rows, cols = block.rows, block.cols
@@ -106,16 +100,9 @@ class LocalRandomWalk(SimilarityMetric):
         self._two_e = 2.0 * snapshot.num_edges
         return self
 
-    def score(self, pairs: np.ndarray) -> np.ndarray:
-        snapshot = self._require_fit()
-        rows, cols = pairs_to_indices(snapshot, pairs)
-        return self._score_at(rows, cols)
-
     def score_block(self, block) -> np.ndarray:
         self._require_fit()
-        return self._score_at(block.rows, block.cols)
-
-    def _score_at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        rows, cols = block.rows, block.cols
         forward = self._deg[rows] / self._two_e * self._pm[rows, cols]
         backward = self._deg[cols] / self._two_e * self._pm[cols, rows]
         return forward + backward

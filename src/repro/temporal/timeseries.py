@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.graph.snapshots import Snapshot
 from repro.metrics.base import SimilarityMetric, get_metric
+from repro.metrics.kernels import score_pairs
 
 
 def _linear_extrapolate(series: np.ndarray) -> np.ndarray:
@@ -105,10 +106,9 @@ class TimeSeriesMetric(SimilarityMetric):
             self._fitted.append(metric)
         return self
 
-    def score(self, pairs: np.ndarray) -> np.ndarray:
+    def score_block(self, block) -> np.ndarray:
         self._require_fit()
-        if len(pairs) == 0:
-            return np.zeros(0)
+        pairs = block.pairs
         series = np.zeros((len(pairs), len(self._fitted)))
         for j, (snap, metric) in enumerate(zip(self._history, self._fitted)):
             # Pairs whose endpoints did not exist yet score 0 at that point.
@@ -118,7 +118,7 @@ class TimeSeriesMetric(SimilarityMetric):
                 count=len(pairs),
             )
             if exists.any():
-                series[exists, j] = metric.score(pairs[exists])
+                series[exists, j] = score_pairs(metric, snap, pairs[exists])
         if self.aggregation == "ma":
             return series.mean(axis=1)
         return _linear_extrapolate(series)

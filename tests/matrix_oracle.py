@@ -1,0 +1,77 @@
+"""Matrix-product reference scorer for the kernel-parity checks.
+
+The metrics score only through ``score_block`` over the shared
+common-neighbour expansion of :mod:`repro.metrics.kernels`.  For the eight
+metrics whose kernel replaced a sparse product — CN, JC, AA, RA, BCN, BAA,
+BRA and LP's 2-hop term — this module keeps that older formulation:
+build ``A @ diag(w) @ A`` with scipy and sample it at the pair positions.
+It shares no code with the expansion, yet the kernel promises to match it
+bit for bit (scipy's SMMP product sums each pair's common neighbours in
+descending position order, and the expansion replays that order), so the
+parity suites compare the two with ``np.array_equal``.
+
+Every other metric's kernel already gathers from a matrix its ``fit``
+built, at the block's positions; its reference is that gather over one
+block holding all the pairs, which is what the metric's own ``score``
+did before the kernels existed.
+
+Products are rebuilt on every call rather than cached on the snapshot, so
+the oracle neither reads nor seeds state the code under test uses.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.sparse as sp
+
+from repro.metrics.base import SimilarityMetric, pairs_to_indices
+from repro.metrics.kernels import CandidateBlock
+
+#: metrics whose kernel sums a per-node weight over common neighbours.
+WEIGHTED_TWO_HOP = frozenset({"AA", "RA", "BCN", "BAA", "BRA"})
+#: every metric the matrix formulation covers.
+MATRIX_METRICS = WEIGHTED_TWO_HOP | {"CN", "JC", "LP"}
+
+
+def weighted_two_hop(snapshot, weights: np.ndarray) -> sp.csr_matrix:
+    """``A @ diag(weights) @ A`` for a per-node weight vector."""
+    a = snapshot.adjacency_matrix()
+    return (a @ sp.diags(weights) @ a).tocsr()
+
+
+def sample(matrix: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``matrix[rows[i], cols[i]]`` for every i, as float64."""
+    if rows.size == 0:
+        return np.zeros(0, dtype=np.float64)
+    return np.asarray(matrix[rows, cols]).ravel().astype(np.float64)
+
+
+def oracle_scores(metric: SimilarityMetric, pairs: np.ndarray) -> np.ndarray:
+    """Reference scores of ``pairs`` under a fitted ``metric``."""
+    snapshot = metric.snapshot
+    assert snapshot is not None, "fit the metric first"
+    pairs = np.asarray(pairs, dtype=np.int64)
+    if metric.name not in MATRIX_METRICS:
+        if len(pairs) == 0:
+            return np.zeros(0, dtype=np.float64)
+        block = CandidateBlock(snapshot, pairs)
+        return np.asarray(metric.score_block(block), dtype=np.float64)
+    rows, cols = pairs_to_indices(snapshot, pairs)
+    if metric.name in WEIGHTED_TWO_HOP:
+        # The weight vector is the metric's fitted state; what the oracle
+        # checks is the accumulation over common neighbours.
+        return sample(weighted_two_hop(snapshot, metric._weights), rows, cols)
+    a = snapshot.adjacency_matrix()
+    a2 = (a @ a).tocsr()
+    cn = sample(a2, rows, cols)
+    if metric.name == "CN":
+        return cn
+    if metric.name == "JC":
+        deg = snapshot.degree_array()
+        union = deg[rows] + deg[cols] - cn
+        out = np.zeros_like(cn)
+        np.divide(cn, union, out=out, where=union > 0)
+        return out
+    # LP: 2-hop paths from A^2, 3-hop paths from the dense A @ A^2.
+    a3 = a @ a2.toarray()
+    return cn + metric.epsilon * a3[rows, cols]

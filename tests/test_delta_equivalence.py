@@ -24,6 +24,7 @@ from repro.graph.snapshots import Snapshot
 from repro.metrics.base import get_metric
 from repro.metrics.candidates import two_hop_pairs
 from repro.temporal.activity import node_idle_times
+from tests.matrix_oracle import oracle_scores
 
 SCORED = ("CN", "AA", "RA", "JC")
 
@@ -145,7 +146,7 @@ class TestByteIdentity:
     @given(traces())
     @settings(max_examples=40, deadline=None)
     def test_delta_backed_scores_match_matrix_path(self, stream):
-        """The seeded score tables == the A @ diag(w) @ A path, per pair."""
+        """The seeded score tables == the matrix oracle, per pair."""
         delta = DeltaGraph()
         delta.apply(stream)
         if not delta.num_edges:
@@ -157,7 +158,7 @@ class TestByteIdentity:
         # the query order matching the maintained key order.
         subset = pairs[::-1]
         for name in ("CN", "AA", "RA"):
-            want = get_metric(name).fit(ref).score(subset)
+            want = oracle_scores(get_metric(name).fit(ref), subset)
             got = get_metric(name).fit(snap).score(subset)
             assert got.tobytes() == want.tobytes()
 
@@ -330,8 +331,8 @@ class TestBatchHygiene:
         got = get_metric("CN").fit(snap).score(pairs)
         want = get_metric("CN").fit(ref).score(two_hop_pairs(ref))
         assert got.tobytes() == want.tobytes()
-        # AA has no warm table here, so it must fall back to the matrix
-        # path — and still agree with the rebuild.
+        # AA has no warm table here, so it must fall back to the
+        # expansion — and still agree with the rebuild.
         got_aa = get_metric("AA").fit(snap).score(pairs)
         want_aa = get_metric("AA").fit(ref).score(two_hop_pairs(ref))
         assert got_aa.tobytes() == want_aa.tobytes()

@@ -120,21 +120,6 @@ class TestWeightedMetrics:
 
 
 class TestIncrementalShim:
-    def test_legacy_import_path_warns_and_reexports(self):
-        """repro.extensions.incremental is a deprecation shim now."""
-        import importlib
-        import warnings
-
-        with warnings.catch_warnings():
-            # the first import may be the one that triggers the warning;
-            # the reload below asserts it deterministically
-            warnings.simplefilter("ignore", DeprecationWarning)
-            import repro.extensions.incremental as shim
-
-        with pytest.warns(DeprecationWarning, match="repro.graph.delta"):
-            shim = importlib.reload(shim)
-        assert shim.IncrementalNeighborhood is IncrementalNeighborhood
-
     def test_package_surface_does_not_warn(self, recwarn):
         """Importing the extensions package itself must stay silent."""
         import importlib
