@@ -13,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.snapshots import Snapshot
+from repro.metrics.kernels import adjacency_keys, probe_sorted_keys
+from repro.utils.pairs import encode_position_pairs
 from repro.utils.rng import ensure_rng
 
 
@@ -24,11 +26,17 @@ def labeled_pairs(
     ``pairs`` must be unconnected in ``observed`` (candidate pairs); the
     label says whether the pair closed by the ``future`` snapshot.
     """
-    return np.fromiter(
-        (1 if future.has_edge(int(u), int(v)) else 0 for u, v in pairs),
-        dtype=np.int64,
-        count=len(pairs),
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    positions, present = future.lookup_positions(pairs)
+    # A pair with an endpoint ``future`` does not hold cannot be an edge.
+    known = present.all(axis=1)
+    hit, _ = probe_sorted_keys(
+        adjacency_keys(future),
+        encode_position_pairs(positions[known, 0], positions[known, 1]),
     )
+    labels = np.zeros(len(pairs), dtype=np.int64)
+    labels[known] = hit
+    return labels
 
 
 def undersample_indices(

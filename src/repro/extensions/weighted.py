@@ -35,7 +35,8 @@ from repro.metrics.base import (
     register,
     two_hop_matrix,
 )
-from repro.utils.pairs import Pair
+from repro.metrics.kernels import adjacency_keys, probe_sorted_keys
+from repro.utils.pairs import Pair, canonical_pair, encode_position_pairs
 from repro.utils.rng import ensure_rng
 
 WeightMap = "dict[Pair, float]"
@@ -70,21 +71,37 @@ def synthesize_weights(
 
 
 def weight_matrix(snapshot: Snapshot, weights: "dict[Pair, float]", alpha: float):
-    """Symmetric sparse matrix of ``w(u,v)^alpha`` over the snapshot edges."""
+    """Symmetric sparse matrix of ``w(u,v)^alpha`` over the snapshot edges.
+
+    Validation is vectorised but reports the first offending item in dict
+    order, as an item-by-item check would.  ``w ** alpha`` is taken with
+    the items' own ``**`` (an object-array power), because numpy's float64
+    power can differ from Python's in the last bit.
+    """
     import scipy.sparse as sp
 
-    pos = snapshot.node_pos
-    n = len(pos)
-    rows, cols, data = [], [], []
-    for (u, v), w in weights.items():
-        if not snapshot.has_edge(u, v):
+    n = snapshot.num_nodes
+    ends = np.asarray(list(weights), dtype=np.int64).reshape(-1, 2)
+    values = np.fromiter(weights.values(), dtype=object, count=len(weights))
+    positions, present = snapshot.lookup_positions(ends)
+    self_pair = ends[:, 0] == ends[:, 1]
+    edge, _ = probe_sorted_keys(
+        adjacency_keys(snapshot),
+        encode_position_pairs(positions[:, 0], positions[:, 1]),
+    )
+    non_edge = ~self_pair & ~(present.all(axis=1) & edge)
+    bad = self_pair | non_edge | (values.astype(np.float64) <= 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        (u, v), w = list(weights.items())[i]
+        if self_pair[i]:
+            canonical_pair(u, v)  # raises the self-pair ValueError
+        if non_edge[i]:
             raise ValueError(f"weight given for non-edge {(u, v)}")
-        if w <= 0:
-            raise ValueError(f"weights must be positive, got {w} for {(u, v)}")
-        value = w**alpha
-        rows.extend((pos[u], pos[v]))
-        cols.extend((pos[v], pos[u]))
-        data.extend((value, value))
+        raise ValueError(f"weights must be positive, got {w} for {(u, v)}")
+    # Triplets interleave (u, v), (v, u) per item, in dict order.
+    data = np.repeat(np.asarray((values**alpha).tolist()), 2)
+    rows, cols = positions.ravel(), positions[:, ::-1].ravel()
     return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
@@ -109,25 +126,35 @@ class _WeightedNeighbourhoodMetric(SimilarityMetric):
     def _node_scaling(self, snapshot: Snapshot, strength: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _snapshot_weights(self, snapshot: Snapshot) -> "dict[Pair, float]":
-        """Caller-supplied weights, or deterministic synthesized ones.
+    def fit(self, snapshot: Snapshot):
+        """Fit on the caller's weights, or on deterministic synthesized ones.
 
         The registry instantiates metrics with no arguments, so the
         registered WCN/WAA/WRA fall back to :func:`synthesize_weights`
         (seed 0, cached per snapshot) — the traces record only link
-        creation, never interaction volume.
+        creation, never interaction volume.  Those weights are a pure
+        function of the snapshot, so the fitted product is cached per
+        ``(snapshot, name, alpha)`` like every other global fit.
         """
+        self.snapshot = snapshot
         if self.weights is not None:
-            return self.weights
-        return cached(
-            snapshot, "synthetic_weights", lambda: synthesize_weights(snapshot)
-        )
+            self._matrix = self._product(snapshot, self.weights)
+            return self
 
-    def fit(self, snapshot: Snapshot):
+        def product():
+            weights = cached(
+                snapshot, "synthetic_weights", lambda: synthesize_weights(snapshot)
+            )
+            return self._product(snapshot, weights)
+
+        self._matrix = cached(
+            snapshot, f"weighted_product:{self.name}:{self.alpha!r}", product
+        )
+        return self
+
+    def _product(self, snapshot: Snapshot, weights: "dict[Pair, float]"):
         import scipy.sparse as sp
 
-        self.snapshot = snapshot
-        weights = self._snapshot_weights(snapshot)
         w = weight_matrix(snapshot, weights, self.alpha)
         raw_strength = np.asarray(
             weight_matrix(snapshot, weights, 1.0).sum(axis=1)
@@ -136,8 +163,7 @@ class _WeightedNeighbourhoodMetric(SimilarityMetric):
         a = adjacency(snapshot)
         diag = sp.diags(scaling)
         # sum_z scaling(z) * (w(u,z)^a + w(z,v)^a) for z adjacent to both.
-        self._matrix = (w @ diag @ a + a @ diag @ w).tocsr()
-        return self
+        return (w @ diag @ a + a @ diag @ w).tocsr()
 
     def score_block(self, block) -> np.ndarray:
         # Edge-weighted sums are a different kernel shape (per-edge rather

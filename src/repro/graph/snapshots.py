@@ -212,22 +212,26 @@ class Snapshot:
             two_hop_work=int(np.dot(deg, deg)),
         )
 
+    def lookup_positions(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorised node id -> position lookup that tolerates unknown ids.
+
+        Returns ``(positions, present)``, both shaped like ``values``; the
+        position of an absent id is a placeholder, so mask with ``present``.
+        """
+        values = np.asarray(values, dtype=np.int64)
+        ids = self.node_ids
+        if len(ids) == 0:
+            return np.zeros(values.shape, dtype=np.int64), np.zeros(values.shape, dtype=bool)
+        pos = np.minimum(np.searchsorted(ids, values), len(ids) - 1)
+        return pos, ids[pos] == values
+
     def positions_of(self, values: np.ndarray) -> np.ndarray:
         """Vectorised node id -> position lookup (raises on unknown ids)."""
         values = np.asarray(values, dtype=np.int64)
-        ids = self.node_ids
-        if len(values) == 0:
-            return np.zeros(0, dtype=np.int64)
-        pos = np.searchsorted(ids, values)
-        pos_safe = np.minimum(pos, max(len(ids) - 1, 0))
-        if len(ids) == 0 or not np.array_equal(ids[pos_safe], values):
-            bad = (
-                values[0]
-                if len(ids) == 0
-                else values[np.flatnonzero(ids[pos_safe] != values)[0]]
-            )
-            raise KeyError(int(bad))
-        return pos_safe
+        pos, present = self.lookup_positions(values)
+        if not present.all():
+            raise KeyError(int(values[~present][0]))
+        return pos
 
     # ------------------------------------------------------------------
     # Static-graph queries

@@ -98,6 +98,56 @@ def dense_probe_matrix(snapshot: Snapshot) -> np.ndarray:
     return cached(snapshot, "adj_bool_dense", compute)
 
 
+def use_dense_probe(snapshot: Snapshot) -> bool:
+    """Whether ``snapshot`` is small and dense enough for n x n probe tables.
+
+    The regime of the dense enumeration strategy: there a cached dense
+    matrix gather beats a ``searchsorted`` over the packed edge keys.
+    """
+    from repro.metrics.candidates import DENSE_MAX_NODES, DENSE_MIN_DENSITY
+
+    stats = snapshot.csr_stats()
+    return stats.nodes <= DENSE_MAX_NODES and stats.density >= DENSE_MIN_DENSITY
+
+
+def probe_sorted_keys(
+    keys: np.ndarray, probe: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact membership of ``probe`` in the sorted unique array ``keys``.
+
+    Returns ``(hit, at)``: ``keys[at[i]] == probe[i]`` wherever ``hit[i]``,
+    so ``at`` also indexes any column aligned with ``keys``.
+    """
+    if len(keys) == 0:
+        return np.zeros(len(probe), dtype=bool), np.zeros(len(probe), dtype=np.int64)
+    at = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
+    return keys[at] == probe, at
+
+
+def smaller_side_expansion(
+    indptr: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walk each pair's smaller-degree endpoint's CSR row, back-to-front.
+
+    Returns ``(pair_ids, flat, other)``, one entry per walked neighbour:
+    the pair's index, the neighbour's CSR position (``indices[flat]`` is
+    the neighbour) and the pair's other endpoint, which callers probe for
+    adjacency to that neighbour.  Element ``j`` of a pair whose walked
+    endpoint is ``w`` reads CSR position ``indptr[w + 1] - 1 - j``.
+    """
+    deg = np.diff(indptr)
+    expand_rows = deg[rows] <= deg[cols]
+    left = np.where(expand_rows, rows, cols)
+    right = np.where(expand_rows, cols, rows)
+    counts = deg[left]
+    total = int(counts.sum())
+    offsets = np.repeat(np.cumsum(counts) - counts, counts)
+    local = np.arange(total, dtype=np.int64) - offsets
+    flat = np.repeat(indptr[left] + counts - 1, counts) - local
+    pair_ids = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
+    return pair_ids, flat, np.repeat(right, counts)
+
+
 def common_neighbor_expansion(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -126,36 +176,19 @@ def common_neighbor_expansion(
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-    empty = np.zeros(0, dtype=np.int64)
     if len(rows) == 0:
+        empty = np.zeros(0, dtype=np.int64)
         return empty, empty
-    deg = np.diff(indptr)
-    expand_rows = deg[rows] <= deg[cols]
-    left = np.where(expand_rows, rows, cols)
-    right = np.where(expand_rows, cols, rows)
-    counts = deg[left]
-    total = int(counts.sum())
-    if total == 0:
-        return empty, empty
-    starts = indptr[left]
-    # Flat CSR range expansion, back-to-front within each segment: element
-    # j of segment i reads position starts[i] + counts[i] - 1 - j.
-    offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    local = np.arange(total, dtype=np.int64) - offsets
-    flat = np.repeat(starts + counts - 1, counts) - local
+    pair_ids, flat, other = smaller_side_expansion(indptr, rows, cols)
     neighbors = indices[flat]
-    pair_ids = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
     if adj_bool is not None:
-        hit = adj_bool[np.repeat(right, counts), neighbors]
+        hit = adj_bool[other, neighbors]
     else:
         if adj_keys is None:
             n = len(indptr) - 1
-            all_rows = np.repeat(np.arange(n, dtype=np.int64), deg)
+            all_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
             adj_keys = encode_position_pairs(all_rows, indices)
-        probe = encode_position_pairs(np.repeat(right, counts), neighbors)
-        pos = np.searchsorted(adj_keys, probe)
-        safe = np.minimum(pos, max(len(adj_keys) - 1, 0))
-        hit = adj_keys[safe] == probe
+        hit, _ = probe_sorted_keys(adj_keys, encode_position_pairs(other, neighbors))
     return pair_ids[hit], neighbors[hit]
 
 
@@ -226,14 +259,8 @@ class CandidateBlock:
     def expansion(self) -> tuple[np.ndarray, np.ndarray]:
         """Memoised common-neighbour expansion of this block's pairs."""
         if self._expansion is None:
-            from repro.metrics.candidates import (
-                DENSE_MAX_NODES,
-                DENSE_MIN_DENSITY,
-            )
-
             indptr, indices = self.snapshot.csr_structure()
-            stats = self.snapshot.csr_stats()
-            if stats.nodes <= DENSE_MAX_NODES and stats.density >= DENSE_MIN_DENSITY:
+            if use_dense_probe(self.snapshot):
                 self._expansion = common_neighbor_expansion(
                     indptr, indices, self.rows, self.cols,
                     adj_bool=dense_probe_matrix(self.snapshot),

@@ -15,15 +15,35 @@ The node-level kernels run directly on the trace's event columns: one
 ``maximum.at`` / ``bincount`` scatter produces every node's last-activity
 time or windowed edge count in a single vectorised pass — no per-node
 Python bisect loops.
+
+The CN time gap is one expansion pass over all requested pairs, not a set
+intersection per pair: each pair's smaller-degree endpoint's CSR row is
+walked and the other endpoint probed for every neighbour ``w`` (the
+common-neighbour expansion of :mod:`repro.metrics.kernels`).  ``t_{uw}``
+is read from a creation-time column aligned with the CSR; ``t_{vw}`` comes
+from the same probe — a gather from a dense ``n x n`` time matrix on small
+dense snapshots, else the ``searchsorted`` position in the packed edge
+keys.  A ``maximum.at`` scatter then takes each pair's latest arrival;
+``max`` of float64 is exact, so the gaps equal a per-pair Python loop's
+bit for bit.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.graph.snapshots import Snapshot
+from repro.metrics.base import cached
+from repro.metrics.kernels import (
+    adjacency_keys,
+    probe_sorted_keys,
+    smaller_side_expansion,
+    use_dense_probe,
+)
+from repro.utils.pairs import encode_position_pairs
 
 
 @dataclass
@@ -91,32 +111,86 @@ def node_recent_edges(snapshot: Snapshot, window: float) -> np.ndarray:
     return counts[_global_positions(snapshot)].astype(np.float64)
 
 
-def cn_time_gap(snapshot: Snapshot, u: int, v: int) -> float:
-    """Days since ``(u, v)`` last gained a common neighbour (inf if none)."""
-    nu, nv = snapshot.neighbors(u), snapshot.neighbors(v)
-    common = nu & nv if len(nu) < len(nv) else nv & nu
-    if not common:
-        return np.inf
-    trace = snapshot.trace
-    latest = max(
-        max(trace.edge_time(u, w), trace.edge_time(v, w)) for w in common
+def csr_edge_times(snapshot: Snapshot) -> np.ndarray:
+    """Creation time of every CSR adjacency entry (aligned with ``indices``).
+
+    Built once per snapshot from its own edge columns — not inside the CSR
+    build, which the delta engine seeds directly: one stable sort of the
+    packed ``(row, col)`` keys of both edge directions puts the times in
+    CSR order, because CSR rows hold their columns sorted.
+    """
+    def compute() -> np.ndarray:
+        iu, iv = snapshot.edge_indices()
+        times = snapshot.edge_times()
+        keys = encode_position_pairs(
+            np.concatenate((iu, iv)), np.concatenate((iv, iu))
+        )
+        order = np.argsort(keys, kind="stable")
+        return np.concatenate((times, times))[order]
+
+    return cached(snapshot, "csr_edge_times", compute)
+
+
+def dense_edge_times(snapshot: Snapshot) -> np.ndarray:
+    """Cached ``n x n`` creation-time matrix, ``-inf`` for non-edges.
+
+    The O(1) probe for small dense snapshots; callers gate on
+    :func:`~repro.metrics.kernels.use_dense_probe`.
+    """
+    def compute() -> np.ndarray:
+        iu, iv = snapshot.edge_indices()
+        times = snapshot.edge_times()
+        dense = np.full((snapshot.num_nodes, snapshot.num_nodes), -np.inf)
+        dense[iu, iv] = times
+        dense[iv, iu] = times
+        return dense
+
+    return cached(snapshot, "dense_edge_times", compute)
+
+
+def cn_time_gaps(snapshot: Snapshot, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Days since each position pair last gained a common neighbour.
+
+    ``inf`` for pairs with no common neighbour.  One expansion pass: the
+    arrival time of common neighbour ``w`` is ``max(t_{uw}, t_{vw})`` and
+    a pair's latest arrival is the ``maximum.at`` of those over its ``w``.
+    """
+    indptr, indices = snapshot.csr_structure()
+    times = csr_edge_times(snapshot)
+    pair_ids, flat, other = smaller_side_expansion(indptr, rows, cols)
+    neighbors = indices[flat]
+    if use_dense_probe(snapshot):
+        other_times = dense_edge_times(snapshot)[other, neighbors]
+        hit = other_times != -np.inf
+    else:
+        hit, at = probe_sorted_keys(
+            adjacency_keys(snapshot), encode_position_pairs(other, neighbors)
+        )
+        other_times = times[at]
+    latest = np.full(len(rows), -np.inf)
+    np.maximum.at(
+        latest, pair_ids[hit], np.maximum(times[flat[hit]], other_times[hit])
     )
-    return snapshot.time - latest
+    gaps = np.full(len(rows), np.inf)
+    has_cn = latest != -np.inf
+    gaps[has_cn] = snapshot.time - latest[has_cn]
+    return gaps
 
 
 def pair_activity(
     snapshot: Snapshot,
     pairs: np.ndarray,
     window: float,
-    compute_cn_gap: bool = True,
-    cn_gap_mask: "np.ndarray | None" = None,
+    cn_gap_mask: "np.ndarray | Callable[[PairActivity], np.ndarray] | None" = None,
 ) -> PairActivity:
     """Compute activity features for candidate ``pairs`` at a snapshot.
 
-    Node-level quantities are vectorised; the common-neighbour gap requires
-    per-pair set intersections, so ``cn_gap_mask`` lets callers restrict it
-    to pairs that survived the (cheap) node-level criteria — the evaluation
-    order the temporal filter uses.
+    ``cn_gap_mask`` restricts the common-neighbour gap — the one feature
+    that expands neighbourhoods — to some pairs; the others keep ``inf``.
+    It is a boolean mask over ``pairs``, or a function of the node-level
+    features (``cn_gap`` still all ``inf``) returning one: the temporal
+    filter passes its node-level criteria, so gaps are computed only for
+    their survivors.  ``None`` computes every pair's gap.
     """
     idle = node_idle_times(snapshot)
     recent = node_recent_edges(snapshot, window)
@@ -124,21 +198,16 @@ def pair_activity(
     rows = snapshot.positions_of(pairs[:, 0])
     cols = snapshot.positions_of(pairs[:, 1])
     idle_u, idle_v = idle[rows], idle[cols]
-    active_idle = np.minimum(idle_u, idle_v)
-    inactive_idle = np.maximum(idle_u, idle_v)
     # The "active" endpoint is the one with smaller idle time.
     u_active = idle_u <= idle_v
-    recent_edges = np.where(u_active, recent[rows], recent[cols])
-    gaps = np.full(len(pairs), np.inf)
-    if compute_cn_gap:
-        index = (
-            np.flatnonzero(cn_gap_mask) if cn_gap_mask is not None else range(len(pairs))
-        )
-        for i in index:
-            gaps[i] = cn_time_gap(snapshot, int(pairs[i, 0]), int(pairs[i, 1]))
-    return PairActivity(
-        active_idle=active_idle,
-        inactive_idle=inactive_idle,
-        recent_edges=recent_edges,
-        cn_gap=gaps,
+    activity = PairActivity(
+        active_idle=np.minimum(idle_u, idle_v),
+        inactive_idle=np.maximum(idle_u, idle_v),
+        recent_edges=np.where(u_active, recent[rows], recent[cols]),
+        cn_gap=np.full(len(pairs), np.inf),
     )
+    if callable(cn_gap_mask):
+        cn_gap_mask = cn_gap_mask(activity)
+    selected = slice(None) if cn_gap_mask is None else np.flatnonzero(cn_gap_mask)
+    activity.cn_gap[selected] = cn_time_gaps(snapshot, rows[selected], cols[selected])
+    return activity

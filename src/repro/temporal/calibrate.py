@@ -18,7 +18,7 @@ import numpy as np
 from repro.graph.snapshots import Snapshot
 from repro.temporal.activity import pair_activity
 from repro.temporal.filters import FilterParams
-from repro.utils.pairs import Pair
+from repro.utils.pairs import Pair, encode_position_pairs
 from repro.utils.rng import ensure_rng
 
 
@@ -31,12 +31,18 @@ def positive_negative_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split candidates into positives (in ``truth``) and sampled negatives."""
     generator = ensure_rng(rng)
-    truth_set = truth
-    is_positive = np.fromiter(
-        ((int(u), int(v)) in truth_set for u, v in candidates),
-        dtype=bool,
-        count=len(candidates),
+    # Exact ordered-tuple membership: re-index every id that occurs in
+    # either side densely, pack each (u, v) into one int64 key, isin.
+    cand = np.asarray(candidates, dtype=np.int64).reshape(-1, 2)
+    true = np.asarray(list(truth), dtype=np.int64).reshape(-1, 2)
+    ids = np.unique(np.concatenate((cand.ravel(), true.ravel())))
+    cand_keys = encode_position_pairs(
+        np.searchsorted(ids, cand[:, 0]), np.searchsorted(ids, cand[:, 1])
     )
+    true_keys = encode_position_pairs(
+        np.searchsorted(ids, true[:, 0]), np.searchsorted(ids, true[:, 1])
+    )
+    is_positive = np.isin(cand_keys, true_keys)
     positives = candidates[is_positive]
     negatives = candidates[~is_positive]
     if len(negatives) > negative_sample:

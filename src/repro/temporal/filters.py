@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.snapshots import Snapshot
-from repro.temporal.activity import pair_activity
+from repro.temporal.activity import PairActivity, pair_activity
 
 #: Table 7 of the paper: per-network thresholds discovered on the original
 #: traces.  Included for reference; synthetic traces have a compressed time
@@ -67,32 +67,49 @@ class TemporalFilter:
     def __call__(self, snapshot: Snapshot, pairs: np.ndarray) -> np.ndarray:
         """Boolean keep-mask over ``pairs``.
 
-        Node-level criteria run first (vectorised); the per-pair
-        common-neighbour gap is only computed for their survivors.
+        When ``pairs`` *is* one of the snapshot's cached candidate arrays
+        (``pairs_two_hop`` / ``pairs_all``, the identity rule of
+        :func:`~repro.metrics.kernels.blocks_for`), the mask is memoised on
+        the snapshot per ``(params, candidate array)`` and returned
+        read-only, so every metric of a sweep shares one filter pass.
         """
-        if len(pairs) == 0:
-            return np.zeros(0, dtype=bool)
+        for source in ("pairs_two_hop", "pairs_all"):
+            if pairs is snapshot.cache.get(source):
+                key = ("temporal_filter_mask", self.params, source)
+                entry = snapshot.cache.get(key)
+                if entry is None or entry[0] is not pairs:
+                    mask = self._keep_mask(snapshot, pairs)
+                    mask.flags.writeable = False
+                    entry = (pairs, mask)
+                    snapshot.cache[key] = entry
+                return entry[1]
+        return self._keep_mask(snapshot, pairs)
+
+    def _passes_node_criteria(self, activity: PairActivity) -> np.ndarray:
+        """Criteria 1-3, which need only node-level features."""
         p = self.params
-        activity = pair_activity(
-            snapshot, pairs, window=p.window, compute_cn_gap=False
-        )
-        keep = (
+        return (
             (activity.active_idle < p.d_act)
             & (activity.inactive_idle < p.d_inact)
             & (activity.recent_edges >= p.min_new_edges)
         )
-        if keep.any():
-            survivors = pair_activity(
-                snapshot,
-                pairs,
-                window=p.window,
-                compute_cn_gap=True,
-                cn_gap_mask=keep,
-            )
-            # Pairs with no common neighbour (gap = inf) skip criterion 4.
-            has_cn = np.isfinite(survivors.cn_gap)
-            keep &= ~has_cn | (survivors.cn_gap < p.d_cn)
-        return keep
+
+    def _keep_mask(self, snapshot: Snapshot, pairs: np.ndarray) -> np.ndarray:
+        """One filter pass: node-level criteria first, then the CN gap
+        (criterion 4) computed only for their survivors."""
+        if len(pairs) == 0:
+            return np.zeros(0, dtype=bool)
+        activity = pair_activity(
+            snapshot,
+            pairs,
+            window=self.params.window,
+            cn_gap_mask=self._passes_node_criteria,
+        )
+        # Pairs with no common neighbour (gap = inf) skip criterion 4.
+        gap = activity.cn_gap
+        return self._passes_node_criteria(activity) & (
+            ~np.isfinite(gap) | (gap < self.params.d_cn)
+        )
 
     def reduction(self, snapshot: Snapshot, pairs: np.ndarray) -> float:
         """Fraction of candidates removed (the search-space saving)."""

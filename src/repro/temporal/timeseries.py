@@ -112,11 +112,7 @@ class TimeSeriesMetric(SimilarityMetric):
         series = np.zeros((len(pairs), len(self._fitted)))
         for j, (snap, metric) in enumerate(zip(self._history, self._fitted)):
             # Pairs whose endpoints did not exist yet score 0 at that point.
-            exists = np.fromiter(
-                (snap.has_node(int(u)) and snap.has_node(int(v)) for u, v in pairs),
-                dtype=bool,
-                count=len(pairs),
-            )
+            exists = snap.lookup_positions(pairs)[1].all(axis=1)
             if exists.any():
                 series[exists, j] = score_pairs(metric, snap, pairs[exists])
         if self.aggregation == "ma":

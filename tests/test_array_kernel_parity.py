@@ -1,0 +1,267 @@
+"""Array kernels against the loops they replaced, compared bit for bit.
+
+Covers the temporal filter (its CN-gap pass and keep-masks, first and
+memoised calls), the calibration positive/negative split, classifier
+labelling, the weighted metrics' weight matrix and the time-series
+wrapper's existence check.  Each kernel runs on a plain snapshot, a
+snowball-sampled ``SnapshotView`` and a ``DeltaGraph.materialize()``
+snapshot, and with both membership probes (the dense n x n table and the
+sorted edge keys).  References live in ``tests/loop_oracle.py``; every
+comparison is ``np.array_equal``, never ``allclose``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.classify import sampled_instance
+from repro.classify.sampling import labeled_pairs
+from repro.extensions.weighted import (
+    WeightedAdamicAdar,
+    WeightedCommonNeighbors,
+    synthesize_weights,
+    weight_matrix,
+)
+from repro.graph.delta import DeltaGraph
+from repro.graph.snapshots import Snapshot, new_edges_between
+from repro.metrics.candidates import all_nonedge_pairs, two_hop_pairs
+from repro.temporal import FilterParams, TemporalFilter, TimeSeriesMetric, pair_activity
+from repro.temporal import activity as activity_module
+from repro.temporal.calibrate import positive_negative_pairs
+from repro.utils.rng import ensure_rng
+from tests import loop_oracle
+
+KINDS = ("plain", "view", "delta")
+ALPHAS = (1.0, 0.5, -0.7, 2.0)
+#: a node id no snapshot of the preset traces holds
+ABSENT = 10**9
+
+
+def fresh(snapshot: Snapshot) -> Snapshot:
+    """The same cut with empty caches, so no test reads another's memo."""
+    return Snapshot(snapshot.trace, snapshot.cutoff, index=snapshot.index)
+
+
+def observed_and_future(snapshots, kind: str) -> "tuple[Snapshot, Snapshot]":
+    """An ``(observed, future)`` snapshot pair of the requested kind."""
+    prev2, prev1, nxt = (fresh(s) for s in snapshots[-3:])
+    if kind == "plain":
+        return prev1, nxt
+    if kind == "view":
+        instance = sampled_instance(prev2, prev1, nxt, fraction=0.4, rng=3)
+        return instance.train_view, instance.label_view
+    trace = prev1.trace
+    u, v, t = trace.columns()
+    delta = DeltaGraph()
+    delta.apply(list(zip(u[: prev1.cutoff].tolist(), v[: prev1.cutoff].tolist(),
+                         t[: prev1.cutoff].tolist())))
+    return delta.materialize(), nxt
+
+
+@pytest.fixture(params=("dense", "sorted_keys"))
+def probe(request, monkeypatch):
+    """Force the CN-gap pass down one membership probe."""
+    dense = request.param == "dense"
+    monkeypatch.setattr(activity_module, "use_dense_probe", lambda snapshot: dense)
+    return request.param
+
+
+def gap_pairs(snapshot: Snapshot) -> np.ndarray:
+    """2-hop pairs, pairs without a common neighbour, and reversed rows."""
+    two_hop = two_hop_pairs(snapshot)
+    far = all_nonedge_pairs(snapshot)[::7]
+    pairs = np.concatenate((two_hop, far, two_hop[::5, ::-1], far[::3, ::-1]))
+    return np.ascontiguousarray(pairs)
+
+
+def params_for(snapshot: Snapshot, pairs: np.ndarray) -> FilterParams:
+    """Thresholds at which every criterion, the CN gap included, bites."""
+    act = pair_activity(snapshot, pairs, window=5.0)
+    gaps = act.cn_gap[np.isfinite(act.cn_gap)]
+    return FilterParams(
+        d_act=float(np.percentile(act.active_idle, 80)) + 1e-6,
+        d_inact=float(np.percentile(act.inactive_idle, 90)) + 1e-6,
+        window=5.0,
+        min_new_edges=float(np.percentile(act.recent_edges, 10)),
+        d_cn=float(np.percentile(gaps, 50)) + 1e-6,
+    )
+
+
+@pytest.mark.parametrize("kind", KINDS)
+class TestCnGapPass:
+    def test_gaps_match_the_loop(self, facebook_snapshots, kind, probe):
+        snapshot, _ = observed_and_future(facebook_snapshots, kind)
+        pairs = gap_pairs(snapshot)
+        gaps = pair_activity(snapshot, pairs, window=5.0).cn_gap
+        want = loop_oracle.cn_time_gaps(snapshot, pairs)
+        assert np.isfinite(want).any() and np.isinf(want).any()
+        assert np.array_equal(gaps, want)
+
+    def test_mask_restricts_the_pass(self, facebook_snapshots, kind, probe):
+        snapshot, _ = observed_and_future(facebook_snapshots, kind)
+        pairs = gap_pairs(snapshot)
+        mask = np.zeros(len(pairs), dtype=bool)
+        mask[::3] = True
+        gaps = pair_activity(snapshot, pairs, window=5.0, cn_gap_mask=mask).cn_gap
+        want = np.full(len(pairs), np.inf)
+        want[mask] = loop_oracle.cn_time_gaps(snapshot, pairs[mask])
+        assert np.array_equal(gaps, want)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+class TestFilterMask:
+    def test_first_and_memoised_calls(self, facebook_snapshots, kind, probe):
+        snapshot, _ = observed_and_future(facebook_snapshots, kind)
+        for pairs in (two_hop_pairs(snapshot), all_nonedge_pairs(snapshot)):
+            params = params_for(snapshot, pairs)
+            want = loop_oracle.filter_mask(params, snapshot, pairs)
+            assert want.any() and not want.all()
+            filt = TemporalFilter(params)
+            first = filt(snapshot, pairs)
+            assert np.array_equal(first, want)
+            assert not first.flags.writeable
+            again = TemporalFilter(params)(snapshot, pairs)
+            assert again is first
+            # A copy is not the cached candidate array: no memo, same mask.
+            copied = filt(snapshot, pairs.copy())
+            assert copied is not first and copied.flags.writeable
+            assert np.array_equal(copied, want)
+
+    def test_uncached_pairs(self, facebook_snapshots, kind, probe):
+        snapshot, _ = observed_and_future(facebook_snapshots, kind)
+        pairs = gap_pairs(snapshot)
+        params = params_for(snapshot, pairs)
+        got = TemporalFilter(params)(snapshot, pairs)
+        assert np.array_equal(got, loop_oracle.filter_mask(params, snapshot, pairs))
+
+
+def test_memo_is_keyed_by_params(facebook_snapshots):
+    snapshot = fresh(facebook_snapshots[-2])
+    pairs = two_hop_pairs(snapshot)
+    loose = params_for(snapshot, pairs)
+    tight = FilterParams(
+        d_act=loose.d_act, d_inact=loose.d_inact, window=loose.window,
+        min_new_edges=loose.min_new_edges, d_cn=loose.d_cn / 4,
+    )
+    a = TemporalFilter(loose)(snapshot, pairs)
+    b = TemporalFilter(tight)(snapshot, pairs)
+    assert np.array_equal(b, loop_oracle.filter_mask(tight, snapshot, pairs))
+    assert int(b.sum()) < int(a.sum())
+
+
+def test_empty_pairs(tiny_snapshot):
+    empty = np.zeros((0, 2), dtype=np.int64)
+    act = pair_activity(tiny_snapshot, empty, window=5.0)
+    assert act.cn_gap.shape == (0,)
+    params = FilterParams(d_act=1, d_inact=1, window=1, min_new_edges=0, d_cn=1)
+    assert TemporalFilter(params)(tiny_snapshot, empty).shape == (0,)
+    assert labeled_pairs(tiny_snapshot, tiny_snapshot, empty).shape == (0,)
+    positives, negatives = positive_negative_pairs(tiny_snapshot, {(0, 4)}, empty)
+    assert positives.shape == negatives.shape == (0, 2)
+    matrix = weight_matrix(tiny_snapshot, {}, 0.5)
+    assert matrix.nnz == 0 and matrix.shape == (8, 8)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_positive_negative_split(facebook_snapshots, kind):
+    observed, future = observed_and_future(facebook_snapshots, kind)
+    candidates = two_hop_pairs(observed)
+    truth = new_edges_between(facebook_snapshots[-2], facebook_snapshots[-1])
+    held = {tuple(p) for p in candidates.tolist()} & truth
+    assert held and truth - held  # some truth pairs are not candidates
+    # Reversed rows are positives only if the reversed tuple is in truth.
+    candidates = np.concatenate((candidates, candidates[::4, ::-1]))
+    truth = truth | {(v, u) for u, v in sorted(held)[::2]}
+    positives, negatives = positive_negative_pairs(
+        observed, truth, candidates, negative_sample=50, rng=11
+    )
+    is_positive = loop_oracle.positive_mask(truth, candidates)
+    want_negatives = candidates[~is_positive]
+    pick = ensure_rng(11).choice(len(want_negatives), size=50, replace=False)
+    assert np.array_equal(positives, candidates[is_positive])
+    assert np.array_equal(negatives, want_negatives[pick])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_labeled_pairs(facebook_snapshots, kind):
+    observed, future = observed_and_future(facebook_snapshots, kind)
+    pairs = all_nonedge_pairs(observed)
+    absent = np.asarray([[pairs[0, 0], ABSENT], [ABSENT, pairs[1, 1]]])
+    pairs = np.concatenate((pairs, pairs[::3, ::-1], absent))
+    labels = labeled_pairs(observed, future, pairs)
+    want = loop_oracle.labeled_pairs(future, pairs)
+    assert want.sum() > 0
+    assert labels.dtype == want.dtype and np.array_equal(labels, want)
+
+
+def assert_same_matrix(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_weight_matrix(facebook_snapshots, kind, alpha):
+    snapshot, _ = observed_and_future(facebook_snapshots, kind)
+    weights = synthesize_weights(snapshot, seed=4)
+    # Reversed keys land on the same cells; duplicates sum in item order.
+    for (u, v), w in list(weights.items())[::9]:
+        weights[(v, u)] = w * 0.5
+    assert_same_matrix(
+        weight_matrix(snapshot, weights, alpha),
+        loop_oracle.weight_matrix(snapshot, weights, alpha),
+    )
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [((0, 5), 1.0), ((0, 1), -1.0)],      # non-edge before a bad weight
+        [((0, 1), 0.0), ((0, 5), 1.0)],       # bad weight before a non-edge
+        [((0, ABSENT), 1.0)],                  # a node the snapshot lacks
+        [((1, 0), 2.0), ((2, 1), float("-inf"))],
+        [((3, 3), 1.0), ((0, 5), 1.0)],       # self-pair first
+    ],
+)
+def test_weight_matrix_reports_the_first_bad_item(tiny_snapshot, bad):
+    weights = {pair: 1.0 for pair in tiny_snapshot.edges()}
+    weights.update(bad)
+    with pytest.raises(ValueError) as want:
+        loop_oracle.weight_matrix(tiny_snapshot, weights, 1.0)
+    with pytest.raises(ValueError) as got:
+        weight_matrix(tiny_snapshot, weights, 1.0)
+    assert str(got.value) == str(want.value)
+
+
+def test_weighted_fit_is_cached_per_snapshot_and_alpha(facebook_snapshots):
+    snapshot = fresh(facebook_snapshots[-2])
+    pairs = two_hop_pairs(snapshot)
+    first = WeightedCommonNeighbors(alpha=0.5).fit(snapshot)
+    again = WeightedCommonNeighbors(alpha=0.5).fit(snapshot)
+    assert again._matrix is first._matrix
+    assert WeightedCommonNeighbors(alpha=2.0).fit(snapshot)._matrix is not first._matrix
+    assert WeightedAdamicAdar(alpha=0.5).fit(snapshot)._matrix is not first._matrix
+    explicit = WeightedCommonNeighbors(
+        weights=synthesize_weights(snapshot), alpha=0.5
+    ).fit(fresh(snapshot))
+    assert np.array_equal(first.score(pairs), explicit.score(pairs))
+
+
+def test_timeseries_existence_check(facebook_snapshots):
+    """Pairs whose endpoints an older cut lacks score 0 there."""
+    snapshot = fresh(facebook_snapshots[-1])
+    pairs = two_hop_pairs(snapshot)
+    ts = TimeSeriesMetric("CN", "ma", points=2, spacing_days=10.0).fit(snapshot)
+    series = np.zeros((len(pairs), len(ts._history)))
+    for j, (snap, metric) in enumerate(zip(ts._history, ts._fitted)):
+        exists = np.fromiter(
+            (snap.has_node(int(u)) and snap.has_node(int(v)) for u, v in pairs),
+            dtype=bool,
+            count=len(pairs),
+        )
+        series[exists, j] = metric.score(pairs[exists])
+    assert 0 < np.count_nonzero(series[:, 0]) < len(pairs)
+    assert np.array_equal(ts.score(pairs), series.mean(axis=1))

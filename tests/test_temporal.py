@@ -13,9 +13,10 @@ from repro.temporal import (
     calibrate_filter,
     pair_activity,
 )
-from repro.temporal.activity import cn_time_gap, node_idle_times, node_recent_edges
+from repro.temporal.activity import node_idle_times, node_recent_edges
 from repro.temporal.filters import PAPER_PARAMS
 from tests.conftest import build_trace
+from tests.loop_oracle import cn_time_gap
 
 
 class TestActivityFeatures:
@@ -34,9 +35,13 @@ class TestActivityFeatures:
         # Via 1: max(t(0,1)=0, t(1,4)=7) = 7.  Via 3: max(t(0,3)=5, t(3,4)=4)=5.
         # Latest arrival = 7; snapshot time = 11 -> gap 4.
         assert cn_time_gap(tiny_snapshot, 0, 4) == pytest.approx(4.0)
+        act = pair_activity(tiny_snapshot, np.asarray([[0, 4], [4, 0]]), window=5.0)
+        assert act.cn_gap.tolist() == [4.0, 4.0]
 
     def test_cn_time_gap_no_common_neighbour(self, tiny_snapshot):
         assert cn_time_gap(tiny_snapshot, 0, 5) == np.inf
+        act = pair_activity(tiny_snapshot, np.asarray([[0, 5]]), window=5.0)
+        assert act.cn_gap[0] == np.inf
 
     def test_pair_activity_active_inactive_split(self, tiny_snapshot):
         pairs = np.asarray([[3, 7]])
