@@ -144,30 +144,38 @@ def _sweep(graph: TemporalGraph, delta: int) -> "list[np.ndarray]":
     return out
 
 
-def _time_mode(events, delta, make_telemetry, repeats: int):
-    """(best-of-k seconds, first-run scores, span/metric payload counts).
+def _time_modes(events, delta, modes: dict, repeats: int) -> dict:
+    """Per mode: (best-of-k seconds, first-run scores, span/metric counts).
 
-    Every repetition gets a fresh graph (cold trace-level caches) built
+    The modes are interleaved: each of the ``repeats`` rounds times every
+    mode once, in an order rotated from round to round, so a drift in the
+    host's speed reaches all modes alike instead of whichever is timed
+    last.  One untimed sweep runs first to pay one-off warm-up costs.
+    Every timed sweep gets a fresh graph (cold trace-level caches) built
     *outside* the timed region, and — in enabled mode — a fresh tracer
     and registry so buffered spans never accumulate across runs.
     """
-    best = float("inf")
-    scores = None
-    spans = metrics_payloads = 0
-    for _ in range(repeats):
-        graph = TemporalGraph.from_stream(events)
-        tracer, registry = make_telemetry()
-        gc.collect()
-        with _telemetry_mode(tracer, registry):
-            started = time.perf_counter()
-            result = _sweep(graph, delta)
-            best = min(best, time.perf_counter() - started)
-        if scores is None:
-            scores = result
-            if isinstance(tracer, Tracer):
-                spans = len(tracer.drain())
-                metrics_payloads = len(registry.payloads())
-    return best, scores, spans, metrics_payloads
+    _sweep(TemporalGraph.from_stream(events), delta)
+    names = list(modes)
+    results = {name: [float("inf"), None, 0, 0] for name in names}
+    for round_index in range(repeats):
+        shift = round_index % len(names)
+        for name in names[shift:] + names[:shift]:
+            graph = TemporalGraph.from_stream(events)
+            tracer, registry = modes[name]()
+            gc.collect()
+            with _telemetry_mode(tracer, registry):
+                started = time.perf_counter()
+                scores = _sweep(graph, delta)
+                elapsed = time.perf_counter() - started
+            entry = results[name]
+            entry[0] = min(entry[0], elapsed)
+            if entry[1] is None:
+                entry[1] = scores
+                if isinstance(tracer, Tracer):
+                    entry[2] = len(tracer.drain())
+                    entry[3] = len(registry.payloads())
+    return {name: tuple(entry) for name, entry in results.items()}
 
 
 def run(repeats: int, write_json: bool) -> dict:
@@ -175,15 +183,19 @@ def run(repeats: int, write_json: bool) -> dict:
     delta = presets.snapshot_delta("facebook", 0.25)
     events = list(trace.edges())
 
-    ref_s, ref_scores, _, _ = _time_mode(
-        events, delta, lambda: (_RefTracer(), _RefRegistry()), repeats
+    timed = _time_modes(
+        events,
+        delta,
+        {
+            "reference": lambda: (_RefTracer(), _RefRegistry()),
+            "disabled": lambda: (telemetry.NULL_TRACER, telemetry.NULL_REGISTRY),
+            "enabled": lambda: (Tracer(), MetricsRegistry()),
+        },
+        repeats,
     )
-    dis_s, dis_scores, _, _ = _time_mode(
-        events, delta, lambda: (telemetry.NULL_TRACER, telemetry.NULL_REGISTRY), repeats
-    )
-    ena_s, ena_scores, spans, payloads = _time_mode(
-        events, delta, lambda: (Tracer(), MetricsRegistry()), repeats
-    )
+    ref_s, ref_scores, _, _ = timed["reference"]
+    dis_s, dis_scores, _, _ = timed["disabled"]
+    ena_s, ena_scores, spans, payloads = timed["enabled"]
 
     # Parity before any number is trusted: telemetry must never perturb
     # scientific output, in any mode.
@@ -247,7 +259,7 @@ def main() -> None:
         help="fewer repeats, parity + budget still asserted, no JSON rewrite",
     )
     args = parser.parse_args()
-    run(repeats=3 if args.smoke else 7, write_json=not args.smoke)
+    run(repeats=12 if args.smoke else 15, write_json=not args.smoke)
 
 
 if __name__ == "__main__":

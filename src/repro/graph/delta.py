@@ -521,7 +521,11 @@ class DeltaGraph:
         return indptr, self._adj_keys % PAIR_POSITION_SHIFT
 
     def flush_scores(self) -> int:
-        """Refresh the score tables for the dirty region; returns its size.
+        """Refresh the float score tables for the dirty region; returns its size.
+
+        CN needs no refresh (``apply`` keeps its exact counts current), so
+        an engine tracking no float table only clears the dirty flags and
+        returns 0.
 
         The dirty region is *exact*: pairs explicitly CN-bumped since the
         last flush, plus pairs with a changed-degree node among their
@@ -538,7 +542,7 @@ class DeltaGraph:
         refreshed = 0
         mask = self._dirty
         num_cand = len(self._cand_keys)
-        if num_cand and (mask.any() or self._dirty_nodes):
+        if tracked and num_cand and (mask.any() or self._dirty_nodes):
             indptr, indices = self._csr_parts()
             if self._dirty_nodes:
                 changed = np.asarray(sorted(self._dirty_nodes), dtype=np.int64)
@@ -563,7 +567,7 @@ class DeltaGraph:
                     )
                     mask[pos[member]] = True
             refreshed = int(np.count_nonzero(mask))
-            if refreshed and tracked:
+            if refreshed:
                 from repro.metrics.kernels import (
                     common_neighbor_expansion,
                     weighted_counts,

@@ -104,6 +104,39 @@ def degrees(snapshot: Snapshot) -> np.ndarray:
     return cached(snapshot, "deg", snapshot.degree_array)
 
 
+def symmetric_entries(
+    snapshot: Snapshot,
+    key: str,
+    block,
+    compute: "Callable[[int | None], np.ndarray]",
+) -> np.ndarray:
+    """A block's entries of a symmetric per-snapshot ``n x n`` matrix.
+
+    ``compute(p)`` returns row ``p`` of the matrix, or the whole matrix
+    when ``p`` is None.  When every pair of the block shares one node (a
+    served ``/predict`` read) only that node's row is computed, memoised
+    in a per-snapshot dict under ``key@rows`` (one cache key, so telemetry
+    labels do not grow with the nodes read); otherwise the whole matrix
+    is, once, under ``key``.
+    Both answer bit for bit alike only if a row computed alone equals
+    that row of the whole matrix and the matrix is exactly symmetric —
+    true of the exact integer path algebra (hop counts, powers of ``A``)
+    the callers use.
+    """
+    rows, cols = block.rows, block.cols
+    matrix = snapshot.cache.get(key)
+    if matrix is None and len(rows):
+        for hub in (int(rows[0]), int(cols[0])):
+            on_row = rows == hub
+            if np.all(on_row | (cols == hub)):
+                memo = snapshot.cache.setdefault(f"{key}@rows", {})
+                if hub not in memo:
+                    memo[hub] = compute(hub)
+                return memo[hub][np.where(on_row, cols, rows)]
+    matrix = cached(snapshot, key, lambda: compute(None))
+    return matrix[rows, cols]
+
+
 def pairs_to_indices(snapshot: Snapshot, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map an ``(n, 2)`` array of node ids to matrix row/col indices.
 

@@ -20,6 +20,9 @@ suite asserts array equality), so the choice is purely a performance
 decision.
 The all-pairs set is generated from triangular-index arithmetic with a
 byte-per-pair knockout mask — no dense float adjacency on that path.
+A one-node query (``candidate_pairs(..., node=u)``, the serving read)
+builds neither set: it reads ``u``'s CSR neighbourhood and returns the
+same rows the full set holds for ``u``, in the same order.
 """
 
 from __future__ import annotations
@@ -226,14 +229,54 @@ def prewarm_candidate_caches(
         candidate_pairs(snapshot, strategy)
 
 
-def candidate_pairs(snapshot: Snapshot, strategy: str) -> np.ndarray:
-    """Dispatch on a metric's ``candidate_strategy``."""
+def _node_candidate_pairs(snapshot: Snapshot, strategy: str, node: int) -> np.ndarray:
+    """The rows of ``candidate_pairs(snapshot, strategy)`` that touch ``node``.
+
+    Read from ``node``'s CSR neighbourhood alone, without building or
+    scanning the snapshot's candidate array: ``"all"`` keeps every
+    position but ``node`` and its neighbours, ``"two_hop"`` the
+    neighbours of its neighbours minus the same.  Rows are ``(min, max)``
+    id pairs sorted by the other endpoint, which is exactly their order
+    in the row-major full array.  An unknown ``node`` raises ``KeyError``.
+    """
+    position = int(snapshot.positions_of(np.asarray([node]))[0])
+    indptr, indices = snapshot.csr_structure()
+    neighbours = indices[indptr[position] : indptr[position + 1]]
+    if strategy == "two_hop":
+        keep = np.zeros(snapshot.num_nodes, dtype=bool)
+        starts = indptr[neighbours]
+        counts = indptr[neighbours + 1] - starts
+        # the CSR positions of every neighbour's row, concatenated
+        flat = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        keep[indices[flat + np.arange(len(flat))]] = True
+    else:
+        keep = np.ones(snapshot.num_nodes, dtype=bool)
+    keep[neighbours] = False
+    keep[position] = False
+    others = np.flatnonzero(keep)
+    ids = snapshot.node_ids
+    return np.column_stack(
+        (ids[np.minimum(others, position)], ids[np.maximum(others, position)])
+    )
+
+
+def candidate_pairs(
+    snapshot: Snapshot, strategy: str, node: "int | None" = None
+) -> np.ndarray:
+    """Dispatch on a metric's ``candidate_strategy``.
+
+    With ``node``, only the pairs touching it, in the same order
+    (:func:`_node_candidate_pairs`); the full array is neither built nor
+    read.
+    """
+    if strategy not in ("two_hop", "all"):
+        raise ValueError(f"unknown candidate strategy {strategy!r}")
+    if node is not None:
+        return _node_candidate_pairs(snapshot, strategy, node)
     if strategy == "two_hop":
         pairs = two_hop_pairs(snapshot)
-    elif strategy == "all":
-        pairs = all_nonedge_pairs(snapshot)
     else:
-        raise ValueError(f"unknown candidate strategy {strategy!r}")
+        pairs = all_nonedge_pairs(snapshot)
     if telemetry.metrics.enabled:
         # Candidate-set size distributions are the §4.2 quantity the paper
         # uses to explain accuracy; record them per enumeration strategy.

@@ -18,7 +18,6 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import shortest_path
 
@@ -29,12 +28,27 @@ from repro.metrics.base import (
     cached,
     dense_adjacency,
     register,
-    two_hop_matrix,
+    symmetric_entries,
 )
 
 #: Paper-tuned parameters (Section 3.2).
 LP_EPSILON = 1e-4
 KATZ_BETA = 1e-3
+
+
+def path_counts(snapshot: Snapshot, p: "int | None", max_length: int):
+    """Yield ``A, A^2, ..., A^max_length`` as dense float64, or their row ``p``.
+
+    The entries are exact integer path counts, so a row computed alone
+    (``A @ row`` repeatedly; ``A`` is symmetric) is bitwise that row of
+    the full powers.
+    """
+    a = adjacency(snapshot)
+    power = dense_adjacency(snapshot) if p is None else a[p].toarray().ravel()
+    yield power
+    for _ in range(max_length - 1):
+        power = a @ power
+        yield power
 
 
 @register
@@ -46,16 +60,18 @@ class ShortestPath(SimilarityMetric):
 
     def fit(self, snapshot: Snapshot) -> "ShortestPath":
         self.snapshot = snapshot
-        self._dist = cached(
-            snapshot,
-            "sp_dist",
-            lambda: shortest_path(adjacency(snapshot), method="D", unweighted=True),
-        )
         return self
 
     def score_block(self, block) -> np.ndarray:
-        self._require_fit()
-        dist = self._dist[block.rows, block.cols]
+        snapshot = self._require_fit()
+        dist = symmetric_entries(
+            snapshot,
+            "sp_dist",
+            block,
+            lambda p: shortest_path(
+                adjacency(snapshot), method="D", unweighted=True, indices=p
+            ),
+        )
         # Unreachable pairs (inf) get -inf so they rank last.
         return np.where(np.isinf(dist), -np.inf, -dist)
 
@@ -75,21 +91,18 @@ class LocalPath(SimilarityMetric):
 
     def fit(self, snapshot: Snapshot) -> "LocalPath":
         self.snapshot = snapshot
-        # A^3 = A @ A^2 computed dense: nnz(A^3) approaches n^2 in these
-        # small-world snapshots, so dense is both smaller and faster here.
-        self._a3 = cached(
-            snapshot,
-            "A3_dense",
-            lambda: adjacency(snapshot) @ two_hop_matrix(snapshot).toarray(),
-        )
         return self
 
+    def _three_hop(self, p: "int | None") -> np.ndarray:
+        *_, a3 = path_counts(self.snapshot, p, 3)
+        return a3
+
     def score_block(self, block) -> np.ndarray:
-        self._require_fit()
+        snapshot = self._require_fit()
         # 2-hop counts come from the shared expansion (exact integers, so
-        # order-independent); only the 3-hop term still reads the dense A^3.
+        # order-independent); only the 3-hop term reads a dense A^3.
         p2 = block.counts()
-        p3 = self._a3[block.rows, block.cols]
+        p3 = symmetric_entries(snapshot, "A3_dense", block, self._three_hop)
         return p2 + self.epsilon * p3
 
 
@@ -141,8 +154,8 @@ class KatzLowRank(SimilarityMetric):
 class KatzTruncated(SimilarityMetric):
     """Katz_sc [38]: truncated-series proximity estimation.
 
-    Sums ``beta^l * |paths^l|`` for ``l <= l_max`` using dense matrix
-    powers; this is the "scalable" Katz variant of the paper (cheap, less
+    Sums ``beta^l * |paths^l|`` for ``l <= l_max`` over dense matrix
+    powers (or one row of them, for a block that shares one node); this is the "scalable" Katz variant of the paper (cheap, less
     accurate than the low-rank spectral form, as the paper observes).
     """
 
@@ -160,22 +173,22 @@ class KatzTruncated(SimilarityMetric):
 
     def fit(self, snapshot: Snapshot) -> "KatzTruncated":
         self.snapshot = snapshot
-        key = f"katz_sc_{self.beta}_{self.max_length}"
-
-        def compute() -> np.ndarray:
-            a_sparse = adjacency(snapshot)
-            power = dense_adjacency(snapshot).copy()
-            total = self.beta * power
-            weight = self.beta
-            for _ in range(self.max_length - 1):
-                power = a_sparse @ power
-                weight *= self.beta
-                total += weight * power
-            return total
-
-        self._matrix = cached(snapshot, key, compute)
         return self
 
+    def _series(self, p: "int | None") -> np.ndarray:
+        powers = path_counts(self.snapshot, p, self.max_length)
+        total = self.beta * next(powers)
+        weight = self.beta
+        for power in powers:
+            weight *= self.beta
+            total += weight * power
+        return total
+
     def score_block(self, block) -> np.ndarray:
-        self._require_fit()
-        return self._matrix[block.rows, block.cols]
+        snapshot = self._require_fit()
+        return symmetric_entries(
+            snapshot,
+            f"katz_sc_{self.beta}_{self.max_length}",
+            block,
+            self._series,
+        )

@@ -18,6 +18,13 @@ rebuild by ``tests/test_delta_equivalence.py``), and per-pair scores are
 computed by the same registered metric classes the experiment runner
 uses, so a served score is bit-for-bit the score ``run_experiment``
 would compute on the same prefix.
+
+A read costs what its node's neighbourhood costs: its candidates come
+from the node's CSR rows, never from the snapshot's full candidate
+array, and SP, LP and Katz_sc compute the node's row of their path
+matrix instead of the whole matrix.  The engine keeps only the exact
+CN counts warm; AA and RA score a read's few hundred pairs through the
+common-neighbour expansion, so no write pays to refresh float tables.
 """
 
 from __future__ import annotations
@@ -58,6 +65,17 @@ class StoreWriteError(RuntimeError):
     """A write failed after screening (apply error or failed audit)."""
 
 
+def _serving_engine(trace: TemporalGraph) -> DeltaGraph:
+    """The store's delta engine: it keeps only the exact CN counts warm.
+
+    A read scores AA/RA for its few hundred pairs through the
+    common-neighbour expansion, which is bitwise the float tables the
+    engine could keep; refreshing those tables over each write's dirty
+    region would cost more than every read between two writes saves.
+    """
+    return DeltaGraph(trace, track_scores=("CN",))
+
+
 class ScoreStore:
     """Serving-side state: a delta engine plus its last-good snapshot.
 
@@ -84,7 +102,7 @@ class ScoreStore:
         #: when set, accepted batches are WAL-logged before they are
         #: applied, so an ack always implies a replayable record.
         self.durability = durability
-        self._engine = DeltaGraph(trace)
+        self._engine = _serving_engine(trace)
         self._snapshot = self._engine.materialize()
         self._batches_accepted = 0
         self._poisoned = False
@@ -129,12 +147,15 @@ class ScoreStore:
         """Top-k predicted neighbours of ``u`` under ``metric_name``.
 
         Runs entirely against the last-good snapshot.  Candidates are the
-        metric's own enumeration strategy restricted to pairs touching
-        ``u``; scores route through the batched kernel layer
-        (:func:`repro.metrics.kernels.score_pairs` — warm delta tables
-        for CN/AA/RA, shared neighbour-intersection blocks otherwise),
-        so each value is bit-identical to the batch pipeline's score for
-        the same pair on the same prefix.  Ranking is deterministic:
+        rows of the metric's own enumeration that touch ``u``, read from
+        ``u``'s neighbourhood (``candidate_pairs(..., node=u)``) without
+        building the snapshot's full candidate array.  Scores route
+        through the batched kernel layer
+        (:func:`repro.metrics.kernels.score_pairs`: the engine's warm CN
+        table, the common-neighbour expansion for AA/RA and the other
+        neighbourhood metrics, one matrix row for SP/LP/Katz_sc), so each
+        value is bit-identical to the batch pipeline's score for the same
+        pair on the same prefix.  Ranking is deterministic:
         descending score, ascending neighbour id on ties — a stable
         contract for clients, unlike the evaluation protocol's random
         tie-breaking (which is a property of the *accuracy experiment*,
@@ -145,12 +166,7 @@ class ScoreStore:
         metric = get_metric(metric_name)  # KeyError -> 400 upstream
         if not snapshot.has_node(u):
             raise UnknownNodeError(u)
-        pairs = candidate_pairs(snapshot, metric.candidate_strategy)
-        if len(pairs):
-            mask = (pairs[:, 0] == u) | (pairs[:, 1] == u)
-            mine = pairs[mask]
-        else:
-            mine = pairs
+        mine = candidate_pairs(snapshot, metric.candidate_strategy, node=u)
         predictions = []
         if len(mine):
             metric.fit(snapshot)
@@ -252,7 +268,7 @@ class ScoreStore:
         if not self._poisoned:
             return
         good = self._snapshot
-        self._engine = DeltaGraph(good.trace.prefix(good.num_edges))
+        self._engine = _serving_engine(good.trace.prefix(good.num_edges))
         self._snapshot = self._engine.materialize()
         self._poisoned = False
 

@@ -10,10 +10,16 @@ bit for bit (scipy's SMMP product sums each pair's common neighbours in
 descending position order, and the expansion replays that order), so the
 parity suites compare the two with ``np.array_equal``.
 
-Every other metric's kernel already gathers from a matrix its ``fit``
-built, at the block's positions; its reference is that gather over one
-block holding all the pairs, which is what the metric's own ``score``
-did before the kernels existed.
+SP, LP's 3-hop term and Katz_sc compute one row of their matrix when a
+block's pairs share a node, and the whole matrix otherwise; their
+reference is the whole-matrix formula they had before that split:
+``shortest_path`` over every source, the sparse ``A`` times a dense
+``A^2``, and the truncated Katz series over dense powers.
+
+Every other metric's kernel gathers from a matrix its ``fit`` built, at
+the block's positions; its reference is that gather over one block
+holding all the pairs, which is what the metric's own ``score`` did
+before the kernels existed.
 
 Products are rebuilt on every call rather than cached on the snapshot, so
 the oracle neither reads nor seeds state the code under test uses.
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import shortest_path
 
 from repro.metrics.base import SimilarityMetric, pairs_to_indices
 from repro.metrics.kernels import CandidateBlock
@@ -30,7 +37,7 @@ from repro.metrics.kernels import CandidateBlock
 #: metrics whose kernel sums a per-node weight over common neighbours.
 WEIGHTED_TWO_HOP = frozenset({"AA", "RA", "BCN", "BAA", "BRA"})
 #: every metric the matrix formulation covers.
-MATRIX_METRICS = WEIGHTED_TWO_HOP | {"CN", "JC", "LP"}
+MATRIX_METRICS = WEIGHTED_TWO_HOP | {"CN", "JC", "LP", "SP", "Katz_sc"}
 
 
 def weighted_two_hop(snapshot, weights: np.ndarray) -> sp.csr_matrix:
@@ -46,6 +53,18 @@ def sample(matrix: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndar
     return np.asarray(matrix[rows, cols]).ravel().astype(np.float64)
 
 
+def katz_series(a: sp.csr_matrix, beta: float, max_length: int) -> np.ndarray:
+    """``sum_{l <= max_length} beta^l A^l`` over dense matrix powers."""
+    power = a.toarray()
+    total = beta * power
+    weight = beta
+    for _ in range(max_length - 1):
+        power = a @ power
+        weight *= beta
+        total += weight * power
+    return total
+
+
 def oracle_scores(metric: SimilarityMetric, pairs: np.ndarray) -> np.ndarray:
     """Reference scores of ``pairs`` under a fitted ``metric``."""
     snapshot = metric.snapshot
@@ -57,11 +76,16 @@ def oracle_scores(metric: SimilarityMetric, pairs: np.ndarray) -> np.ndarray:
         block = CandidateBlock(snapshot, pairs)
         return np.asarray(metric.score_block(block), dtype=np.float64)
     rows, cols = pairs_to_indices(snapshot, pairs)
+    a = snapshot.adjacency_matrix()
+    if metric.name == "SP":
+        dist = shortest_path(a, method="D", unweighted=True)[rows, cols]
+        return np.where(np.isinf(dist), -np.inf, -dist)
+    if metric.name == "Katz_sc":
+        return katz_series(a, metric.beta, metric.max_length)[rows, cols]
     if metric.name in WEIGHTED_TWO_HOP:
         # The weight vector is the metric's fitted state; what the oracle
         # checks is the accumulation over common neighbours.
         return sample(weighted_two_hop(snapshot, metric._weights), rows, cols)
-    a = snapshot.adjacency_matrix()
     a2 = (a @ a).tocsr()
     cn = sample(a2, rows, cols)
     if metric.name == "CN":

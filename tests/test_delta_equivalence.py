@@ -131,6 +131,24 @@ class TestByteIdentity:
             if delta.num_edges:
                 assert_byte_identical(delta)
 
+    @given(chunked_traces())
+    @settings(max_examples=40, deadline=None)
+    def test_cn_only_engine_identical_after_every_batch(self, stream_and_chunks):
+        """The serving engine's configuration: no float tables to refresh.
+
+        AA/RA then score through the expansion on the materialised
+        snapshot, and a flush only clears the dirty flags.
+        """
+        _, chunks = stream_and_chunks
+        delta = DeltaGraph(track_scores=("CN",))
+        for chunk in chunks:
+            delta.apply(chunk)
+            assert delta.audit().ok
+            if delta.num_edges:
+                assert_byte_identical(delta)
+                assert not delta._dirty.any() and not delta._dirty_nodes
+                assert delta._scores == {}
+
     @given(traces())
     @settings(max_examples=40, deadline=None)
     def test_warm_start_from_existing_trace(self, stream):

@@ -22,9 +22,10 @@ from repro import telemetry
 from repro.graph.snapshots import Snapshot
 from repro.metrics.base import get_metric
 from repro.metrics.candidates import candidate_pairs
+from repro.metrics.local import DELTA_SCORES_KEY
 from repro.serve import ServeConfig, ServerHarness
 
-METRICS = ["CN", "AA", "RA", "PA", "JC"]
+METRICS = ["CN", "AA", "RA", "PA", "JC", "SP", "LP", "Katz_sc"]
 
 
 def batch_scores(trace, cutoff: int, metric_name: str) -> dict:
@@ -101,7 +102,11 @@ class TestServeBatchParity:
         assert compared > 50  # the comparison actually exercised scores
 
     def test_parity_survives_online_ingest(self, small_facebook):
-        """Serving a prefix then POSTing the rest == batch on the full trace."""
+        """Serving a prefix then POSTing the rest == batch on the full trace.
+
+        The store's engine keeps no AA/RA float tables, so after the write
+        those two score through the expansion on the served snapshot.
+        """
         trace = small_facebook
         cutoff = trace.num_edges // 2
         u_col, v_col, t_col = trace.columns()
@@ -118,6 +123,8 @@ class TestServeBatchParity:
             )
             assert response.status == 200, response.body
             assert response.json()["applied"] == trace.num_edges - cutoff
+            table = harness.store.snapshot.cache[DELTA_SCORES_KEY]
+            assert "CN" in table and "AA" not in table and "RA" not in table
             compared = assert_parity(
                 harness, trace, trace.num_edges, nodes
             )
