@@ -10,31 +10,40 @@ Used in two places:
 
 Splits maximise Gini impurity decrease, evaluated for every threshold of
 every (optionally subsampled) feature with vectorised prefix sums.
+
+Layout.  A fitted tree is five parallel arrays indexed by node id, nodes
+numbered in preorder (the root is 0 and a left child directly follows its
+parent): ``feature_`` (int64, -1 marks a leaf), ``threshold_`` (float64),
+``left_`` and ``right_`` (int64 child ids; a leaf's children are itself)
+and ``counts_`` (float64, nodes x classes: the class counts of the training
+rows that reached the node), plus ``depth_``, the longest root-to-leaf path.
+
+Both kernels give the same bits as a recursive node-by-node CART:
+
+- *Prediction* descends level by level: every row starts at the root and
+  each of ``depth_`` steps gathers ``x[row, feature] <= threshold`` for all
+  rows at once and moves them to ``left_`` or ``right_``; rows at a leaf stay
+  put, since its children are itself.  It makes the same float64 comparison
+  on the same values as a per-row walk and ends on the same leaf.
+- *Fitting* stays depth-first, left before right, so the rng draws each
+  split node's features in the same (preorder) sequence.  A node's ``m``
+  sampled features are searched together: one argsort of an ``(m, n)``
+  block, class counts left of each candidate threshold as exact integers
+  (a cumsum of the class-1 indicator for two classes, of a one-hot matrix
+  otherwise), the Gini expression applied in the same operation order, and
+  the first maximum in (feature, threshold) order — the tie-breaks of a
+  feature-by-feature loop that keeps a feature only on a strictly larger
+  gain.  The sort need not be stable: a threshold is only tried between
+  distinct values, and the count of rows left of it does not depend on how
+  equal values were ordered.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.ml.base import check_xy
 from repro.utils.rng import ensure_rng
-
-
-@dataclass
-class _Node:
-    """One tree node; leaves have ``feature == -1``."""
-
-    feature: int = -1
-    threshold: float = 0.0
-    left: "._Node | None" = None
-    right: "._Node | None" = None
-    counts: np.ndarray | None = None  # class counts of training rows here
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
 
 
 def _gini_from_counts(counts: np.ndarray) -> float:
@@ -70,7 +79,12 @@ class DecisionTreeClassifier:
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.rng = ensure_rng(seed)
-        self.root_: _Node | None = None
+        self.feature_: np.ndarray | None = None
+        self.threshold_: np.ndarray | None = None
+        self.left_: np.ndarray | None = None
+        self.right_: np.ndarray | None = None
+        self.counts_: np.ndarray | None = None
+        self.depth_: int = 0
         self.classes_: np.ndarray | None = None
         self.n_features_: int = 0
         self.feature_importances_: np.ndarray | None = None
@@ -89,93 +103,133 @@ class DecisionTreeClassifier:
         x, y = check_xy(x, y)
         self.classes_, encoded = np.unique(y, return_inverse=True)
         self.n_features_ = x.shape[1]
-        self._importance = np.zeros(self.n_features_)
-        self.root_ = self._build(x, encoded, depth=0)
-        total = self._importance.sum()
-        self.feature_importances_ = (
-            self._importance / total if total > 0 else self._importance
-        )
+        nodes: list[tuple[int, float, int, np.ndarray]] = []
+        importance = np.zeros(self.n_features_)
+        columns = np.ascontiguousarray(x.T)
+        m = self._feature_count()
+        self.depth_ = 0
+
+        def grow(rows: np.ndarray, depth: int) -> int:
+            """Append the subtree over ``rows`` in preorder; its root's id."""
+            y_node = encoded[rows]
+            counts = np.bincount(y_node, minlength=len(self.classes_))
+            node = len(nodes)
+            nodes.append((-1, 0.0, node, counts))
+            self.depth_ = max(self.depth_, depth)
+            if (
+                len(rows) < self.min_samples_split
+                or (self.max_depth is not None and depth >= self.max_depth)
+                or counts.max() == len(rows)  # pure node
+            ):
+                return node
+            split = self._best_split(columns, rows, y_node, counts, m)
+            if split is None:
+                return node
+            feature, threshold, gain = split
+            mask = columns[feature, rows] <= threshold
+            importance[feature] += gain * len(rows)
+            grow(rows[mask], depth + 1)
+            right = grow(rows[~mask], depth + 1)
+            nodes[node] = (feature, threshold, right, counts)
+            return node
+
+        grow(np.arange(len(x)), 0)
+        feature, threshold, right, counts = zip(*nodes)
+        self.feature_ = np.asarray(feature, dtype=np.int64)
+        self.threshold_ = np.asarray(threshold, dtype=np.float64)
+        self.right_ = np.asarray(right, dtype=np.int64)
+        ids = np.arange(len(nodes), dtype=np.int64)
+        self.left_ = np.where(self.feature_ < 0, ids, ids + 1)
+        self.counts_ = np.asarray(counts, dtype=np.float64)
+        total = importance.sum()
+        self.feature_importances_ = importance / total if total > 0 else importance
         return self
 
-    def _build(self, x: np.ndarray, y: np.ndarray, depth: int) -> _Node:
-        counts = np.bincount(y, minlength=len(self.classes_))
-        node = _Node(counts=counts)
-        if (
-            len(y) < self.min_samples_split
-            or (self.max_depth is not None and depth >= self.max_depth)
-            or counts.max() == len(y)  # pure node
-        ):
-            return node
-        split = self._best_split(x, y, counts)
-        if split is None:
-            return node
-        feature, threshold, gain = split
-        mask = x[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        self._importance[feature] += gain * len(y)
-        node.left = self._build(x[mask], y[mask], depth + 1)
-        node.right = self._build(x[~mask], y[~mask], depth + 1)
-        return node
+    def _best_split(self, columns, rows, y, counts, m):
+        """Best (feature, threshold, gini gain) or None if no valid split.
 
-    def _best_split(self, x, y, counts):
-        """Best (feature, threshold, gini gain) or None if no valid split."""
+        ``columns`` is the training matrix transposed, ``rows`` the node's
+        rows of it, ``y`` their encoded labels and ``m`` how many features
+        to sample.
+        """
         n = len(y)
-        parent_gini = _gini_from_counts(counts)
-        k = len(self.classes_)
         features = np.arange(self.n_features_)
-        m = self._feature_count()
         if m < self.n_features_:
             features = self.rng.choice(features, size=m, replace=False)
-        best = None
-        best_gain = 1e-12  # require a strictly positive gain
-        for f in features:
-            order = np.argsort(x[:, f], kind="stable")
-            values = x[order, f]
-            labels = y[order]
-            # Prefix class counts after each row: shape (n, k).
-            onehot = np.zeros((n, k))
-            onehot[np.arange(n), labels] = 1.0
-            prefix = np.cumsum(onehot, axis=0)
-            # Candidate split after row i (0-based): left = rows [0..i].
-            left_n = np.arange(1, n)
-            valid = values[:-1] < values[1:]  # only between distinct values
-            valid &= (left_n >= self.min_samples_leaf) & (
-                n - left_n >= self.min_samples_leaf
-            )
-            if not valid.any():
-                continue
-            left_counts = prefix[:-1]
+        low = self.min_samples_leaf
+        if n < 2 * low:
+            return None
+        block = columns.take(features, axis=0).take(rows, axis=1)
+        order = block.argsort(axis=1)
+        values = block.take(order + (np.arange(len(features)) * n)[:, None])
+        labels = y[order]
+        # Candidate split after sorted row i (0-based): left = rows [0..i].
+        # Only between distinct values, leaving min_samples_leaf rows a side.
+        valid = values[:, :-1] < values[:, 1:]
+        valid[:, : low - 1] = False
+        valid[:, n - low:] = False
+        j, i = valid.nonzero()  # (feature, sorted row), in row-major order
+        if len(i) == 0:
+            return None
+        left_n = i + 1
+        right_n = n - left_n
+        # Class counts left of each candidate, as exact integers: the
+        # divisions below see the same float64 operands as a float cumsum
+        # of one-hot rows would give them.
+        k = len(counts)
+        if k == 2:
+            # the row sum of two squares is one addition, in either order
+            left1 = labels.cumsum(axis=1)[j, i]
+            left0 = left_n - left1
+            gini_left = 1.0 - ((left0 / left_n) ** 2 + (left1 / left_n) ** 2)
+            right0, right1 = counts[0] - left0, counts[1] - left1
+            gini_right = 1.0 - ((right0 / right_n) ** 2 + (right1 / right_n) ** 2)
+        else:
+            onehot = labels[:, :, None] == np.arange(k)
+            left_counts = onehot.cumsum(axis=1)[j, i]
             right_counts = counts - left_counts
-            left_tot = left_n[:, None]
-            right_tot = n - left_tot
-            gini_left = 1.0 - np.sum((left_counts / left_tot) ** 2, axis=1)
-            gini_right = 1.0 - np.sum((right_counts / right_tot) ** 2, axis=1)
-            weighted = (left_n * gini_left + (n - left_n) * gini_right) / n
-            gain = parent_gini - weighted
-            gain[~valid] = -np.inf
-            i = int(np.argmax(gain))
-            if gain[i] > best_gain:
-                best_gain = float(gain[i])
-                threshold = float((values[i] + values[i + 1]) / 2.0)
-                best = (int(f), threshold, best_gain)
-        return best
+            gini_left = 1.0 - np.sum((left_counts / left_n[:, None]) ** 2, axis=1)
+            gini_right = 1.0 - np.sum((right_counts / right_n[:, None]) ** 2, axis=1)
+        weighted = (left_n * gini_left + right_n * gini_right) / n
+        gain = _gini_from_counts(counts) - weighted
+        # The first maximum in (feature, threshold) order: the first best
+        # threshold of the first best feature in sampled order.
+        best = int(gain.argmax())
+        if not gain[best] > 1e-12:  # require a strictly positive gain
+            return None
+        f, r = j[best], i[best]
+        threshold = float((values[f, r] + values[f, r + 1]) / 2.0)
+        return int(features[f]), threshold, float(gain[best])
 
     # ------------------------------------------------------------------
-    def _leaf_counts(self, x: np.ndarray) -> np.ndarray:
-        if self.root_ is None:
-            raise RuntimeError("DecisionTreeClassifier: call fit before predict")
-        out = np.empty((len(x), len(self.classes_)))
-        for i, row in enumerate(x):
-            node = self.root_
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.counts
-        return out
+    def _check_fitted(self, method: str) -> None:
+        if self.feature_ is None:
+            raise RuntimeError(f"DecisionTreeClassifier: call fit before {method}")
+
+    def _leaves(self, x: np.ndarray) -> np.ndarray:
+        """The leaf each row of ``x`` lands in, by level-synchronous descent.
+
+        At a leaf, feature -1 gathers the value before the row's first
+        one in the flattened matrix (the last value, for row 0); the
+        comparison is discarded, as both of a leaf's children are the leaf.
+        """
+        flat = np.ascontiguousarray(x).ravel()
+        starts = np.arange(len(x)) * x.shape[1]
+        node = np.zeros(len(x), dtype=np.int64)
+        for _ in range(self.depth_):
+            values = flat.take(starts + self.feature_.take(node))
+            goes_left = values <= self.threshold_.take(node)
+            node = np.where(goes_left, self.left_.take(node), self.right_.take(node))
+        return node
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        self._check_fitted("predict")
         x, _ = check_xy(x)
-        counts = self._leaf_counts(x)
+        if x.shape[1] != self.n_features_:
+            raise ValueError(
+                f"x has {x.shape[1]} features, the tree was fitted on {self.n_features_}"
+            )
+        counts = self.counts_[self._leaves(x)]
         totals = counts.sum(axis=1, keepdims=True)
         totals[totals == 0] = 1.0
         return counts / totals
@@ -202,8 +256,7 @@ class DecisionTreeClassifier:
         class_names: "list[str] | None" = None,
     ) -> str:
         """Readable if/else rendering of the learned rules (Fig. 6)."""
-        if self.root_ is None:
-            raise RuntimeError("DecisionTreeClassifier: call fit before export_text")
+        self._check_fitted("export_text")
 
         def name(f: int) -> str:
             return feature_names[f] if feature_names else f"feature[{f}]"
@@ -216,25 +269,22 @@ class DecisionTreeClassifier:
 
         lines: list[str] = []
 
-        def walk(node: _Node, indent: str) -> None:
-            if node.is_leaf:
-                lines.append(f"{indent}=> {label(node.counts)} (n={int(node.counts.sum())})")
+        def walk(node: int, indent: str) -> None:
+            feature = int(self.feature_[node])
+            if feature < 0:
+                counts = self.counts_[node]
+                lines.append(f"{indent}=> {label(counts)} (n={int(counts.sum())})")
                 return
-            lines.append(f"{indent}if {name(node.feature)} <= {node.threshold:.3f}:")
-            walk(node.left, indent + "  ")
-            lines.append(f"{indent}else:  # {name(node.feature)} > {node.threshold:.3f}")
-            walk(node.right, indent + "  ")
+            threshold = self.threshold_[node]
+            lines.append(f"{indent}if {name(feature)} <= {threshold:.3f}:")
+            walk(int(self.left_[node]), indent + "  ")
+            lines.append(f"{indent}else:  # {name(feature)} > {threshold:.3f}")
+            walk(int(self.right_[node]), indent + "  ")
 
-        walk(self.root_, "")
+        walk(0, "")
         return "\n".join(lines)
 
     def depth(self) -> int:
         """Height of the fitted tree (0 for a stump)."""
-        def walk(node: _Node) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        if self.root_ is None:
-            raise RuntimeError("DecisionTreeClassifier: call fit before depth")
-        return walk(self.root_)
+        self._check_fitted("depth")
+        return self.depth_

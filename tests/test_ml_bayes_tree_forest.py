@@ -67,15 +67,8 @@ class TestDecisionTree:
     def test_min_samples_leaf(self):
         x, y = make_blobs(n=100)
         tree = DecisionTreeClassifier(min_samples_leaf=40).fit(x, y)
-
-        def check(node):
-            if node.is_leaf:
-                assert node.counts.sum() >= 40 or node is tree.root_
-            else:
-                check(node.left)
-                check(node.right)
-
-        check(tree.root_)
+        for leaf in np.flatnonzero(tree.feature_ < 0):
+            assert tree.counts_[leaf].sum() >= 40 or leaf == 0  # node 0: root
 
     def test_multiclass(self):
         rng = np.random.default_rng(0)
@@ -114,7 +107,13 @@ class TestDecisionTree:
         x = np.zeros((50, 3))
         y = np.asarray([0, 1] * 25)
         tree = DecisionTreeClassifier().fit(x, y)
-        assert tree.root_.is_leaf
+        assert tree.feature_.tolist() == [-1]  # the root alone, a leaf
+
+    def test_predict_rejects_wrong_feature_count(self):
+        x = np.arange(40.0).reshape(20, 2)
+        tree = DecisionTreeClassifier().fit(x, np.arange(20) % 2)
+        with pytest.raises(ValueError, match="features"):
+            tree.predict(x[:, :1])
 
     def test_decision_function_binary_only(self):
         rng = np.random.default_rng(0)
