@@ -1,66 +1,43 @@
-"""Fault-tolerant process-pool dispatch of experiment work cells.
+"""Experiment cells on the process-pool supervisor.
 
 The experiment runner (:mod:`repro.eval.runner`) decomposes a run into
 independent ``(metric, step, seed)`` cells whose RNGs derive purely from
-the spec.  This module schedules those cells over a
-:class:`concurrent.futures.ProcessPoolExecutor` — and, unlike a plain
-``Executor.map``, survives the ways a long sweep actually dies:
+the spec.  Both cell engines, the serial loop and the process pool, run
+them on :class:`repro.utils.pool.Supervisor`.  It owns the bounded
+in-flight window, retries with backoff, the hard deadline, the pool
+rebuild after a worker crash and the degradation to serial; see that
+module for the recovery rules.  What is specific to cells lives here:
 
-- **Per-cell futures, bounded in-flight window.**  Each cell is its own
-  future and at most ``workers`` cells are in flight, so the driver
-  knows (to within queueing noise) when each cell *started* — the basis
-  for deadline tracking — and a failure is attributable to specific
-  cells rather than to an opaque chunk.
+- the worker initializer rebuilds the plan from the spec JSON once and
+  pre-warms candidate caches, so cells cross the process boundary as
+  three scalars, and switches telemetry to buffer-only worker mode when
+  the driver records;
+- each completed pool cell's shipped spans merge into the driver trace
+  under a retroactive ``cell`` span;
+- every failed attempt becomes a :class:`~repro.eval.retry.CellFailure`,
+  and a cell out of attempts raises
+  :class:`~repro.eval.retry.CellExecutionError` with its history.
 
-- **Worker-crash recovery.**  An OOM-killed or fault-injected worker
-  surfaces as ``BrokenProcessPool``; the driver records a ``crash``
-  failure for every in-flight cell, rebuilds the pool, and resubmits
-  only the unfinished cells.  Completed cells are never re-run (and with
-  a journal attached they are already on disk).  After
-  ``RetryPolicy.max_pool_rebuilds`` rebuilds the driver stops fighting
-  and degrades to the serial engine — slower, but the run completes.
-
-- **Two-layer timeouts.**  Workers enforce the soft per-cell deadline
-  in-process (``SIGALRM`` → an ordinary ``timeout`` failure, pool stays
-  up); the driver enforces a hard deadline (soft × 2 + grace) for cells
-  the signal cannot interrupt — a wedged C call — by terminating the
-  pool and resubmitting, reusing the crash-recovery path.
-
-- **Bounded retries with deterministic backoff.**  Failed attempts
-  re-enter the queue after ``RetryPolicy.backoff_seconds`` (exponential
-  + seeded jitter); a cell that exhausts ``max_attempts`` raises
-  :class:`~repro.eval.retry.CellExecutionError` with its full failure
-  history.
-
-Workers still rebuild the plan from the spec JSON once (initializer)
-and pre-warm candidate caches, so cells cross the process boundary as
-three scalars.  Determinism is untouched by any recovery path: cells
-are pure functions of the spec and ``reduce_cells`` is order-free, so a
-run that crashed, retried, and rebuilt its pool reduces to canonical
-JSON byte-identical to a clean serial run — enforced by
-``tests/test_resume_parity.py`` and ``tests/test_fault_tolerance.py``.
+Determinism is untouched by any recovery path: cells are pure functions
+of the spec and ``reduce_cells`` is order-free, so a run that crashed,
+retried, and rebuilt its pool reduces to canonical JSON byte-identical
+to a clean serial run — enforced by ``tests/test_resume_parity.py`` and
+``tests/test_fault_tolerance.py``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-import heapq
 import time
-from collections import deque
 from collections.abc import Sequence
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
 
 from repro import telemetry
-from repro.eval import faults
 from repro.eval.retry import (
     CellExecutionError,
     CellFailure,
     CellTimeoutError,
-    ExecutionReport,
     RetryPolicy,
     failure_span_attrs,
-    soft_deadline,
 )
 from repro.eval.runner import (
     Cell,
@@ -68,17 +45,14 @@ from repro.eval.runner import (
     ExperimentPlan,
     ExperimentSpec,
     build_plan,
-    execute_cell,
-    run_cells_serial,
+    execute_cell_attempt,
 )
 from repro.metrics.base import get_metric
 from repro.metrics.candidates import prewarm_candidate_caches
+from repro.utils.pool import Supervisor
 
 #: per-worker-process plan, built once by :func:`_init_worker`.
 _WORKER_PLAN: "ExperimentPlan | None" = None
-
-#: driver poll interval while futures are in flight, seconds.
-_TICK_SECONDS = 0.05
 
 
 def prewarm_plan(plan: ExperimentPlan) -> None:
@@ -110,8 +84,9 @@ def _init_worker(spec_json: str, telemetry_enabled: bool = False) -> None:
     _WORKER_PLAN = plan
 
 
-def _run_cell(payload: "tuple[Cell, int, float | None]") -> CellResult:
-    """Worker task: one guarded attempt at one cell.
+def _run_cell(cell: Cell, attempt: int, policy: RetryPolicy) -> CellResult:
+    """Worker task: one guarded attempt at one cell, through
+    :func:`~repro.eval.runner.execute_cell_attempt` like an inline one.
 
     The soft deadline runs *here*, in the worker's main thread, so a
     timeout is an ordinary exception travelling back over the result
@@ -119,10 +94,7 @@ def _run_cell(payload: "tuple[Cell, int, float | None]") -> CellResult:
     """
     if _WORKER_PLAN is None:  # pragma: no cover - initializer always ran
         raise RuntimeError("worker used before its plan was initialised")
-    cell, attempt, timeout_seconds = payload
-    with soft_deadline(timeout_seconds):
-        faults.before_cell(cell, attempt)
-        result = execute_cell(_WORKER_PLAN, cell)
+    result = execute_cell_attempt(_WORKER_PLAN, cell, attempt, policy)
     shipped = telemetry.drain_worker_payload()
     if shipped is not None:
         # Buffered spans (including any failed earlier attempts still in
@@ -132,79 +104,80 @@ def _run_cell(payload: "tuple[Cell, int, float | None]") -> CellResult:
     return result
 
 
-class _PoolRebuild(Exception):
-    """Internal: the current pool is unusable; rebuild and resubmit."""
+class CellSupervisor(Supervisor):
+    """The cell hooks of the supervisor, for both engines.
 
-
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down without waiting on wedged or dead workers."""
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        with contextlib.suppress(Exception):
-            process.terminate()
-    with contextlib.suppress(Exception):
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-class _CellDriver:
-    """Driver-side state machine for one parallel execution."""
+    ``n_jobs`` below 2 runs the cells inline (the serial engine).
+    ``on_result`` fires in the driver as each cell completes (the journal
+    hook).  ``plan`` is built from ``spec`` on first inline use when not
+    given, so a pool run that never degrades never builds it in the
+    driver.  After :meth:`run`, ``results`` holds the executed cells and
+    ``failures`` a :class:`~repro.eval.retry.CellFailure` per failed
+    attempt, beside the supervisor's recovery counters.
+    """
 
     def __init__(
         self,
         spec: ExperimentSpec,
-        cells: Sequence[Cell],
-        n_jobs: int,
-        policy: RetryPolicy,
-        on_result,
-        plan: "ExperimentPlan | None",
+        policy: "RetryPolicy | None" = None,
+        on_result=None,
+        n_jobs: int = 1,
+        plan: "ExperimentPlan | None" = None,
     ):
+        policy = policy or RetryPolicy()
+        policy.validate()
+        super().__init__(
+            policy,
+            n_jobs,
+            initializer=_init_worker,
+            initargs=(spec.to_json(), telemetry.tracer.enabled),
+        )
         self.spec = spec
-        self.cells = list(cells)
-        self.workers = min(n_jobs, len(self.cells))
-        self.policy = policy
-        self.on_result = on_result
         self.plan = plan
-        self.attempts: "dict[Cell, int]" = {c: 0 for c in self.cells}
-        self.done: "dict[Cell, CellResult]" = {}
-        self.report = ExecutionReport()
+        self.on_result = on_result
+        self.results: "list[CellResult]" = []
+        self.failures: "list[CellFailure]" = []
 
-    # -- failure bookkeeping --------------------------------------------
-    def _cell_failures(self, cell: Cell) -> "list[CellFailure]":
-        return [
-            f for f in self.report.failures if (f.metric, f.step, f.seed) == cell
-        ]
+    def submit(self, pool, cell: Cell, attempt: int):
+        return pool.submit(_run_cell, cell, attempt, self.policy)
 
-    def _note_failure(self, cell: Cell, kind: str, message: str) -> bool:
-        """Record one failed attempt; True if the cell may retry."""
-        metric, step, seed = cell
-        self.report.failures.append(
-            CellFailure(
-                metric=metric, step=step, seed=seed,
-                kind=kind, attempt=self.attempts[cell], message=message,
-            )
-        )
-        self.attempts[cell] += 1
-        if self.attempts[cell] >= self.policy.max_attempts:
-            return False
-        self.report.retries += 1
-        return True
+    def run_inline(self, cell: Cell, attempt: int) -> CellResult:
+        if self.plan is None:
+            self.plan = build_plan(self.spec)
+        return execute_cell_attempt(self.plan, cell, attempt, self.policy)
 
-    def _fail_or_retry(self, cell: Cell, kind: str, message: str, retry_heap) -> None:
-        if not self._note_failure(cell, kind, message):
-            raise CellExecutionError(cell, self._cell_failures(cell))
-        ready_at = time.monotonic() + self.policy.backoff_seconds(
-            cell, self.attempts[cell]
-        )
-        heapq.heappush(retry_heap, (ready_at, cell))
-
-    def _complete(
-        self, cell: Cell, result: CellResult, started_at: "float | None" = None
+    def completed(
+        self, cell: Cell, result: CellResult, started: "float | None"
     ) -> None:
-        result = self._absorb_telemetry(cell, result, started_at)
-        self.done[cell] = result
-        self.report.results.append(result)
+        result = self._absorb_telemetry(cell, result, started)
+        self.results.append(result)
         if self.on_result is not None:
             self.on_result(result)
+
+    def failed(self, cell: Cell, attempt: int, kind: str, exc: BaseException) -> None:
+        if kind == "crash":
+            message = f"worker lost: {exc!r}"
+        elif kind == "timeout" or isinstance(exc, CellTimeoutError):
+            kind, message = "timeout", str(exc)
+        else:
+            message = f"{type(exc).__name__}: {exc}"
+        metric, step, seed = cell
+        self.failures.append(
+            CellFailure(
+                metric=metric, step=step, seed=seed,
+                kind=kind, attempt=attempt, message=message,
+            )
+        )
+
+    def exhausted(
+        self, cell: Cell, attempts: int, exc: BaseException
+    ) -> CellExecutionError:
+        return CellExecutionError(cell, self._cell_failures(cell))
+
+    def _cell_failures(self, cell: Cell) -> "list[CellFailure]":
+        return [
+            f for f in self.failures if (f.metric, f.step, f.seed) == cell
+        ]
 
     def _absorb_telemetry(
         self, cell: Cell, result: CellResult, started_at: "float | None"
@@ -241,141 +214,6 @@ class _CellDriver:
         telemetry.metrics.merge(shipped["metrics"])
         return result
 
-    # -- main loop ------------------------------------------------------
-    def run(self) -> ExecutionReport:
-        while len(self.done) < len(self.cells):
-            if self.report.pool_rebuilds > self.policy.max_pool_rebuilds:
-                self._degrade_to_serial()
-                break
-            try:
-                self._pool_round()
-            except _PoolRebuild:
-                self.report.pool_rebuilds += 1
-        return self.report
-
-    def _degrade_to_serial(self) -> None:
-        """Last resort: finish the remaining cells in the driver process.
-
-        Attempt counts carry over, so the global ``max_attempts`` bound
-        still holds; ``kill`` faults are inert outside workers, which is
-        exactly why this path terminates even when every worker dies.
-        """
-        self.report.degraded_to_serial = True
-        if self.plan is None:
-            self.plan = build_plan(self.spec)
-        outstanding = [c for c in self.cells if c not in self.done]
-        sub = run_cells_serial(
-            self.plan,
-            outstanding,
-            self.policy,
-            on_result=self.on_result,
-            start_attempts=dict(self.attempts),
-        )
-        for result in sub.results:
-            self.done[(result.metric, result.step, result.seed)] = result
-        self.report.merge(sub)
-
-    def _pool_round(self) -> None:
-        """Run one pool's lifetime; raises ``_PoolRebuild`` on breakage."""
-        queue = deque(c for c in self.cells if c not in self.done)
-        retry_heap: "list[tuple[float, Cell]]" = []
-        inflight: "dict" = {}  # future -> (cell, started_at)
-        hard = self.policy.hard_timeout_seconds()
-        pool = ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_init_worker,
-            initargs=(self.spec.to_json(), telemetry.tracer.enabled),
-        )
-        try:
-            while queue or retry_heap or inflight:
-                now = time.monotonic()
-                while retry_heap and retry_heap[0][0] <= now:
-                    queue.append(heapq.heappop(retry_heap)[1])
-                while queue and len(inflight) < self.workers:
-                    cell = queue.popleft()
-                    future = pool.submit(
-                        _run_cell,
-                        (cell, self.attempts[cell], self.policy.timeout_seconds),
-                    )
-                    inflight[future] = (cell, time.monotonic())
-                if not inflight:
-                    # nothing running: sleep until the next retry is due.
-                    time.sleep(
-                        max(0.0, min(retry_heap[0][0] - time.monotonic(), 0.5))
-                    )
-                    continue
-                finished, _ = wait(
-                    inflight, timeout=_TICK_SECONDS, return_when=FIRST_COMPLETED
-                )
-                for future in finished:
-                    cell, started = inflight.pop(future)
-                    self._handle_future(future, cell, started, inflight, retry_heap)
-                if hard is not None:
-                    self._enforce_hard_deadline(hard, inflight, retry_heap)
-            pool.shutdown(wait=True)
-        except BrokenExecutor as exc:
-            # Pool broke outside a future's result (e.g. at submit time).
-            _terminate_pool(pool)
-            self._crash_inflight(inflight, exc)
-        except BaseException:
-            _terminate_pool(pool)
-            raise
-
-    def _crash_inflight(self, inflight, exc: BaseException) -> None:
-        """Charge every in-flight cell a crash attempt; demand a rebuild.
-
-        We cannot know which cell killed its worker, so all in-flight
-        cells are suspects; the innocent ones have ``max_pool_rebuilds``
-        headroom on top of their retry budget.
-        """
-        crashed = [c for (c, _s) in inflight.values()]
-        inflight.clear()
-        for crashed_cell in crashed:
-            if not self._note_failure(
-                crashed_cell, "crash", f"worker lost: {exc!r}"
-            ):
-                raise CellExecutionError(
-                    crashed_cell, self._cell_failures(crashed_cell)
-                ) from exc
-        raise _PoolRebuild from exc
-
-    def _handle_future(
-        self, future, cell: Cell, started: float, inflight, retry_heap
-    ) -> None:
-        try:
-            result = future.result()
-        except BrokenExecutor as exc:
-            inflight[future] = (cell, 0.0)  # count this cell among the crashed
-            self._crash_inflight(inflight, exc)
-        except CellTimeoutError as exc:
-            self._fail_or_retry(cell, "timeout", str(exc), retry_heap)
-        except Exception as exc:
-            self._fail_or_retry(
-                cell, "exception", f"{type(exc).__name__}: {exc}", retry_heap
-            )
-        else:
-            self._complete(cell, result, started_at=started)
-
-    def _enforce_hard_deadline(self, hard: float, inflight, retry_heap) -> None:
-        """Reclaim workers stuck past the hard deadline via pool rebuild."""
-        now = time.monotonic()
-        overdue = [
-            (future, cell)
-            for future, (cell, started) in inflight.items()
-            if now - started > hard
-        ]
-        if not overdue:
-            return
-        for _future, cell in overdue:
-            self._fail_or_retry(
-                cell,
-                "timeout",
-                f"hard deadline exceeded ({hard:.3f}s); worker presumed wedged",
-                retry_heap,
-            )
-        inflight.clear()
-        raise _PoolRebuild
-
 
 def run_cells_parallel(
     spec: ExperimentSpec,
@@ -384,18 +222,17 @@ def run_cells_parallel(
     policy: "RetryPolicy | None" = None,
     on_result=None,
     plan: "ExperimentPlan | None" = None,
-) -> ExecutionReport:
+) -> CellSupervisor:
     """Execute ``cells`` over ``n_jobs`` worker processes, fault-tolerantly.
 
     ``on_result`` fires in the driver as each cell completes (the journal
     hook); ``plan`` is reused for the serial-degradation fallback so the
-    driver does not rebuild what the caller already has.  Returns an
-    :class:`~repro.eval.retry.ExecutionReport` — results plus the retry /
-    crash / rebuild audit trail.
+    driver does not rebuild what the caller already has.  Returns the
+    finished supervisor: results plus the retry / crash / rebuild audit
+    trail.
     """
     if n_jobs < 2:
         raise ValueError(f"run_cells_parallel needs n_jobs >= 2, got {n_jobs}")
-    policy = policy or RetryPolicy()
-    policy.validate()
-    driver = _CellDriver(spec, cells, n_jobs, policy, on_result, plan)
-    return driver.run()
+    supervisor = CellSupervisor(spec, policy, on_result, n_jobs, plan)
+    supervisor.run(cells)
+    return supervisor

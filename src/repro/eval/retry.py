@@ -23,9 +23,9 @@ Timeouts come in two layers:
   surfaces as an ordinary :class:`CellTimeoutError` that the retry loop
   handles without tearing anything down;
 - a **hard deadline** (``RetryPolicy.hard_timeout_seconds``), enforced
-  by the parallel driver — it covers code the signal cannot interrupt
-  (a wedged C call) by terminating the worker pool and resubmitting the
-  unfinished cells.
+  by the pool supervisor (:mod:`repro.utils.pool`) — it covers code the
+  signal cannot interrupt (a wedged C call) by terminating the worker
+  pool and resubmitting the unfinished cells.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import hashlib
 import signal
 import threading
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 
 def cell_key(cell: "tuple[str, int, int]") -> str:
@@ -95,19 +95,23 @@ class RetryPolicy:
         if self.max_pool_rebuilds < 0:
             raise ValueError("max_pool_rebuilds must be >= 0")
 
-    def backoff_seconds(self, cell: "tuple[str, int, int]", attempt: int) -> float:
+    def backoff_seconds(self, task: "tuple | int", attempt: int) -> float:
         """Sleep before retry number ``attempt`` (attempts count from 0).
 
         Exponential in the attempt number, capped at ``backoff_max``,
-        plus deterministic jitter hashed from ``(jitter_seed, cell,
-        attempt)`` — identical across runs, different across cells, so
+        plus deterministic jitter hashed from ``(jitter_seed, task,
+        attempt)`` — identical across runs, different across tasks, so
         retry storms de-synchronise without losing reproducibility.
+        ``task`` is a work cell or any other task key (a shard index);
+        a tuple hashes as its ``:``-joined parts, i.e. a cell as its
+        :func:`cell_key`.
         """
         base = min(
             self.backoff_max,
             self.backoff_base * self.backoff_factor ** max(0, attempt - 1),
         )
-        u = _unit_hash(self.jitter_seed, cell_key(cell), attempt)
+        parts = task if isinstance(task, tuple) else (task,)
+        u = _unit_hash(self.jitter_seed, *parts, attempt)
         return base * (1.0 + self.jitter * u)
 
     def hard_timeout_seconds(self) -> "float | None":
@@ -193,29 +197,6 @@ class CellExecutionError(RuntimeError):
             f"cell {cell_key(cell)} failed after {len(self.failures)} "
             f"attempt(s) ({kinds}){detail}"
         )
-
-
-@dataclass
-class ExecutionReport:
-    """What one execution engine run actually did, successes and scars."""
-
-    #: cells executed in this run (journal-restored cells are not here).
-    results: list = field(default_factory=list)
-    #: every failed attempt, including ones later retried successfully.
-    failures: "list[CellFailure]" = field(default_factory=list)
-    #: failed attempts that were given another chance.
-    retries: int = 0
-    #: times the process pool was torn down and rebuilt.
-    pool_rebuilds: int = 0
-    #: True when repeated pool failures forced a serial fallback.
-    degraded_to_serial: bool = False
-
-    def merge(self, other: "ExecutionReport") -> None:
-        self.results.extend(other.results)
-        self.failures.extend(other.failures)
-        self.retries += other.retries
-        self.pool_rebuilds += other.pool_rebuilds
-        self.degraded_to_serial = self.degraded_to_serial or other.degraded_to_serial
 
 
 def _alarm_usable() -> bool:

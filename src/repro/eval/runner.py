@@ -33,14 +33,7 @@ import numpy as np
 from repro import telemetry
 from repro.eval import faults
 from repro.eval.experiment import PairFilter, evaluate_step, prediction_steps
-from repro.eval.retry import (
-    CellExecutionError,
-    CellFailure,
-    CellTimeoutError,
-    ExecutionReport,
-    RetryPolicy,
-    soft_deadline,
-)
+from repro.eval.retry import RetryPolicy, soft_deadline
 from repro.generators import presets
 from repro.graph.io import read_trace
 from repro.graph.snapshots import Snapshot, snapshot_sequence
@@ -509,62 +502,19 @@ def run_cells_serial(
     cells: Sequence[Cell],
     policy: "RetryPolicy | None" = None,
     on_result=None,
-    start_attempts: "dict[Cell, int] | None" = None,
-) -> ExecutionReport:
+):
     """Execute cells in order, in-process, with retry/timeout/backoff.
 
-    Also the fallback engine the parallel driver degrades to after
-    repeated pool failures — ``start_attempts`` carries the attempt
-    budget each cell already burned so the ``max_attempts`` bound holds
-    across the hand-off.
+    The supervisor's inline mode (:mod:`repro.utils.pool`) with the cell
+    hooks of :mod:`repro.eval.parallel`, imported here rather than at
+    module level so ``import repro`` never loads the process pool.
+    Returns the finished :class:`~repro.eval.parallel.CellSupervisor`.
     """
-    policy = policy or RetryPolicy()
-    policy.validate()
-    report = ExecutionReport()
-    for cell in cells:
-        attempt = (start_attempts or {}).get(cell, 0)
-        while True:
-            try:
-                result = execute_cell_attempt(plan, cell, attempt, policy)
-                break
-            except KeyboardInterrupt:
-                raise
-            except CellTimeoutError as exc:
-                kind, message = "timeout", str(exc)
-            except Exception as exc:
-                kind, message = "exception", f"{type(exc).__name__}: {exc}"
-            metric, step, seed = cell
-            report.failures.append(
-                CellFailure(
-                    metric=metric, step=step, seed=seed,
-                    kind=kind, attempt=attempt, message=message,
-                )
-            )
-            attempt += 1
-            if attempt >= policy.max_attempts:
-                raise CellExecutionError(
-                    cell,
-                    [
-                        f
-                        for f in report.failures
-                        if (f.metric, f.step, f.seed) == cell
-                    ],
-                )
-            report.retries += 1
-            time.sleep(policy.backoff_seconds(cell, attempt))
-        report.results.append(result)
-        if on_result is not None:
-            on_result(result)
-    return report
+    from repro.eval.parallel import CellSupervisor
 
-
-def _resolve_jobs(spec: ExperimentSpec, n_jobs: "int | None") -> int:
-    jobs = spec.n_jobs if n_jobs is None else n_jobs
-    if jobs < 0:
-        raise ValueError("n_jobs must be >= 0 (0 means one per CPU core)")
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
-    return max(1, jobs)
+    supervisor = CellSupervisor(plan.spec, policy, on_result, plan=plan)
+    supervisor.run(cells)
+    return supervisor
 
 
 def run_experiment(
@@ -594,7 +544,9 @@ def run_experiment(
     spec.validate()
     policy = retry or RetryPolicy()
     policy.validate()
-    jobs = _resolve_jobs(spec, n_jobs)
+    from repro.utils.pool import resolve_jobs
+
+    jobs = resolve_jobs(spec.n_jobs if n_jobs is None else n_jobs)
     started = time.perf_counter()
     with telemetry.tracer.span(
         "run", name=spec.name, dataset=spec.dataset, n_jobs=jobs
@@ -659,7 +611,7 @@ def run_experiment(
             journal_cells=len(restored),
             retries=report.retries,
             pool_rebuilds=report.pool_rebuilds,
-            degraded_to_serial=report.degraded_to_serial,
+            degraded_to_serial=report.degraded,
             failures=[f.to_payload() for f in report.failures],
         )
         _record_run_metrics(result.timing)

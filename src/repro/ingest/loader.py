@@ -700,9 +700,10 @@ def scan_trace(
     columns, checksum, taxonomy counts, and rejects sidecar.
     """
     if jobs is None:
-        # Literal env name (not shard.JOBS_ENV_VAR) so the serial hot
-        # path never imports the shard subsystem just to check it; the
-        # shard path's resolve_jobs re-reads and validates the value.
+        # Literal env name (not repro.utils.pool.JOBS_ENV_VAR) so the
+        # serial hot path never imports the shard subsystem or the pool
+        # supervisor just to check it; the shard path's resolve_jobs
+        # re-reads and validates the value.
         env = os.environ.get("REPRO_JOBS")
         sharded = bool(env) and env != "1"
     else:

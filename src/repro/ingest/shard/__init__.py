@@ -61,33 +61,7 @@ from repro.ingest.shard.worker import (
     parse_shard,
     run_shards,
 )
-
-#: environment variable consulted when ``jobs`` is unset (shared with the
-#: batch runner's process pool and the serving worker pool).
-JOBS_ENV_VAR = "REPRO_JOBS"
-
-
-def resolve_jobs(jobs: "int | None" = None) -> int:
-    """Resolve a worker count: explicit > ``$REPRO_JOBS`` > 1.
-
-    ``0`` (from either source) means "one per CPU".  The library default
-    is deliberately serial — parallelism is opt-in via argument or
-    environment, never a surprise.
-    """
-    if jobs is None:
-        env = os.environ.get(JOBS_ENV_VAR)
-        if not env:
-            return 1
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ValueError(f"{JOBS_ENV_VAR}={env!r} is not an integer") from None
-    jobs = int(jobs)
-    if jobs == 0:
-        return max(1, os.cpu_count() or 1)
-    if jobs < 0:
-        raise ValueError(f"jobs must be >= 0, got {jobs}")
-    return jobs
+from repro.utils.pool import JOBS_ENV_VAR, resolve_jobs
 
 
 def _policy_hash(policy: IngestPolicy) -> str:

@@ -18,29 +18,22 @@ via ``io.StringIO(text, newline=None)``, which treats exactly ``\\n``,
 ``\\r`` and ``\\r\\n`` as terminators — the same set the text-mode file
 iterator uses (``str.splitlines`` would split on more, e.g. ``\\x85``).
 
-The pool driver (:func:`run_shards`) reuses the fault-tolerance shape of
-``repro.eval.parallel``: per-shard futures, bounded retries, pool rebuild
-on ``BrokenProcessPool``, and in-process degradation once the rebuild
-budget is spent — a sharded ingest completes (or raises the *ingest*
-error, not a pool error) even if every worker process dies.
+:func:`run_shards` runs the shards on the process-pool supervisor
+(:mod:`repro.utils.pool`), which owns retries, pool rebuilds and the
+in-process degradation; see that module for the rules.  This module
+supplies the shard task (:func:`parse_shard`), the worker initializer,
+the per-shard trace span and :class:`ShardIngestError`, so a sharded
+ingest completes (or raises the *ingest* error, not a pool error) even
+if every worker process dies.
 """
 
 from __future__ import annotations
 
-import contextlib
 import io
 import time
-from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    wait,
-)
-
-import numpy as np
 
 from repro import telemetry
+from repro.eval.retry import RetryPolicy
 from repro.ingest.loader import (
     _ColumnAccumulator,
     _consume_lines,
@@ -52,6 +45,7 @@ from repro.ingest.loader import (
 from repro.ingest.policy import IngestPolicy
 from repro.ingest.report import IngestReport
 from repro.ingest.shard.planner import ShardSpec
+from repro.utils.pool import Supervisor
 
 #: attempts per shard before the driver gives up and re-raises.
 MAX_ATTEMPTS = 3
@@ -109,7 +103,7 @@ def parse_shard(spec_payload: dict, policy_payload: "dict[str, str]") -> dict:
     Never raises for *data* problems — strict offenders come back as the
     ``pending`` (parse-stage) / ``deferred`` (vector-stage) markers so the
     merge stage can pick the globally first one.  Exceptions escaping this
-    function are environmental (I/O, OOM) and handled by the pool driver.
+    function are environmental (I/O, OOM) and retried by the supervisor.
     """
     started = time.perf_counter()
     spec = ShardSpec.from_payload(spec_payload)
@@ -154,18 +148,39 @@ def _init_shard_worker() -> None:
     telemetry.reset()
 
 
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down without waiting on dead workers."""
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        with contextlib.suppress(Exception):
-            process.terminate()
-    with contextlib.suppress(Exception):
-        pool.shutdown(wait=False, cancel_futures=True)
+class _ShardSupervisor(Supervisor):
+    """Shard hooks of the supervisor: tasks are indices into ``specs``."""
 
+    def __init__(self, specs, policy, jobs, max_attempts, max_pool_rebuilds):
+        super().__init__(
+            RetryPolicy(
+                max_attempts=max_attempts,
+                max_pool_rebuilds=max_pool_rebuilds,
+                backoff_base=0.0,
+            ),
+            jobs,
+            initializer=_init_shard_worker,
+        )
+        self.specs = specs
+        self.payloads = [spec.to_payload() for spec in specs]
+        self.policy_payload = policy.describe()
+        self.results: "list[dict | None]" = [None] * len(specs)
 
-class _PoolRebuild(Exception):
-    """Internal: the current pool is unusable; rebuild and resubmit."""
+    def submit(self, pool, i: int, attempt: int):
+        return pool.submit(parse_shard, self.payloads[i], self.policy_payload)
+
+    def run_inline(self, i: int, attempt: int) -> dict:
+        return parse_shard(self.payloads[i], self.policy_payload)
+
+    def completed(self, i: int, result: dict, started: "float | None") -> None:
+        if started is not None:
+            _record_worker_span(self.specs[i], result, started)
+        self.results[i] = result
+
+    def exhausted(
+        self, i: int, attempts: int, exc: BaseException
+    ) -> ShardIngestError:
+        return ShardIngestError(self.specs[i], attempts, exc)
 
 
 def run_shards(
@@ -182,75 +197,16 @@ def run_shards(
     parsing.  Shard results are deterministic functions of (bytes,
     policy), so no recovery path can change the merged output.
     """
-    policy_payload = policy.describe()
-    payloads = [spec.to_payload() for spec in specs]
-    results: "list[dict | None]" = [None] * len(specs)
-    attempts = [0] * len(specs)
-    last_error: "list[BaseException | None]" = [None] * len(specs)
-    stats = {"retries": 0, "pool_rebuilds": 0, "degraded": False}
-    workers = min(jobs, len(specs))
-
-    def _run_inline(indices: "list[int]") -> None:
-        for i in indices:
-            results[i] = parse_shard(payloads[i], policy_payload)
-
-    if workers <= 1:
-        _run_inline(list(range(len(specs))))
-        return [r for r in results if r is not None], stats
-
-    pending = deque(i for i in range(len(specs)))
-    while any(r is None for r in results):
-        if stats["pool_rebuilds"] > max_pool_rebuilds:
-            stats["degraded"] = True
-            _run_inline([i for i in range(len(specs)) if results[i] is None])
-            break
-        inflight: "dict" = {}  # future -> (shard index, driver start time)
-        pool = ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_shard_worker
-        )
-        try:
-            while pending or inflight:
-                while pending and len(inflight) < workers:
-                    i = pending.popleft()
-                    future = pool.submit(parse_shard, payloads[i], policy_payload)
-                    inflight[future] = (i, time.monotonic())
-                finished, _ = wait(inflight, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    i, started = inflight.pop(future)
-                    try:
-                        result = future.result()
-                    except BrokenExecutor:
-                        inflight[future] = (i, started)
-                        raise
-                    except Exception as exc:
-                        attempts[i] += 1
-                        last_error[i] = exc
-                        if attempts[i] >= max_attempts:
-                            raise ShardIngestError(
-                                specs[i], attempts[i], exc
-                            ) from exc
-                        stats["retries"] += 1
-                        pending.append(i)
-                    else:
-                        _record_worker_span(specs[i], result, started)
-                        results[i] = result
-            pool.shutdown(wait=True)
-        except BrokenExecutor as exc:
-            _terminate_pool(pool)
-            stats["pool_rebuilds"] += 1
-            # Every in-flight shard is a crash suspect; charge an attempt
-            # and requeue (shard parsing is deterministic, so innocents
-            # re-run to the same bytes).
-            for i, _started in inflight.values():
-                attempts[i] += 1
-                last_error[i] = exc
-                if attempts[i] >= max_attempts + max_pool_rebuilds:
-                    raise ShardIngestError(specs[i], attempts[i], exc) from exc
-                pending.append(i)
-        except BaseException:
-            _terminate_pool(pool)
-            raise
-    return [r for r in results if r is not None], stats
+    supervisor = _ShardSupervisor(
+        specs, policy, jobs, max_attempts, max_pool_rebuilds
+    )
+    supervisor.run(range(len(specs)))
+    stats = {
+        "retries": supervisor.retries,
+        "pool_rebuilds": supervisor.pool_rebuilds,
+        "degraded": supervisor.degraded,
+    }
+    return supervisor.results, stats
 
 
 def _record_worker_span(spec: ShardSpec, result: dict, started: float) -> None:

@@ -20,13 +20,7 @@ from repro.eval.retry import (
     RetryPolicy,
     soft_deadline,
 )
-from repro.eval.runner import (
-    ExperimentSpec,
-    build_plan,
-    iter_cells,
-    run_cells_serial,
-    run_experiment,
-)
+from repro.eval.runner import ExperimentSpec, run_experiment
 
 
 def small_spec(**overrides) -> ExperimentSpec:
@@ -221,18 +215,6 @@ class TestSerialRecovery:
         )
         assert result.to_json() == clean_json
         assert result.timing.failure_kinds() == {"timeout": 1}
-
-    def test_start_attempts_carries_burned_budget(self):
-        """The serial engine honours attempts burned before the hand-off."""
-        spec = small_spec(metrics=("CN",), repeats=1, max_steps=1)
-        plan = build_plan(spec)
-        cells = list(iter_cells(spec, len(plan.steps)))
-        faults.install(FaultPlan(errors={"CN:0:0": 99}))
-        with pytest.raises(CellExecutionError):
-            run_cells_serial(
-                plan, cells, RetryPolicy(max_attempts=3, **FAST),
-                start_attempts={cells[0]: 2},
-            )
 
 
 class TestParallelRecovery:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import gzip
 import json
 import os
-from concurrent.futures import BrokenExecutor, Future
 
 import numpy as np
 import pytest
@@ -39,6 +38,8 @@ from repro.ingest.shard import (
 )
 from repro.ingest.shard import worker as shard_worker
 from repro.ingest.shard.planner import MIN_SHARD_BYTES, _scan_chunk
+from repro.utils import pool as pool_module
+from tests.test_pool_supervisor import _FlakyPool
 
 
 def write_trace_text(path, n=200, dirty=True, start=0, t0=0.0):
@@ -306,38 +307,11 @@ class TestGzipParallel:
 # ---------------------------------------------------------------------------
 # Pool fault tolerance
 # ---------------------------------------------------------------------------
-class _FlakyPool:
-    """Inline stand-in for ProcessPoolExecutor whose first ``fail_budget``
-    futures resolve to BrokenExecutor — deterministic crash injection."""
-
-    fail_budget = 0
-    created = 0
-
-    def __init__(self, max_workers=None, initializer=None):
-        type(self).created += 1
-        self._initializer = initializer
-
-    def submit(self, fn, *args):
-        future = Future()
-        if type(self).fail_budget > 0:
-            type(self).fail_budget -= 1
-            future.set_exception(BrokenExecutor("simulated worker crash"))
-        else:
-            try:
-                future.set_result(fn(*args))
-            except BaseException as exc:  # task errors land in the future
-                future.set_exception(exc)
-        return future
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-
 @pytest.fixture()
 def flaky_pool(monkeypatch):
     _FlakyPool.fail_budget = 0
     _FlakyPool.created = 0
-    monkeypatch.setattr(shard_worker, "ProcessPoolExecutor", _FlakyPool)
+    monkeypatch.setattr(pool_module, "ProcessPoolExecutor", _FlakyPool)
     return _FlakyPool
 
 
