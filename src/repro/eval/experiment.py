@@ -23,7 +23,7 @@ from repro.eval.ranking import top_k_pairs
 from repro.graph.snapshots import Snapshot, new_edges_between
 from repro.metrics.base import SimilarityMetric, get_metric
 from repro.metrics.candidates import candidate_pairs, random_nonedge_pairs
-from repro.metrics.kernels import score_pairs
+from repro.metrics.kernels import kept_pairs, score_pairs
 from repro.utils.pairs import Pair
 from repro.utils.rng import ensure_rng
 
@@ -107,7 +107,10 @@ def rank_top_k(
     :class:`~repro.core.api.LinkPredictor` facade and the missing-link
     protocol: enumerate the metric's candidate set (or take
     ``candidates``), prune it with ``pair_filter``, score it through the
-    kernels and keep the ``k`` best, ties broken by ``rng``.  Returns the
+    kernels and keep the ``k`` best, ties broken by ``rng``.  A filter's
+    read-only (memoised) mask over a cached candidate array keeps a
+    memoised array, so every metric scoring it shares one set of kernel
+    blocks (:func:`~repro.metrics.kernels.kept_pairs`).  Returns the
     fitted metric and at most ``k`` pairs; callers decide what to do when
     the candidate set holds fewer.
     """
@@ -126,7 +129,7 @@ def rank_top_k(
                 f"pair filter returned mask of shape {mask.shape} "
                 f"for {len(pairs)} pairs"
             )
-        pairs = pairs[mask]
+        pairs = kept_pairs(snapshot, pairs, mask)
     scores = score_pairs(metric, snapshot, pairs)
     return metric, top_k_pairs(pairs, scores, k, rng)
 

@@ -27,19 +27,43 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.snapshots import Snapshot
-from repro.metrics.base import (
-    SimilarityMetric,
-    adjacency,
-    cached,
-    matrix_values,
-    register,
-    two_hop_matrix,
+from repro.metrics.base import SimilarityMetric, cached, register
+from repro.metrics.kernels import (
+    adjacency_keys,
+    csr_edge_column,
+    edge_positions,
+    expansion_of,
+    intersection_counts,
+    probe_sorted_keys,
 )
-from repro.metrics.kernels import adjacency_keys, probe_sorted_keys
 from repro.utils.pairs import Pair, canonical_pair, encode_position_pairs
 from repro.utils.rng import ensure_rng
 
 WeightMap = "dict[Pair, float]"
+
+
+def synthetic_edge_weights(
+    snapshot: Snapshot,
+    seed: "int | np.random.Generator | None" = 0,
+    embeddedness_gain: float = 0.5,
+    noise: float = 0.3,
+) -> np.ndarray:
+    """:func:`synthesize_weights` as a column in ``edge_indices`` order.
+
+    The embeddedness ``|CN(u,v)|`` of every edge is one common-neighbour
+    count over the kernel expansion (exact integers, as ``A^2`` sampled
+    them), and one lognormal draw per edge, in edge-creation order,
+    supplies the noise.
+    """
+    rng = ensure_rng(seed)
+    now = snapshot.time
+    span = max(1e-9, now - snapshot.trace.start_time)
+    iu, iv = snapshot.edge_indices()
+    pair_ids, _ = expansion_of(snapshot, iu, iv)
+    embeddedness = intersection_counts(pair_ids, len(iu))
+    age = (now - snapshot.edge_times()) / span  # 0 = fresh
+    base = 1.0 + embeddedness_gain * embeddedness + (1.0 - age)
+    return base * rng.lognormal(0.0, noise, size=len(base))
 
 
 def synthesize_weights(
@@ -55,37 +79,35 @@ def synthesize_weights(
     two regularities the weak-ties literature builds on.  Weights are
     strictly positive.
     """
-    rng = ensure_rng(seed)
-    a2 = two_hop_matrix(snapshot)
-    now = snapshot.time
-    span = max(1e-9, now - snapshot.trace.start_time)
-    iu, iv = snapshot.edge_indices()
-    embeddedness = matrix_values(a2, iu, iv)
-    times = snapshot.edge_times()
-    age = (now - times) / span  # 0 = fresh
-    base = 1.0 + embeddedness_gain * embeddedness + (1.0 - age)
-    values = base * rng.lognormal(0.0, noise, size=len(base))
+    values = synthetic_edge_weights(snapshot, seed, embeddedness_gain, noise)
     return {
         pair: float(w) for pair, w in zip(snapshot.edges(), values.tolist())
     }
 
 
-def weight_matrix(snapshot: Snapshot, weights: "dict[Pair, float]", alpha: float):
-    """Symmetric sparse matrix of ``w(u,v)^alpha`` over the snapshot edges.
+def _power(values: np.ndarray, alpha: float) -> np.ndarray:
+    """``values ** alpha`` with the items' own ``**`` (an object-array
+    power; a float64 array's items become Python floats), because numpy's
+    float64 power can differ from Python's in the last bit."""
+    powered = np.asarray(values, dtype=object) ** alpha
+    return np.asarray(powered.tolist(), dtype=np.float64)
 
-    Validation is vectorised but reports the first offending item in dict
-    order, as an item-by-item check would.  ``w ** alpha`` is taken with
-    the items' own ``**`` (an object-array power), because numpy's float64
-    power can differ from Python's in the last bit.
+
+def _weight_items(
+    snapshot: Snapshot, weights: "dict[Pair, float]"
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Validate ``weights``; ``(positions, values, at)`` of its items.
+
+    ``positions`` holds each item's endpoint positions, ``values`` its
+    weights (an object array of the dict's own values), ``at`` the CSR
+    position of its edge ``(u, v)``.  Validation is vectorised but reports
+    the first offending item in dict order, as an item-by-item check would.
     """
-    import scipy.sparse as sp
-
-    n = snapshot.num_nodes
     ends = np.asarray(list(weights), dtype=np.int64).reshape(-1, 2)
     values = np.fromiter(weights.values(), dtype=object, count=len(weights))
     positions, present = snapshot.lookup_positions(ends)
     self_pair = ends[:, 0] == ends[:, 1]
-    edge, _ = probe_sorted_keys(
+    edge, at = probe_sorted_keys(
         adjacency_keys(snapshot),
         encode_position_pairs(positions[:, 0], positions[:, 1]),
     )
@@ -99,19 +121,74 @@ def weight_matrix(snapshot: Snapshot, weights: "dict[Pair, float]", alpha: float
         if non_edge[i]:
             raise ValueError(f"weight given for non-edge {(u, v)}")
         raise ValueError(f"weights must be positive, got {w} for {(u, v)}")
+    return positions, values, at
+
+
+def weight_matrix(snapshot: Snapshot, weights: "dict[Pair, float]", alpha: float):
+    """Symmetric sparse matrix of ``w(u,v)^alpha`` over the snapshot edges.
+
+    Raises for the first bad item in dict order (self-pair, non-edge,
+    non-positive weight).  Items ``(u, v)`` and ``(v, u)`` both land on
+    the edge's two cells and sum.
+    """
+    import scipy.sparse as sp
+
+    n = snapshot.num_nodes
+    positions, values, _ = _weight_items(snapshot, weights)
     # Triplets interleave (u, v), (v, u) per item, in dict order.
-    data = np.repeat(np.asarray((values**alpha).tolist()), 2)
+    data = np.repeat(_power(values, alpha), 2)
     rows, cols = positions.ravel(), positions[:, ::-1].ravel()
     return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
-class _WeightedNeighbourhoodMetric(SimilarityMetric):
-    """Shared machinery: ``score = sum_z g(z) * (W^a A + A W^a)[u,v]``.
+def _weight_columns(
+    snapshot: Snapshot, weights: "dict[Pair, float]", alpha: float
+) -> "tuple[np.ndarray, np.ndarray]":
+    """CSR-aligned columns ``(w^alpha, w)`` of a weight dict.
 
-    ``(W^a @ A)[u,v] = sum_z w(u,z)^a A[z,v]`` sums the u-side weights over
-    common neighbours; adding the transpose term gives the
-    ``w(u,z)^a + w(z,v)^a`` form of [27].  Subclasses supply the per-node
-    denominator ``g(z)`` as a diagonal scaling.
+    Each holds one value per CSR entry — an edge's value at both of its
+    entries, ``0`` for an edge the dict leaves out — the entries of
+    ``weight_matrix(snapshot, weights, alpha)`` and of its ``alpha = 1``
+    counterpart.  An edge given as both ``(u, v)`` and ``(v, u)`` holds the
+    sum of the two, as the matrix does.
+    """
+    positions, values, at = _weight_items(snapshot, weights)
+    both = np.concatenate(
+        (at, edge_positions(snapshot, positions[:, 1], positions[:, 0]))
+    )
+    size = len(snapshot.csr_structure()[1])
+    powered, raw = _power(values, alpha), values.astype(np.float64)
+    return (
+        np.bincount(both, weights=np.concatenate((powered, powered)), minlength=size),
+        np.bincount(both, weights=np.concatenate((raw, raw)), minlength=size),
+    )
+
+
+def _strength(snapshot: Snapshot, raw: np.ndarray) -> np.ndarray:
+    """Sum of each node's edge weights, from a CSR-aligned raw column.
+
+    Summed as ``weight_matrix(..., 1.0).sum(axis=1)`` sums: scipy reduces
+    each row's stored entries, so edges missing from the weights (zeros in
+    the column) are dropped first.
+    """
+    import scipy.sparse as sp
+
+    indptr, indices = snapshot.csr_structure()
+    n = len(indptr) - 1
+    matrix = sp.csr_matrix((raw, indices, indptr), shape=(n, n), copy=True)
+    matrix.eliminate_zeros()
+    return np.asarray(matrix.sum(axis=1)).ravel()
+
+
+class _WeightedNeighbourhoodMetric(SimilarityMetric):
+    """Shared machinery: ``score = sum_z g(z) * (w(u,z)^a + w(z,v)^a)``.
+
+    The sum runs over the kernel expansion: an edge-aligned column holds
+    ``g(z) * w(x,z)^a`` at the CSR entry of every edge ``(x, z)``, and
+    :meth:`~repro.metrics.kernels.CandidateBlock.edge_weighted` sums it
+    over the edges ``(u, z)`` and ``(v, z)`` of each pair's common
+    neighbours, bit for bit as ``W^a diag(g) A + A diag(g) W^a`` sampled
+    at the pair.  Subclasses supply the per-node denominator ``g(z)``.
     """
 
     candidate_strategy = "two_hop"
@@ -130,47 +207,51 @@ class _WeightedNeighbourhoodMetric(SimilarityMetric):
         """Fit on the caller's weights, or on deterministic synthesized ones.
 
         The registry instantiates metrics with no arguments, so the
-        registered WCN/WAA/WRA fall back to :func:`synthesize_weights`
+        registered WCN/WAA/WRA fall back to :func:`synthetic_edge_weights`
         (seed 0, cached per snapshot) — the traces record only link
         creation, never interaction volume.  Those weights are a pure
-        function of the snapshot, so the fitted product is cached per
+        function of the snapshot, so the fitted column is cached per
         ``(snapshot, name, alpha)`` like every other global fit.
         """
         self.snapshot = snapshot
         if self.weights is not None:
-            self._matrix = self._product(snapshot, self.weights)
+            self._column = self._scaled(
+                snapshot, *_weight_columns(snapshot, self.weights, self.alpha)
+            )
             return self
 
-        def product():
-            weights = cached(
-                snapshot, "synthetic_weights", lambda: synthesize_weights(snapshot)
+        def column() -> np.ndarray:
+            values = cached(
+                snapshot,
+                "synthetic_edge_weights",
+                lambda: synthetic_edge_weights(snapshot),
             )
-            return self._product(snapshot, weights)
+            return self._scaled(
+                snapshot,
+                csr_edge_column(snapshot, _power(values, self.alpha)),
+                csr_edge_column(snapshot, values),
+            )
 
-        self._matrix = cached(
-            snapshot, f"weighted_product:{self.name}:{self.alpha!r}", product
+        self._column = cached(
+            snapshot, f"weighted_edge_column:{self.name}:{self.alpha!r}", column
         )
         return self
 
-    def _product(self, snapshot: Snapshot, weights: "dict[Pair, float]"):
-        import scipy.sparse as sp
-
-        w = weight_matrix(snapshot, weights, self.alpha)
-        raw_strength = np.asarray(
-            weight_matrix(snapshot, weights, 1.0).sum(axis=1)
-        ).ravel()
-        scaling = self._node_scaling(snapshot, raw_strength)
-        a = adjacency(snapshot)
-        diag = sp.diags(scaling)
-        # sum_z scaling(z) * (w(u,z)^a + w(z,v)^a) for z adjacent to both.
-        return (w @ diag @ a + a @ diag @ w).tocsr()
+    def _scaled(
+        self, snapshot: Snapshot, powered: np.ndarray, raw: np.ndarray
+    ) -> np.ndarray:
+        """``g(z) * w(x,z)^a`` per CSR entry ``(x, z)``; 0 where unweighted."""
+        scaling = self._node_scaling(snapshot, _strength(snapshot, raw))
+        _, indices = snapshot.csr_structure()
+        out = np.zeros_like(powered)
+        # g(z) may be inf at a node with no weighted edge; its entries stay 0.
+        np.multiply(scaling[indices], powered, out=out, where=powered != 0)
+        return out
 
     def score_block(self, block) -> np.ndarray:
-        # Edge-weighted sums are a different kernel shape (per-edge rather
-        # than per-node weights), so the block contributes its shared
-        # position columns; the fitted product supplies the values.
         self._require_fit()
-        return matrix_values(self._matrix, block.rows, block.cols)
+        key = f"{self.name}:{self.alpha!r}"
+        return block.edge_weighted(self._column, key).copy()
 
 
 @register

@@ -99,6 +99,16 @@ def two_hop_matrix(snapshot: Snapshot) -> sp.csr_matrix:
     return cached(snapshot, "A2", compute)
 
 
+def eigsh_start(n: int) -> np.ndarray:
+    """Fixed ARPACK start vector for ``scipy.sparse.linalg.eigsh``.
+
+    Without ``v0`` recent scipy draws the start vector from a fresh
+    ``default_rng()`` — OS entropy — so two fits of one snapshot could
+    differ in their last bits.  This is the same uniform draw, seeded.
+    """
+    return np.random.default_rng(0).uniform(-1.0, 1.0, n)
+
+
 def degrees(snapshot: Snapshot) -> np.ndarray:
     """Cached degree vector aligned with ``snapshot.node_list``."""
     return cached(snapshot, "deg", snapshot.degree_array)

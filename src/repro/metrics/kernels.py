@@ -11,8 +11,12 @@ metric scoring it reuses:
 - the **common-neighbour expansion** — for each pair, the positions of its
   common neighbours, as two flat arrays ``(pair_ids, neighbors)``.  CN is
   a segment count over it; AA/RA/BCN/BAA/BRA/LP are segment sums of a
-  per-node weight vector over it; JC adds a degree gather.  One expansion
-  replaces six sparse matrix products.
+  per-node weight vector over it; JC adds a degree gather;
+- the expansion's **edge positions** — for each entry, the CSR positions of
+  the edges ``(u, w)`` and ``(v, w)``.  WCN/WAA/WRA sum an edge-aligned
+  column (``scaling[w] * weight^alpha``, one value per CSR entry) over
+  both, one segment sum per side.  One expansion replaces every sparse
+  matrix product these metrics used to sample.
 
 The sums are bitwise identical to sampling ``A @ diag(w) @ A`` — the
 formulation the kernels replaced, kept as the reference oracle in
@@ -27,6 +31,13 @@ the per-pair ``np.bincount`` accumulation replays the exact same float
 additions the sparse product performs — equality is bitwise, not
 approximate, which ``tests/test_kernel_parity.py`` enforces for every
 registered metric.
+
+Block lists — and so everything memoised on them — are cached on the
+snapshot for the candidate arrays the snapshot itself caches: the 2-hop
+and all-pairs enumerations, and the arrays a read-only (memoised) filter
+mask keeps of them (:func:`kept_pairs`).  A metric sweep with and without
+the temporal filter therefore pays one expansion, one CN count and one
+weighted sum per weight key for each candidate set.
 
 :func:`score_pairs` emits ``kernels.block`` spans plus block-size/latency
 histograms for every caller: the experiment runner, the classifier
@@ -51,6 +62,23 @@ from repro.utils.pairs import encode_position_pairs
 #: Sized so one block's expansion (pairs x avg min-degree int32 columns)
 #: stays comfortably in cache-friendly territory on the benchmark presets.
 DEFAULT_BLOCK_PAIRS = 262_144
+
+#: rows per slice when a low-rank metric gathers factor rows for a block,
+#: so its ``rows x rank`` temporaries stay small on an ``all`` candidate set.
+FACTOR_SLICE_ROWS = 4096
+
+
+def sliced_rows(n: int, score_slice) -> np.ndarray:
+    """``score_slice(s)`` over consecutive row slices ``s`` of ``range(n)``.
+
+    Each row's score depends on that row alone, so the concatenation is
+    bitwise what one call over all rows returns.
+    """
+    out = np.empty(n, dtype=np.float64)
+    for start in range(0, n, FACTOR_SLICE_ROWS):
+        part = slice(start, start + FACTOR_SLICE_ROWS)
+        out[part] = score_slice(part)
+    return out
 
 
 def block_pair_limit() -> int:
@@ -108,6 +136,51 @@ def use_dense_probe(snapshot: Snapshot) -> bool:
 
     stats = snapshot.csr_stats()
     return stats.nodes <= DENSE_MAX_NODES and stats.density >= DENSE_MIN_DENSITY
+
+
+def csr_edge_column(snapshot: Snapshot, values: np.ndarray) -> np.ndarray:
+    """Per-edge ``values`` (``edge_indices`` order) aligned with the CSR.
+
+    Each edge's value lands at both of its CSR entries: one stable sort
+    of the packed ``(row, col)`` keys of both edge directions, cached per
+    snapshot, orders them, because CSR rows hold their columns sorted.
+    """
+    def order() -> np.ndarray:
+        iu, iv = snapshot.edge_indices()
+        keys = encode_position_pairs(
+            np.concatenate((iu, iv)), np.concatenate((iv, iu))
+        )
+        return np.argsort(keys, kind="stable")
+
+    return np.concatenate((values, values))[cached(snapshot, "csr_edge_order", order)]
+
+
+def dense_edge_positions(snapshot: Snapshot) -> np.ndarray:
+    """Cached ``n x n`` CSR position of every edge, ``-1`` for non-edges.
+
+    The O(1) position probe for small dense snapshots; callers gate on
+    :func:`use_dense_probe`.
+    """
+    def compute() -> np.ndarray:
+        indptr, indices = snapshot.csr_structure()
+        n = len(indptr) - 1
+        dense = np.full((n, n), -1, dtype=np.int32)
+        row_ids = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        dense[row_ids, indices] = np.arange(len(indices), dtype=np.int32)
+        return dense
+
+    return cached(snapshot, "dense_edge_positions", compute)
+
+
+def edge_positions(
+    snapshot: Snapshot, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """CSR position of each edge ``(rows[i], cols[i])``; all must be edges."""
+    if use_dense_probe(snapshot):
+        return dense_edge_positions(snapshot)[rows, cols]
+    return np.searchsorted(
+        adjacency_keys(snapshot), encode_position_pairs(rows, cols)
+    )
 
 
 def probe_sorted_keys(
@@ -192,6 +265,21 @@ def common_neighbor_expansion(
     return pair_ids[hit], neighbors[hit]
 
 
+def expansion_of(
+    snapshot: Snapshot, rows: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`common_neighbor_expansion` of position pairs of ``snapshot``,
+    probing through the snapshot's cached dense matrix or edge keys."""
+    indptr, indices = snapshot.csr_structure()
+    if use_dense_probe(snapshot):
+        return common_neighbor_expansion(
+            indptr, indices, rows, cols, adj_bool=dense_probe_matrix(snapshot)
+        )
+    return common_neighbor_expansion(
+        indptr, indices, rows, cols, adj_keys=adjacency_keys(snapshot)
+    )
+
+
 def intersection_counts(
     pair_ids: np.ndarray, num_pairs: int
 ) -> np.ndarray:
@@ -229,7 +317,7 @@ class CandidateBlock:
 
     __slots__ = (
         "snapshot", "pairs", "_rows", "_cols", "_expansion", "_counts",
-        "_weighted",
+        "_weighted", "_edge_positions", "_edge_weighted",
     )
 
     def __init__(self, snapshot: Snapshot, pairs: np.ndarray) -> None:
@@ -240,6 +328,8 @@ class CandidateBlock:
         self._expansion: "tuple[np.ndarray, np.ndarray] | None" = None
         self._counts: "np.ndarray | None" = None
         self._weighted: dict[str, np.ndarray] = {}
+        self._edge_positions: "tuple[np.ndarray, np.ndarray] | None" = None
+        self._edge_weighted: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -259,17 +349,7 @@ class CandidateBlock:
     def expansion(self) -> tuple[np.ndarray, np.ndarray]:
         """Memoised common-neighbour expansion of this block's pairs."""
         if self._expansion is None:
-            indptr, indices = self.snapshot.csr_structure()
-            if use_dense_probe(self.snapshot):
-                self._expansion = common_neighbor_expansion(
-                    indptr, indices, self.rows, self.cols,
-                    adj_bool=dense_probe_matrix(self.snapshot),
-                )
-            else:
-                self._expansion = common_neighbor_expansion(
-                    indptr, indices, self.rows, self.cols,
-                    adj_keys=adjacency_keys(self.snapshot),
-                )
+            self._expansion = expansion_of(self.snapshot, self.rows, self.cols)
         return self._expansion
 
     def counts(self) -> np.ndarray:
@@ -293,22 +373,104 @@ class CandidateBlock:
             self._weighted[key] = out
         return out
 
+    def edge_positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR positions of the edges ``(u, w)`` and ``(v, w)`` of every
+        expansion entry ``(pair (u, v), common neighbour w)``."""
+        if self._edge_positions is None:
+            pair_ids, neighbors = self.expansion()
+            self._edge_positions = (
+                edge_positions(self.snapshot, self.rows[pair_ids], neighbors),
+                edge_positions(self.snapshot, self.cols[pair_ids], neighbors),
+            )
+        return self._edge_positions
+
+    def edge_weighted(self, column: np.ndarray, key: str) -> np.ndarray:
+        """``sum_w column[(u, w)] + sum_w column[(v, w)]`` for every pair.
+
+        ``column`` holds one value per CSR entry.  Each side is its own
+        segment sum in the expansion's descending-neighbour order, and the
+        two are added last: the additions ``W @ A + A @ W`` performs for a
+        symmetric edge matrix ``W`` (with ``diag(scaling)`` folded into
+        ``column``).  Memoised per ``key`` while ``column`` is the same
+        array; treat results as read-only.
+        """
+        entry = self._edge_weighted.get(key)
+        if entry is None or entry[0] is not column:
+            pair_ids, _ = self.expansion()
+            left, right = self.edge_positions()
+            n = len(self.pairs)
+            out = weighted_counts(pair_ids, left, column, n) + weighted_counts(
+                pair_ids, right, column, n
+            )
+            entry = (column, out)
+            self._edge_weighted[key] = entry
+        return entry[1]
+
     def degrees(self) -> tuple[np.ndarray, np.ndarray]:
         """``(deg[rows], deg[cols])`` gathered from the cached degree column."""
         deg = degrees(self.snapshot)
         return deg[self.rows], deg[self.cols]
 
 
+#: snapshot-cache keys of the candidate enumerations a snapshot memoises.
+CANDIDATE_KEYS = ("pairs_two_hop", "pairs_all")
+#: snapshot-cache entry mapping ``id`` of a memoised kept array to its key.
+KEPT_INDEX = "kept_pairs_index"
+
+
+def candidate_cache_key(snapshot: Snapshot, pairs: np.ndarray):
+    """The snapshot-cache key under which ``pairs`` is memoised, or None.
+
+    The identity rule: ``pairs`` must *be* the cached array object — one
+    of the snapshot's candidate enumerations, or an array
+    :func:`kept_pairs` memoised — not merely equal to it.
+    """
+    for key in CANDIDATE_KEYS:
+        if pairs is snapshot.cache.get(key):
+            return key
+    key = snapshot.cache.get(KEPT_INDEX, {}).get(id(pairs))
+    entry = snapshot.cache.get(key) if key is not None else None
+    return key if entry is not None and entry[2] is pairs else None
+
+
+def kept_pairs(snapshot: Snapshot, pairs: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``pairs[mask]``, memoised when both are cached, read-only arrays.
+
+    A filter that memoises its mask over one of the snapshot's cached
+    candidate arrays returns it read-only (see
+    :class:`~repro.temporal.filters.TemporalFilter`); the kept array is
+    then memoised, read-only, per ``(candidate array, mask)`` and joins
+    the identity rule of :func:`candidate_cache_key`, so :func:`blocks_for`
+    caches its blocks and every metric of a filtered sweep shares one
+    expansion.  A writeable mask — an ad hoc filter that may change between
+    calls — gets a fresh ``pairs[mask]``.
+    """
+    source = None if mask.flags.writeable else candidate_cache_key(snapshot, pairs)
+    if source is None:
+        return pairs[mask]
+    # The entry holds the mask, so its id cannot be reused while cached.
+    key = ("kept_pairs", source, id(mask))
+    entry = snapshot.cache.get(key)
+    if entry is None or entry[0] is not pairs or entry[1] is not mask:
+        kept = pairs[mask]
+        kept.flags.writeable = False
+        entry = (pairs, mask, kept)
+        snapshot.cache[key] = entry
+        snapshot.cache.setdefault(KEPT_INDEX, {})[id(kept)] = key
+    return entry[2]
+
+
 def blocks_for(snapshot: Snapshot, pairs: np.ndarray) -> "list[CandidateBlock]":
     """Split a candidate array into scoring blocks, memoised per snapshot.
 
     When ``pairs`` *is* one of the snapshot's cached candidate arrays
-    (the common case: every metric in a sweep scores the same enumeration)
-    the block list is cached on the snapshot, so expansions computed while
-    scoring the first metric are reused by all later ones.  A candidate
-    set at or below the block limit stays a single block wrapping the
-    original array object — preserving identity fast paths downstream
-    (e.g. the delta engine's warm-table shortcut).
+    (:func:`candidate_cache_key`; the common case: every metric in a
+    sweep scores the same enumeration, filtered or not) the block list is
+    cached on the snapshot, so expansions computed while scoring the first
+    metric are reused by all later ones.  A candidate set at or below the
+    block limit stays a single block wrapping the original array object —
+    preserving identity fast paths downstream (e.g. the delta engine's
+    warm-table shortcut).
     """
     limit = block_pair_limit()
 
@@ -320,19 +482,17 @@ def blocks_for(snapshot: Snapshot, pairs: np.ndarray) -> "list[CandidateBlock]":
             for start in range(0, len(pairs), limit)
         ]
 
-    for cache_key, blocks_key in (
-        ("pairs_two_hop", "kernel_blocks_two_hop"),
-        ("pairs_all", "kernel_blocks_all"),
-    ):
-        if pairs is snapshot.cache.get(cache_key):
-            entry = snapshot.cache.get(blocks_key)
-            # Revalidate on both the source array and the block limit (the
-            # limit is env-tunable, so a cached split may be stale).
-            if entry is None or entry[0] != limit or entry[1] is not pairs:
-                entry = (limit, pairs, build())
-                snapshot.cache[blocks_key] = entry
-            return entry[2]
-    return build()
+    key = candidate_cache_key(snapshot, pairs)
+    if key is None:
+        return build()
+    blocks_key = ("kernel_blocks", key)
+    entry = snapshot.cache.get(blocks_key)
+    # Revalidate on both the source array and the block limit (the limit
+    # is env-tunable, so a cached split may be stale).
+    if entry is None or entry[0] != limit or entry[1] is not pairs:
+        entry = (limit, pairs, build())
+        snapshot.cache[blocks_key] = entry
+    return entry[2]
 
 
 def score_pairs(metric, snapshot: Snapshot, pairs: np.ndarray) -> np.ndarray:

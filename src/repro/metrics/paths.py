@@ -27,9 +27,11 @@ from repro.metrics.base import (
     adjacency,
     cached,
     dense_adjacency,
+    eigsh_start,
     register,
     symmetric_entries,
 )
+from repro.metrics.kernels import sliced_rows
 
 #: Paper-tuned parameters (Section 3.2).
 LP_EPSILON = 1e-4
@@ -137,7 +139,7 @@ class KatzLowRank(SimilarityMetric):
             if n <= r + 2:
                 lam, vec = np.linalg.eigh(a.toarray())
             else:
-                lam, vec = spla.eigsh(a, k=r, which="LM")
+                lam, vec = spla.eigsh(a, k=r, which="LM", v0=eigsh_start(n))
             factor = self.beta * lam / (1.0 - self.beta * lam)
             return vec, factor
 
@@ -146,8 +148,11 @@ class KatzLowRank(SimilarityMetric):
 
     def score_block(self, block) -> np.ndarray:
         self._require_fit()
-        left = self._vec[block.rows] * self._factor
-        return np.einsum("ij,ij->i", left, self._vec[block.cols])
+        vec, factor, rows, cols = self._vec, self._factor, block.rows, block.cols
+        return sliced_rows(
+            len(block),
+            lambda s: np.einsum("ij,ij->i", vec[rows[s]] * factor, vec[cols[s]]),
+        )
 
 
 @register

@@ -25,7 +25,14 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from repro.graph.snapshots import Snapshot
-from repro.metrics.base import SimilarityMetric, adjacency, cached, register
+from repro.metrics.base import (
+    SimilarityMetric,
+    adjacency,
+    cached,
+    eigsh_start,
+    register,
+)
+from repro.metrics.kernels import sliced_rows
 
 
 def rescal_als(
@@ -47,7 +54,7 @@ def rescal_als(
         _, x = np.linalg.eigh(a_sparse.toarray())
         x = x[:, -rank:]
     else:
-        _, x = spla.eigsh(a_sparse, k=rank, which="LM")
+        _, x = spla.eigsh(a_sparse, k=rank, which="LM", v0=eigsh_start(n))
     r = _update_r(a_sparse, x)
     prev_fit = np.inf
     for _ in range(iterations):
@@ -122,10 +129,12 @@ class Rescal(SimilarityMetric):
 
     def score_block(self, block) -> np.ndarray:
         self._require_fit()
-        rows, cols = block.rows, block.cols
-        forward = np.einsum("ij,ij->i", self._xr[rows], self._x[cols])
-        backward = np.einsum("ij,ij->i", self._xr[cols], self._x[rows])
-        return forward + backward
+        xr, x, rows, cols = self._xr, self._x, block.rows, block.cols
+        return sliced_rows(
+            len(block),
+            lambda s: np.einsum("ij,ij->i", xr[rows[s]], x[cols[s]])
+            + np.einsum("ij,ij->i", xr[cols[s]], x[rows[s]]),
+        )
 
     def node_weights(self) -> np.ndarray:
         """Latent importance per node (row norm of X).

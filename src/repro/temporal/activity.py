@@ -39,6 +39,7 @@ from repro.graph.snapshots import Snapshot
 from repro.metrics.base import cached
 from repro.metrics.kernels import (
     adjacency_keys,
+    csr_edge_column,
     probe_sorted_keys,
     smaller_side_expansion,
     use_dense_probe,
@@ -115,20 +116,14 @@ def csr_edge_times(snapshot: Snapshot) -> np.ndarray:
     """Creation time of every CSR adjacency entry (aligned with ``indices``).
 
     Built once per snapshot from its own edge columns — not inside the CSR
-    build, which the delta engine seeds directly: one stable sort of the
-    packed ``(row, col)`` keys of both edge directions puts the times in
-    CSR order, because CSR rows hold their columns sorted.
+    build, which the delta engine seeds directly — by
+    :func:`~repro.metrics.kernels.csr_edge_column`.
     """
-    def compute() -> np.ndarray:
-        iu, iv = snapshot.edge_indices()
-        times = snapshot.edge_times()
-        keys = encode_position_pairs(
-            np.concatenate((iu, iv)), np.concatenate((iv, iu))
-        )
-        order = np.argsort(keys, kind="stable")
-        return np.concatenate((times, times))[order]
-
-    return cached(snapshot, "csr_edge_times", compute)
+    return cached(
+        snapshot,
+        "csr_edge_times",
+        lambda: csr_edge_column(snapshot, snapshot.edge_times()),
+    )
 
 
 def dense_edge_times(snapshot: Snapshot) -> np.ndarray:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.snapshots import Snapshot
+from repro.metrics.kernels import CANDIDATE_KEYS
 from repro.temporal.activity import PairActivity, pair_activity
 
 #: Table 7 of the paper: per-network thresholds discovered on the original
@@ -71,9 +72,11 @@ class TemporalFilter:
         (``pairs_two_hop`` / ``pairs_all``, the identity rule of
         :func:`~repro.metrics.kernels.blocks_for`), the mask is memoised on
         the snapshot per ``(params, candidate array)`` and returned
-        read-only, so every metric of a sweep shares one filter pass.
+        read-only, so every metric of a sweep shares one filter pass — and,
+        through :func:`~repro.metrics.kernels.kept_pairs`, one kept array
+        and its kernel blocks.
         """
-        for source in ("pairs_two_hop", "pairs_all"):
+        for source in CANDIDATE_KEYS:
             if pairs is snapshot.cache.get(source):
                 key = ("temporal_filter_mask", self.params, source)
                 entry = snapshot.cache.get(key)

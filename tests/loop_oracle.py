@@ -8,6 +8,9 @@ tuple membership test per candidate, a ``has_edge`` call per pair or edge
 — sharing no code with the kernels beyond the public snapshot accessors
 (and, for the filter mask, the node-level features of ``pair_activity``),
 so the parity suites can compare the two with ``np.array_equal``.
+
+The edge weights the weighted metrics synthesize have a loop here too:
+one neighbour-set intersection and one lognormal draw per edge.
 """
 
 from __future__ import annotations
@@ -79,6 +82,20 @@ def labeled_pairs(future, pairs: np.ndarray) -> np.ndarray:
         dtype=np.int64,
         count=len(pairs),
     )
+
+
+def synthesize_weights(snapshot, seed: int = 0, gain: float = 0.5, noise: float = 0.3):
+    """Per-edge weights: a neighbour-set intersection and one lognormal
+    draw per edge, in edge-creation order."""
+    rng = np.random.default_rng(seed)
+    now = snapshot.time
+    span = max(1e-9, now - snapshot.trace.start_time)
+    weights = {}
+    for (u, v), t in zip(snapshot.edges(), snapshot.edge_times().tolist()):
+        embeddedness = len(snapshot.neighbors(u) & snapshot.neighbors(v))
+        base = 1.0 + gain * embeddedness + (1.0 - (now - t) / span)
+        weights[(u, v)] = float(base * rng.lognormal(0.0, noise))
+    return weights
 
 
 def weight_matrix(snapshot, weights, alpha: float) -> sp.csr_matrix:

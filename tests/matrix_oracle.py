@@ -10,6 +10,11 @@ bit for bit (scipy's SMMP product sums each pair's common neighbours in
 descending position order, and the expansion replays that order), so the
 parity suites compare the two with ``np.array_equal``.
 
+WCN, WAA and WRA sum an edge-aligned weight column over the expansion;
+their reference is the product their fit built before that:
+``W^a @ diag(g) @ A + A @ diag(g) @ W^a`` from the per-item weight matrix
+of ``tests/loop_oracle.py``, sampled at the pair positions.
+
 SP, LP's 3-hop term and Katz_sc compute one row of their matrix when a
 block's pairs share a node, and the whole matrix otherwise; their
 reference is the whole-matrix formula they had before that split:
@@ -33,17 +38,43 @@ from scipy.sparse.csgraph import shortest_path
 
 from repro.metrics.base import SimilarityMetric, pairs_to_indices
 from repro.metrics.kernels import CandidateBlock
+from tests import loop_oracle
 
 #: metrics whose kernel sums a per-node weight over common neighbours.
 WEIGHTED_TWO_HOP = frozenset({"AA", "RA", "BCN", "BAA", "BRA"})
+#: metrics whose kernel sums a per-edge weight over common neighbours.
+WEIGHTED_EDGES = frozenset({"WCN", "WAA", "WRA"})
 #: every metric the matrix formulation covers.
-MATRIX_METRICS = WEIGHTED_TWO_HOP | {"CN", "JC", "LP", "SP", "Katz_sc"}
+MATRIX_METRICS = (
+    WEIGHTED_TWO_HOP | WEIGHTED_EDGES | {"CN", "JC", "LP", "SP", "Katz_sc"}
+)
 
 
 def weighted_two_hop(snapshot, weights: np.ndarray) -> sp.csr_matrix:
     """``A @ diag(weights) @ A`` for a per-node weight vector."""
     a = snapshot.adjacency_matrix()
     return (a @ sp.diags(weights) @ a).tocsr()
+
+
+def weighted_edge_product(snapshot, metric) -> sp.csr_matrix:
+    """``W^a @ diag(g) @ A + A @ diag(g) @ W^a`` of a weighted-trio metric.
+
+    ``W^a`` holds the caller's weights (or the seed-0 synthesized ones)
+    raised to ``metric.alpha``; ``g`` is the metric's per-node scaling of
+    the strengths ``W^1`` row sums.
+    """
+    weights = metric.weights
+    if weights is None:
+        weights = loop_oracle.synthesize_weights(snapshot)
+    w = loop_oracle.weight_matrix(snapshot, weights, metric.alpha)
+    raw = loop_oracle.weight_matrix(snapshot, weights, 1.0)
+    with np.errstate(divide="ignore"):
+        scaling = metric._node_scaling(
+            snapshot, np.asarray(raw.sum(axis=1)).ravel()
+        )
+    a = snapshot.adjacency_matrix()
+    diag = sp.diags(scaling)
+    return (w @ diag @ a + a @ diag @ w).tocsr()
 
 
 def sample(matrix: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -82,6 +113,8 @@ def oracle_scores(metric: SimilarityMetric, pairs: np.ndarray) -> np.ndarray:
         return np.where(np.isinf(dist), -np.inf, -dist)
     if metric.name == "Katz_sc":
         return katz_series(a, metric.beta, metric.max_length)[rows, cols]
+    if metric.name in WEIGHTED_EDGES:
+        return sample(weighted_edge_product(snapshot, metric), rows, cols)
     if metric.name in WEIGHTED_TWO_HOP:
         # The weight vector is the metric's fitted state; what the oracle
         # checks is the accumulation over common neighbours.

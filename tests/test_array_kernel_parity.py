@@ -2,12 +2,13 @@
 
 Covers the temporal filter (its CN-gap pass and keep-masks, first and
 memoised calls), the calibration positive/negative split, classifier
-labelling, the weighted metrics' weight matrix and the time-series
-wrapper's existence check.  Each kernel runs on a plain snapshot, a
-snowball-sampled ``SnapshotView`` and a ``DeltaGraph.materialize()``
-snapshot, and with both membership probes (the dense n x n table and the
-sorted edge keys).  References live in ``tests/loop_oracle.py``; every
-comparison is ``np.array_equal``, never ``allclose``.
+labelling, the synthesized edge weights, the weighted metrics' weight
+matrix and the time-series wrapper's existence check.  Each kernel runs
+on a plain snapshot, a snowball-sampled ``SnapshotView`` and a
+``DeltaGraph.materialize()`` snapshot, and with both membership probes
+(the dense n x n table and the sorted edge keys).  References live in
+``tests/loop_oracle.py``; every comparison is ``np.array_equal``, never
+``allclose``.
 """
 
 from __future__ import annotations
@@ -216,6 +217,14 @@ def test_weight_matrix(facebook_snapshots, kind, alpha):
     )
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_synthesized_weights(facebook_snapshots, kind):
+    snapshot, _ = observed_and_future(facebook_snapshots, kind)
+    weights = synthesize_weights(snapshot, seed=4)
+    want = loop_oracle.synthesize_weights(snapshot, seed=4)
+    assert list(weights.items()) == list(want.items())
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -241,9 +250,9 @@ def test_weighted_fit_is_cached_per_snapshot_and_alpha(facebook_snapshots):
     pairs = two_hop_pairs(snapshot)
     first = WeightedCommonNeighbors(alpha=0.5).fit(snapshot)
     again = WeightedCommonNeighbors(alpha=0.5).fit(snapshot)
-    assert again._matrix is first._matrix
-    assert WeightedCommonNeighbors(alpha=2.0).fit(snapshot)._matrix is not first._matrix
-    assert WeightedAdamicAdar(alpha=0.5).fit(snapshot)._matrix is not first._matrix
+    assert again._column is first._column
+    assert WeightedCommonNeighbors(alpha=2.0).fit(snapshot)._column is not first._column
+    assert WeightedAdamicAdar(alpha=0.5).fit(snapshot)._column is not first._column
     explicit = WeightedCommonNeighbors(
         weights=synthesize_weights(snapshot), alpha=0.5
     ).fit(fresh(snapshot))

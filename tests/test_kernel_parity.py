@@ -19,7 +19,14 @@ checks:
 - the delta engine's expansion-based seeding and dirty-pair rescoring
   stay bitwise-equal to a from-scratch rebuild;
 - the serving read path returns kernel-routed scores equal to the
-  oracle's.
+  oracle's;
+- WCN/WAA/WRA match their weighted matrix product for alpha in
+  {0, 0.5, 1}, on synthesized weights and on a caller's partial dict;
+- a filtered sweep scores through cached blocks of the kept array exactly
+  as the kept pairs alone, for every registered metric, while separate
+  filter settings keep separate arrays and a writeable mask stays uncached;
+- Katz_lr and Rescal score in row slices bitwise as in one pass, and
+  refit a snapshot to bitwise-equal factors.
 """
 
 import numpy as np
@@ -41,9 +48,19 @@ from repro.metrics.candidates import (
     candidate_pairs,
     two_hop_pairs,
 )
-from repro.metrics.kernels import CandidateBlock, blocks_for, score_pairs
+from repro.eval.experiment import evaluate_step
+from repro.extensions.weighted import synthesize_weights
+from repro.metrics.kernels import (
+    FACTOR_SLICE_ROWS,
+    CandidateBlock,
+    blocks_for,
+    candidate_cache_key,
+    kept_pairs,
+    score_pairs,
+)
+from repro.temporal import FilterParams, TemporalFilter, pair_activity
 from repro.temporal.timeseries import TimeSeriesMetric
-from tests.matrix_oracle import oracle_scores
+from tests.matrix_oracle import WEIGHTED_EDGES, oracle_scores
 
 
 def random_snapshot(n: int, p: float, seed: int) -> Snapshot:
@@ -275,3 +292,150 @@ class TestServeRoute:
         assert result["predictions"], "expected at least one candidate"
         for prediction in result["predictions"]:
             assert expected[prediction["v"]] == prediction["score"]
+
+
+def caller_weights(snapshot: Snapshot) -> "dict[tuple[int, int], float]":
+    """A caller's weight dict: a third of the edges left out, and every
+    fourth given in both orientations (the two values sum)."""
+    weights = {
+        pair: w
+        for i, (pair, w) in enumerate(synthesize_weights(snapshot, seed=5).items())
+        if i % 3
+    }
+    for (u, v), w in list(weights.items())[::4]:
+        weights[(v, u)] = 0.5 * w
+    return weights
+
+
+class TestWeightedTrio:
+    """WCN/WAA/WRA on the expansion == ``W^a D A + A D W^a``, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(WEIGHTED_EDGES))
+    @pytest.mark.parametrize("alpha", (0.0, 0.5, 1.0))
+    @pytest.mark.parametrize("given", ("synthesized", "caller"))
+    def test_matches_weighted_product(
+        self, sparse_snapshot, dense_snapshot, delta_snapshot, name, alpha, given
+    ):
+        for snapshot in (sparse_snapshot, dense_snapshot, delta_snapshot):
+            weights = None if given == "synthesized" else caller_weights(snapshot)
+            metric = type(get_metric(name))(weights, alpha=alpha)
+            # WAA's 1 / log(1 + s) is inf at a node the dict leaves unweighted
+            with np.errstate(divide="ignore"):
+                metric.fit(snapshot)
+            for label, pairs in pair_inputs(snapshot, "two_hop").items():
+                got = metric.score(pairs)
+                assert np.array_equal(got, oracle_scores(metric, pairs)), label
+
+
+def filter_at(snapshot: Snapshot, pairs: np.ndarray, q: float) -> TemporalFilter:
+    """A temporal filter whose thresholds sit at the q-th percentile of
+    ``pairs``' activity features, so each criterion bites."""
+    act = pair_activity(snapshot, pairs, window=30.0)
+    gaps = act.cn_gap[np.isfinite(act.cn_gap)]
+    return TemporalFilter(
+        FilterParams(
+            d_act=float(np.percentile(act.active_idle, q)) + 1e-6,
+            d_inact=float(np.percentile(act.inactive_idle, q)) + 1e-6,
+            window=30.0,
+            min_new_edges=0.0,
+            d_cn=float(np.percentile(gaps, q)) + 1e-6,
+        )
+    )
+
+
+class TestFilteredBlocks:
+    """A filtered sweep shares cached blocks of its kept candidate array."""
+
+    @pytest.mark.parametrize("name", sorted(all_metric_names()))
+    def test_kept_pairs_score_as_alone(self, name):
+        snapshot = random_snapshot(40, 0.1, 23)
+        strategy = get_metric(name).candidate_strategy
+        pairs = candidate_pairs(snapshot, strategy)
+        keep = filter_at(snapshot, pairs, 80)
+        truth = {tuple(p) for p in pairs[::7].tolist()}
+        # A Table 8 row: the metric without, then with, the filter.
+        evaluate_step(name, snapshot, truth, rng=3)
+        filtered = evaluate_step(name, snapshot, truth, rng=3, pair_filter=keep)
+        mask = keep(snapshot, pairs)
+        kept = kept_pairs(snapshot, pairs, mask)
+        assert not mask.flags.writeable and 0 < len(kept) < len(pairs)
+        assert candidate_cache_key(snapshot, kept) is not None
+        assert blocks_for(snapshot, kept) is blocks_for(snapshot, kept)
+        metric = get_metric(name).fit(snapshot)
+        alone = metric.score_block(CandidateBlock(snapshot, kept.copy()))
+        got = score_pairs(metric, snapshot, kept)
+        assert np.array_equal(got, np.asarray(alone, dtype=np.float64))
+        # An ad hoc (writeable) mask takes the uncached path to the same top-k.
+        adhoc = evaluate_step(
+            name, snapshot, truth, rng=3,
+            pair_filter=lambda snap, p: keep(snap, p).copy(),
+        )
+        assert np.array_equal(filtered.predicted, adhoc.predicted)
+
+    def test_filter_settings_keep_their_own_arrays(self):
+        snapshot = random_snapshot(40, 0.1, 23)
+        pairs = two_hop_pairs(snapshot)
+        kept = {}
+        for q in (90, 50):
+            keep = filter_at(snapshot, pairs, q)
+            mask = keep(snapshot, pairs)
+            kept[q] = kept_pairs(snapshot, pairs, mask)
+            assert kept_pairs(snapshot, pairs, keep(snapshot, pairs)) is kept[q]
+            assert np.array_equal(kept[q], pairs[mask])
+            assert not kept[q].flags.writeable
+        assert kept[90] is not kept[50] and len(kept[50]) < len(kept[90])
+        assert blocks_for(snapshot, kept[90]) is not blocks_for(snapshot, kept[50])
+        assert blocks_for(snapshot, kept[50])[0].pairs is kept[50]
+
+    def test_writeable_mask_takes_the_uncached_path(self):
+        snapshot = random_snapshot(40, 0.1, 23)
+        pairs = two_hop_pairs(snapshot)
+        mask = filter_at(snapshot, pairs, 80)(snapshot, pairs).copy()
+        first = kept_pairs(snapshot, pairs, mask)
+        assert kept_pairs(snapshot, pairs, mask) is not first
+        assert np.array_equal(first, pairs[mask])
+        assert candidate_cache_key(snapshot, first) is None
+        assert blocks_for(snapshot, first) is not blocks_for(snapshot, first)
+        # A read-only mask over an array the snapshot does not cache, too.
+        mask.flags.writeable = False
+        other = kept_pairs(snapshot, pairs.copy(), mask)
+        assert candidate_cache_key(snapshot, other) is None
+
+
+class TestLowRankFactors:
+    """Katz_lr and Rescal: sliced scoring and deterministic fits."""
+
+    @pytest.fixture(scope="class")
+    def snapshot(self) -> Snapshot:
+        return random_snapshot(120, 0.05, 31)
+
+    def test_slices_match_one_pass(self, snapshot):
+        pairs = all_nonedge_pairs(snapshot)
+        assert len(pairs) > FACTOR_SLICE_ROWS
+        block = CandidateBlock(snapshot, pairs)
+        rows, cols = block.rows, block.cols
+        katz = get_metric("Katz_lr").fit(snapshot)
+        left = katz._vec[rows] * katz._factor
+        want = np.einsum("ij,ij->i", left, katz._vec[cols])
+        assert np.array_equal(katz.score_block(block), want)
+        rescal = get_metric("Rescal").fit(snapshot)
+        want = np.einsum("ij,ij->i", rescal._xr[rows], rescal._x[cols]) + np.einsum(
+            "ij,ij->i", rescal._xr[cols], rescal._x[rows]
+        )
+        assert np.array_equal(rescal.score_block(block), want)
+
+    def test_refits_give_equal_factors(self, snapshot):
+        fits = [
+            (
+                get_metric("Katz_lr").fit(copy),
+                get_metric("Rescal").fit(copy),
+            )
+            for copy in (
+                Snapshot(snapshot.trace, snapshot.cutoff) for _ in range(2)
+            )
+        ]
+        (katz_a, rescal_a), (katz_b, rescal_b) = fits
+        assert np.array_equal(katz_a._vec, katz_b._vec)
+        assert np.array_equal(katz_a._factor, katz_b._factor)
+        assert np.array_equal(rescal_a._x, rescal_b._x)
+        assert np.array_equal(rescal_a._r, rescal_b._r)
