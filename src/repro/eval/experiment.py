@@ -108,9 +108,9 @@ def rank_top_k(
     protocol: enumerate the metric's candidate set (or take
     ``candidates``), prune it with ``pair_filter``, score it through the
     kernels and keep the ``k`` best, ties broken by ``rng``.  A filter's
-    read-only (memoised) mask over a cached candidate array keeps a
-    memoised array, so every metric scoring it shares one set of kernel
-    blocks (:func:`~repro.metrics.kernels.kept_pairs`).  Returns the
+    memoised mask over a cached candidate array keeps a memoised array, so
+    every metric scoring it shares one set of kernel blocks
+    (:func:`~repro.metrics.kernels.kept_pairs`).  Returns the
     fitted metric and at most ``k`` pairs; callers decide what to do when
     the candidate set holds fewer.
     """

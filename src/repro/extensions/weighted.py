@@ -31,7 +31,6 @@ from repro.metrics.base import SimilarityMetric, cached, register
 from repro.metrics.kernels import (
     adjacency_keys,
     csr_edge_column,
-    edge_positions,
     expansion_of,
     intersection_counts,
     probe_sorted_keys,
@@ -59,7 +58,7 @@ def synthetic_edge_weights(
     now = snapshot.time
     span = max(1e-9, now - snapshot.trace.start_time)
     iu, iv = snapshot.edge_indices()
-    pair_ids, _ = expansion_of(snapshot, iu, iv)
+    pair_ids = expansion_of(snapshot, iu, iv)[0]
     embeddedness = intersection_counts(pair_ids, len(iu))
     age = (now - snapshot.edge_times()) / span  # 0 = fresh
     base = 1.0 + embeddedness_gain * embeddedness + (1.0 - age)
@@ -124,38 +123,23 @@ def _weight_items(
     return positions, values, at
 
 
-def weight_matrix(snapshot: Snapshot, weights: "dict[Pair, float]", alpha: float):
-    """Symmetric sparse matrix of ``w(u,v)^alpha`` over the snapshot edges.
-
-    Raises for the first bad item in dict order (self-pair, non-edge,
-    non-positive weight).  Items ``(u, v)`` and ``(v, u)`` both land on
-    the edge's two cells and sum.
-    """
-    import scipy.sparse as sp
-
-    n = snapshot.num_nodes
-    positions, values, _ = _weight_items(snapshot, weights)
-    # Triplets interleave (u, v), (v, u) per item, in dict order.
-    data = np.repeat(_power(values, alpha), 2)
-    rows, cols = positions.ravel(), positions[:, ::-1].ravel()
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-
-
 def _weight_columns(
     snapshot: Snapshot, weights: "dict[Pair, float]", alpha: float
 ) -> "tuple[np.ndarray, np.ndarray]":
     """CSR-aligned columns ``(w^alpha, w)`` of a weight dict.
 
     Each holds one value per CSR entry — an edge's value at both of its
-    entries, ``0`` for an edge the dict leaves out — the entries of
-    ``weight_matrix(snapshot, weights, alpha)`` and of its ``alpha = 1``
+    entries, ``0`` for an edge the dict leaves out — the entries of the
+    symmetric matrix of ``w(u,v)^alpha`` and of its ``alpha = 1``
     counterpart.  An edge given as both ``(u, v)`` and ``(v, u)`` holds the
-    sum of the two, as the matrix does.
+    sum of the two, as that matrix's duplicate COO triplets do.
     """
     positions, values, at = _weight_items(snapshot, weights)
-    both = np.concatenate(
-        (at, edge_positions(snapshot, positions[:, 1], positions[:, 0]))
+    back = np.searchsorted(
+        adjacency_keys(snapshot),
+        encode_position_pairs(positions[:, 1], positions[:, 0]),
     )
+    both = np.concatenate((at, back))
     size = len(snapshot.csr_structure()[1])
     powered, raw = _power(values, alpha), values.astype(np.float64)
     return (
@@ -167,7 +151,7 @@ def _weight_columns(
 def _strength(snapshot: Snapshot, raw: np.ndarray) -> np.ndarray:
     """Sum of each node's edge weights, from a CSR-aligned raw column.
 
-    Summed as ``weight_matrix(..., 1.0).sum(axis=1)`` sums: scipy reduces
+    Summed as the raw weight matrix's ``sum(axis=1)`` sums: scipy reduces
     each row's stored entries, so edges missing from the weights (zeros in
     the column) are dropped first.
     """

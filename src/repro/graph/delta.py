@@ -205,7 +205,7 @@ class DeltaGraph:
         for start in range(0, len(rows), limit):
             r = rows[start : start + limit]
             c = cols[start : start + limit]
-            pair_ids, neighbors = common_neighbor_expansion(
+            pair_ids, neighbors, _, _ = common_neighbor_expansion(
                 indptr, indices, r, c, adj_keys=self._adj_keys
             )
             cn_parts.append(intersection_counts(pair_ids, len(r)))
@@ -580,7 +580,7 @@ class DeltaGraph:
                 dirty_rows, dirty_cols = decode_position_pairs(
                     self._cand_keys[mask]
                 )
-                pair_ids, neighbors = common_neighbor_expansion(
+                pair_ids, neighbors, _, _ = common_neighbor_expansion(
                     indptr, indices, dirty_rows, dirty_cols,
                     adj_keys=self._adj_keys,
                 )

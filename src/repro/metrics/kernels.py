@@ -13,7 +13,8 @@ metric scoring it reuses:
   a segment count over it; AA/RA/BCN/BAA/BRA/LP are segment sums of a
   per-node weight vector over it; JC adds a degree gather;
 - the expansion's **edge positions** — for each entry, the CSR positions of
-  the edges ``(u, w)`` and ``(v, w)``.  WCN/WAA/WRA sum an edge-aligned
+  the edges ``(u, w)`` and ``(v, w)``, which the walk and the membership
+  probe find along the way.  WCN/WAA/WRA sum an edge-aligned
   column (``scaling[w] * weight^alpha``, one value per CSR entry) over
   both, one segment sum per side.  One expansion replaces every sparse
   matrix product these metrics used to sample.
@@ -34,10 +35,10 @@ registered metric.
 
 Block lists — and so everything memoised on them — are cached on the
 snapshot for the candidate arrays the snapshot itself caches: the 2-hop
-and all-pairs enumerations, and the arrays a read-only (memoised) filter
-mask keeps of them (:func:`kept_pairs`).  A metric sweep with and without
-the temporal filter therefore pays one expansion, one CN count and one
-weighted sum per weight key for each candidate set.
+and all-pairs enumerations, and the arrays a memoised filter mask
+(:func:`memoised_mask`) keeps of them (:func:`kept_pairs`).  A metric
+sweep with and without the temporal filter therefore pays one expansion,
+one CN count and one weighted sum per weight key for each candidate set.
 
 :func:`score_pairs` emits ``kernels.block`` spans plus block-size/latency
 histograms for every caller: the experiment runner, the classifier
@@ -108,29 +109,11 @@ def adjacency_keys(snapshot: Snapshot) -> np.ndarray:
     return cached(snapshot, "adj_keys", compute)
 
 
-def dense_probe_matrix(snapshot: Snapshot) -> np.ndarray:
-    """Cached dense boolean adjacency for O(1) membership probes.
-
-    Worth its n^2-bool footprint only on small dense snapshots (the same
-    regime as the dense enumeration strategy); callers gate on
-    :meth:`~repro.graph.snapshots.Snapshot.csr_stats`.
-    """
-    def compute() -> np.ndarray:
-        indptr, indices = snapshot.csr_structure()
-        n = len(indptr) - 1
-        dense = np.zeros((n, n), dtype=bool)
-        row_ids = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        dense[row_ids, indices] = True
-        return dense
-
-    return cached(snapshot, "adj_bool_dense", compute)
-
-
 def use_dense_probe(snapshot: Snapshot) -> bool:
     """Whether ``snapshot`` is small and dense enough for n x n probe tables.
 
     The regime of the dense enumeration strategy: there a cached dense
-    matrix gather beats a ``searchsorted`` over the packed edge keys.
+    table gather beats a ``searchsorted`` over the packed edge keys.
     """
     from repro.metrics.candidates import DENSE_MAX_NODES, DENSE_MIN_DENSITY
 
@@ -158,8 +141,10 @@ def csr_edge_column(snapshot: Snapshot, values: np.ndarray) -> np.ndarray:
 def dense_edge_positions(snapshot: Snapshot) -> np.ndarray:
     """Cached ``n x n`` CSR position of every edge, ``-1`` for non-edges.
 
-    The O(1) position probe for small dense snapshots; callers gate on
-    :func:`use_dense_probe`.
+    The dense membership probe: one gather answers both "is ``(u, w)`` an
+    edge" and "where is it in the CSR".  Worth its n^2-int32 footprint only
+    on small dense snapshots (the same regime as the dense enumeration
+    strategy); callers gate on :func:`use_dense_probe`.
     """
     def compute() -> np.ndarray:
         indptr, indices = snapshot.csr_structure()
@@ -170,17 +155,6 @@ def dense_edge_positions(snapshot: Snapshot) -> np.ndarray:
         return dense
 
     return cached(snapshot, "dense_edge_positions", compute)
-
-
-def edge_positions(
-    snapshot: Snapshot, rows: np.ndarray, cols: np.ndarray
-) -> np.ndarray:
-    """CSR position of each edge ``(rows[i], cols[i])``; all must be edges."""
-    if use_dense_probe(snapshot):
-        return dense_edge_positions(snapshot)[rows, cols]
-    return np.searchsorted(
-        adjacency_keys(snapshot), encode_position_pairs(rows, cols)
-    )
 
 
 def probe_sorted_keys(
@@ -227,53 +201,62 @@ def common_neighbor_expansion(
     rows: np.ndarray,
     cols: np.ndarray,
     adj_keys: "np.ndarray | None" = None,
-    adj_bool: "np.ndarray | None" = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    adj_positions: "np.ndarray | None" = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Common-neighbour positions of each ``(rows[i], cols[i])`` pair.
 
-    Returns ``(pair_ids, neighbors)``: for every pair ``i`` and every node
-    ``w`` adjacent to both endpoints, one entry ``pair_ids == i``,
-    ``neighbors == position of w``.  Within a pair, neighbours appear in
-    **descending** position order — the order scipy's sparse product
-    accumulates in, which is what makes downstream ``np.bincount`` sums
-    bitwise-identical to matrix sampling (see the module docstring).
+    Returns ``(pair_ids, neighbors, walked, probed)``: for every pair ``i``
+    and every node ``w`` adjacent to both endpoints, one entry
+    ``pair_ids == i``, ``neighbors == position of w``, and the CSR
+    positions of the pair's two edges to ``w`` — ``walked`` from the
+    endpoint whose row was walked, ``probed`` from the other.  Within a
+    pair, neighbours appear in **descending** position order — the order
+    scipy's sparse product accumulates in, which is what makes downstream
+    ``np.bincount`` sums bitwise-identical to matrix sampling (see the
+    module docstring).
 
     The smaller-degree endpoint's adjacency list is expanded and the other
     endpoint membership-probed, so the work is
     ``sum_i min(deg(u_i), deg(v_i))`` probes regardless of which side is
-    the hub.  The probe is one boolean fancy-index gather when a dense
-    ``adj_bool`` matrix is supplied (small dense snapshots), else a
-    ``searchsorted`` against the packed sorted edge keys.  Membership is
-    exact either way — the probe selects, never computes — so the choice
-    cannot affect a single output bit.
+    the hub.  The probe is one gather from a dense ``adj_positions`` table
+    when one is supplied (small dense snapshots), else a ``searchsorted``
+    against the packed sorted edge keys; either way it also yields the
+    probed edge's CSR position.  Membership is exact either way — the
+    probe selects, never computes — so the choice cannot affect a single
+    output bit.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     if len(rows) == 0:
         empty = np.zeros(0, dtype=np.int64)
-        return empty, empty
+        return empty, empty, empty, empty
     pair_ids, flat, other = smaller_side_expansion(indptr, rows, cols)
     neighbors = indices[flat]
-    if adj_bool is not None:
-        hit = adj_bool[other, neighbors]
+    if adj_positions is not None:
+        at = adj_positions[other, neighbors]
+        hit = np.flatnonzero(at >= 0)
     else:
         if adj_keys is None:
             n = len(indptr) - 1
             all_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
             adj_keys = encode_position_pairs(all_rows, indices)
-        hit, _ = probe_sorted_keys(adj_keys, encode_position_pairs(other, neighbors))
-    return pair_ids[hit], neighbors[hit]
+        member, at = probe_sorted_keys(
+            adj_keys, encode_position_pairs(other, neighbors)
+        )
+        hit = np.flatnonzero(member)
+    return pair_ids[hit], neighbors[hit], flat[hit], at[hit]
 
 
 def expansion_of(
     snapshot: Snapshot, rows: np.ndarray, cols: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`common_neighbor_expansion` of position pairs of ``snapshot``,
-    probing through the snapshot's cached dense matrix or edge keys."""
+    probing through the snapshot's cached position table or edge keys."""
     indptr, indices = snapshot.csr_structure()
     if use_dense_probe(snapshot):
         return common_neighbor_expansion(
-            indptr, indices, rows, cols, adj_bool=dense_probe_matrix(snapshot)
+            indptr, indices, rows, cols,
+            adj_positions=dense_edge_positions(snapshot),
         )
     return common_neighbor_expansion(
         indptr, indices, rows, cols, adj_keys=adjacency_keys(snapshot)
@@ -317,7 +300,7 @@ class CandidateBlock:
 
     __slots__ = (
         "snapshot", "pairs", "_rows", "_cols", "_expansion", "_counts",
-        "_weighted", "_edge_positions", "_edge_weighted",
+        "_weighted", "_edge_weighted",
     )
 
     def __init__(self, snapshot: Snapshot, pairs: np.ndarray) -> None:
@@ -325,10 +308,9 @@ class CandidateBlock:
         self.pairs = pairs
         self._rows: "np.ndarray | None" = None
         self._cols: "np.ndarray | None" = None
-        self._expansion: "tuple[np.ndarray, np.ndarray] | None" = None
+        self._expansion: "tuple[np.ndarray, ...] | None" = None
         self._counts: "np.ndarray | None" = None
         self._weighted: dict[str, np.ndarray] = {}
-        self._edge_positions: "tuple[np.ndarray, np.ndarray] | None" = None
         self._edge_weighted: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def __len__(self) -> int:
@@ -346,11 +328,15 @@ class CandidateBlock:
             self._rows, self._cols = pairs_to_indices(self.snapshot, self.pairs)
         return self._cols
 
-    def expansion(self) -> tuple[np.ndarray, np.ndarray]:
-        """Memoised common-neighbour expansion of this block's pairs."""
+    def _entries(self) -> "tuple[np.ndarray, ...]":
+        """Memoised :func:`common_neighbor_expansion` of this block's pairs."""
         if self._expansion is None:
             self._expansion = expansion_of(self.snapshot, self.rows, self.cols)
         return self._expansion
+
+    def expansion(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(pair_ids, neighbors)`` of this block's common-neighbour expansion."""
+        return self._entries()[:2]
 
     def counts(self) -> np.ndarray:
         """Common-neighbour counts (CN) for every pair; treat as read-only."""
@@ -373,34 +359,25 @@ class CandidateBlock:
             self._weighted[key] = out
         return out
 
-    def edge_positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR positions of the edges ``(u, w)`` and ``(v, w)`` of every
-        expansion entry ``(pair (u, v), common neighbour w)``."""
-        if self._edge_positions is None:
-            pair_ids, neighbors = self.expansion()
-            self._edge_positions = (
-                edge_positions(self.snapshot, self.rows[pair_ids], neighbors),
-                edge_positions(self.snapshot, self.cols[pair_ids], neighbors),
-            )
-        return self._edge_positions
-
     def edge_weighted(self, column: np.ndarray, key: str) -> np.ndarray:
         """``sum_w column[(u, w)] + sum_w column[(v, w)]`` for every pair.
 
         ``column`` holds one value per CSR entry.  Each side is its own
-        segment sum in the expansion's descending-neighbour order, and the
-        two are added last: the additions ``W @ A + A @ W`` performs for a
-        symmetric edge matrix ``W`` (with ``diag(scaling)`` folded into
-        ``column``).  Memoised per ``key`` while ``column`` is the same
+        segment sum over the expansion's edge positions, in its
+        descending-neighbour order, and the two are added last: the
+        additions ``W @ A + A @ W`` performs for a symmetric edge matrix
+        ``W`` (with ``diag(scaling)`` folded into ``column``).  The sides are
+        the walked and the probed endpoint's, which is ``u``'s or ``v``'s per
+        pair; one float addition is commutative, so the sum is bitwise the
+        same either way.  Memoised per ``key`` while ``column`` is the same
         array; treat results as read-only.
         """
         entry = self._edge_weighted.get(key)
         if entry is None or entry[0] is not column:
-            pair_ids, _ = self.expansion()
-            left, right = self.edge_positions()
+            pair_ids, _, walked, probed = self._entries()
             n = len(self.pairs)
-            out = weighted_counts(pair_ids, left, column, n) + weighted_counts(
-                pair_ids, right, column, n
+            out = weighted_counts(pair_ids, walked, column, n) + weighted_counts(
+                pair_ids, probed, column, n
             )
             entry = (column, out)
             self._edge_weighted[key] = entry
@@ -416,6 +393,8 @@ class CandidateBlock:
 CANDIDATE_KEYS = ("pairs_two_hop", "pairs_all")
 #: snapshot-cache entry mapping ``id`` of a memoised kept array to its key.
 KEPT_INDEX = "kept_pairs_index"
+#: snapshot-cache entry mapping ``id`` of a memoised keep-mask to its key.
+MASK_INDEX = "keep_mask_index"
 
 
 def candidate_cache_key(snapshot: Snapshot, pairs: np.ndarray):
@@ -433,23 +412,42 @@ def candidate_cache_key(snapshot: Snapshot, pairs: np.ndarray):
     return key if entry is not None and entry[2] is pairs else None
 
 
-def kept_pairs(snapshot: Snapshot, pairs: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``pairs[mask]``, memoised when both are cached, read-only arrays.
+def memoised_mask(snapshot: Snapshot, pairs: np.ndarray, key, compute) -> np.ndarray:
+    """A keep-mask over ``pairs``, memoised read-only under ``snapshot.cache[key]``.
 
-    A filter that memoises its mask over one of the snapshot's cached
-    candidate arrays returns it read-only (see
-    :class:`~repro.temporal.filters.TemporalFilter`); the kept array is
-    then memoised, read-only, per ``(candidate array, mask)`` and joins
-    the identity rule of :func:`candidate_cache_key`, so :func:`blocks_for`
-    caches its blocks and every metric of a filtered sweep shares one
-    expansion.  A writeable mask — an ad hoc filter that may change between
-    calls — gets a fresh ``pairs[mask]``.
+    ``compute()`` builds the mask when the entry is missing or was built
+    for another array.  The mask joins the identity rule of
+    :func:`kept_pairs`, which memoises the array it keeps; ``key`` must
+    name the mask's parameters and source, e.g.
+    ``("temporal_filter_mask", params, "pairs_two_hop")``.
     """
-    source = None if mask.flags.writeable else candidate_cache_key(snapshot, pairs)
-    if source is None:
+    entry = snapshot.cache.get(key)
+    if entry is None or entry[0] is not pairs:
+        mask = compute()
+        mask.flags.writeable = False
+        entry = (pairs, mask)
+        snapshot.cache[key] = entry
+        snapshot.cache.setdefault(MASK_INDEX, {})[id(mask)] = key
+    return entry[1]
+
+
+def kept_pairs(snapshot: Snapshot, pairs: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``pairs[mask]``, memoised when ``mask`` is a memoised keep-mask.
+
+    A filter that memoises its mask through :func:`memoised_mask` (see
+    :class:`~repro.temporal.filters.TemporalFilter`) gets its kept array
+    memoised, read-only, per mask key; the array joins the identity rule
+    of :func:`candidate_cache_key`, so :func:`blocks_for` caches its blocks
+    and every metric of a filtered sweep shares one expansion.  The rule
+    holds for the mask too: it must *be* the memoised mask, built for
+    these very ``pairs``.  Any other mask — an ad hoc filter's, which may
+    change between calls, read-only or not — gets a fresh ``pairs[mask]``.
+    """
+    source = snapshot.cache.get(MASK_INDEX, {}).get(id(mask))
+    entry = snapshot.cache.get(source) if source is not None else None
+    if entry is None or entry[0] is not pairs or entry[1] is not mask:
         return pairs[mask]
-    # The entry holds the mask, so its id cannot be reused while cached.
-    key = ("kept_pairs", source, id(mask))
+    key = ("kept_pairs", source)
     entry = snapshot.cache.get(key)
     if entry is None or entry[0] is not pairs or entry[1] is not mask:
         kept = pairs[mask]

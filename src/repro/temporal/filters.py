@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.snapshots import Snapshot
-from repro.metrics.kernels import CANDIDATE_KEYS
+from repro.metrics.kernels import CANDIDATE_KEYS, memoised_mask
 from repro.temporal.activity import PairActivity, pair_activity
 
 #: Table 7 of the paper: per-network thresholds discovered on the original
@@ -78,14 +78,12 @@ class TemporalFilter:
         """
         for source in CANDIDATE_KEYS:
             if pairs is snapshot.cache.get(source):
-                key = ("temporal_filter_mask", self.params, source)
-                entry = snapshot.cache.get(key)
-                if entry is None or entry[0] is not pairs:
-                    mask = self._keep_mask(snapshot, pairs)
-                    mask.flags.writeable = False
-                    entry = (pairs, mask)
-                    snapshot.cache[key] = entry
-                return entry[1]
+                return memoised_mask(
+                    snapshot,
+                    pairs,
+                    ("temporal_filter_mask", self.params, source),
+                    lambda: self._keep_mask(snapshot, pairs),
+                )
         return self._keep_mask(snapshot, pairs)
 
     def _passes_node_criteria(self, activity: PairActivity) -> np.ndarray:

@@ -3,7 +3,7 @@
 Covers the temporal filter (its CN-gap pass and keep-masks, first and
 memoised calls), the calibration positive/negative split, classifier
 labelling, the synthesized edge weights, the weighted metrics' weight
-matrix and the time-series wrapper's existence check.  Each kernel runs
+columns and the time-series wrapper's existence check.  Each kernel runs
 on a plain snapshot, a snowball-sampled ``SnapshotView`` and a
 ``DeltaGraph.materialize()`` snapshot, and with both membership probes
 (the dense n x n table and the sorted edge keys).  References live in
@@ -21,8 +21,8 @@ from repro.classify.sampling import labeled_pairs
 from repro.extensions.weighted import (
     WeightedAdamicAdar,
     WeightedCommonNeighbors,
+    _weight_columns,
     synthesize_weights,
-    weight_matrix,
 )
 from repro.graph.delta import DeltaGraph
 from repro.graph.snapshots import Snapshot, new_edges_between
@@ -160,8 +160,10 @@ def test_empty_pairs(tiny_snapshot):
     assert labeled_pairs(tiny_snapshot, tiny_snapshot, empty).shape == (0,)
     positives, negatives = positive_negative_pairs(tiny_snapshot, {(0, 4)}, empty)
     assert positives.shape == negatives.shape == (0, 2)
-    matrix = weight_matrix(tiny_snapshot, {}, 0.5)
-    assert matrix.nnz == 0 and matrix.shape == (8, 8)
+    powered, raw = _weight_columns(tiny_snapshot, {}, 0.5)
+    size = len(tiny_snapshot.csr_structure()[1])
+    assert powered.shape == raw.shape == (size,)
+    assert not powered.any() and not raw.any()
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -196,25 +198,31 @@ def test_labeled_pairs(facebook_snapshots, kind):
     assert labels.dtype == want.dtype and np.array_equal(labels, want)
 
 
-def assert_same_matrix(got, want):
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert np.array_equal(got.indptr, want.indptr)
-    assert np.array_equal(got.indices, want.indices)
-    assert np.array_equal(got.data, want.data)
+def csr_entries(snapshot: Snapshot, matrix) -> np.ndarray:
+    """``matrix`` at every CSR entry of ``snapshot``, checking that it
+    stores nothing elsewhere (its stored values are all positive)."""
+    indptr, indices = snapshot.csr_structure()
+    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    values = np.asarray(matrix[rows, indices]).ravel()
+    assert matrix.nnz == np.count_nonzero(values)
+    return values
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_weight_matrix(facebook_snapshots, kind, alpha):
+    """A ``weights=`` dict's edge columns are the loop's weight matrices."""
     snapshot, _ = observed_and_future(facebook_snapshots, kind)
-    weights = synthesize_weights(snapshot, seed=4)
+    weights = dict(list(synthesize_weights(snapshot, seed=4).items())[1:])
     # Reversed keys land on the same cells; duplicates sum in item order.
     for (u, v), w in list(weights.items())[::9]:
         weights[(v, u)] = w * 0.5
-    assert_same_matrix(
-        weight_matrix(snapshot, weights, alpha),
-        loop_oracle.weight_matrix(snapshot, weights, alpha),
-    )
+    powered, raw = _weight_columns(snapshot, weights, alpha)
+    want = csr_entries(snapshot, loop_oracle.weight_matrix(snapshot, weights, alpha))
+    assert np.array_equal(powered, want)
+    want = csr_entries(snapshot, loop_oracle.weight_matrix(snapshot, weights, 1.0))
+    assert np.array_equal(raw, want)
+    assert np.count_nonzero(raw) == len(raw) - 2  # the edge left out
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -241,7 +249,7 @@ def test_weight_matrix_reports_the_first_bad_item(tiny_snapshot, bad):
     with pytest.raises(ValueError) as want:
         loop_oracle.weight_matrix(tiny_snapshot, weights, 1.0)
     with pytest.raises(ValueError) as got:
-        weight_matrix(tiny_snapshot, weights, 1.0)
+        WeightedCommonNeighbors(weights, alpha=1.0).fit(tiny_snapshot)
     assert str(got.value) == str(want.value)
 
 

@@ -10,7 +10,6 @@ from repro.extensions.weighted import (
     WeightedCommonNeighbors,
     WeightedResourceAllocation,
     synthesize_weights,
-    weight_matrix,
 )
 from repro.graph.delta import IncrementalNeighborhood
 from repro.graph.snapshots import Snapshot
@@ -48,21 +47,29 @@ class TestSynthesizeWeights:
 
 
 class TestWeightMatrix:
+    """The caller's ``weights=`` dict, as a weighted metric's fit reads it."""
+
     def test_symmetric_and_alpha(self, tiny_snapshot):
+        import scipy.sparse as sp
+
         weights = {pair: 2.0 for pair in tiny_snapshot.edges()}
-        m = weight_matrix(tiny_snapshot, weights, alpha=2.0)
+        # WCN's node scaling is 1, so its column is w^alpha per CSR entry.
+        column = WeightedCommonNeighbors(weights, alpha=2.0).fit(tiny_snapshot)._column
+        indptr, indices = tiny_snapshot.csr_structure()
+        n = len(indptr) - 1
+        m = sp.csr_matrix((column, indices, indptr), shape=(n, n))
         assert (m != m.T).nnz == 0
-        assert m.max() == pytest.approx(4.0)
+        assert np.all(column == 4.0)
 
     def test_rejects_non_edges(self, tiny_snapshot):
         with pytest.raises(ValueError, match="non-edge"):
-            weight_matrix(tiny_snapshot, {(0, 5): 1.0}, alpha=1.0)
+            WeightedCommonNeighbors({(0, 5): 1.0}, alpha=1.0).fit(tiny_snapshot)
 
     def test_rejects_nonpositive(self, tiny_snapshot):
         weights = {pair: 1.0 for pair in tiny_snapshot.edges()}
         weights[next(iter(weights))] = 0.0
         with pytest.raises(ValueError, match="positive"):
-            weight_matrix(tiny_snapshot, weights, alpha=1.0)
+            WeightedCommonNeighbors(weights, alpha=1.0).fit(tiny_snapshot)
 
 
 class TestWeightedMetrics:

@@ -21,10 +21,13 @@ checks:
 - the serving read path returns kernel-routed scores equal to the
   oracle's;
 - WCN/WAA/WRA match their weighted matrix product for alpha in
-  {0, 0.5, 1}, on synthesized weights and on a caller's partial dict;
+  {0, 0.5, 1}, on synthesized weights and on a caller's partial dict,
+  through both membership probes;
 - a filtered sweep scores through cached blocks of the kept array exactly
   as the kept pairs alone, for every registered metric, while separate
-  filter settings keep separate arrays and a writeable mask stays uncached;
+  filter settings keep separate arrays and a mask the snapshot does not
+  memoise (writeable, a rewritten read-only view, a fresh read-only
+  array) stays uncached;
 - Katz_lr and Rescal score in row slices bitwise as in one pass, and
   refit a snapshot to bitwise-equal factors.
 """
@@ -50,6 +53,7 @@ from repro.metrics.candidates import (
 )
 from repro.eval.experiment import evaluate_step
 from repro.extensions.weighted import synthesize_weights
+from repro.metrics import kernels
 from repro.metrics.kernels import (
     FACTOR_SLICE_ROWS,
     CandidateBlock,
@@ -326,6 +330,23 @@ class TestWeightedTrio:
                 got = metric.score(pairs)
                 assert np.array_equal(got, oracle_scores(metric, pairs)), label
 
+    @pytest.mark.parametrize("name", sorted(WEIGHTED_EDGES))
+    def test_sorted_key_probe(self, name, monkeypatch):
+        """The edge positions the ``searchsorted`` probe yields, too (the
+        test snapshots are all small and dense enough for the table)."""
+        monkeypatch.setattr(kernels, "use_dense_probe", lambda snapshot: False)
+        for n, p, seed in ((40, 0.08, 11), (25, 0.35, 13)):
+            snapshot = random_snapshot(n, p, seed)
+            for weights in (None, caller_weights(snapshot)):
+                for alpha in (0.0, 0.5, 1.0):
+                    metric = type(get_metric(name))(weights, alpha=alpha)
+                    with np.errstate(divide="ignore"):
+                        metric.fit(snapshot)
+                    pairs = two_hop_pairs(snapshot)
+                    got = metric.score(pairs)
+                    assert np.array_equal(got, oracle_scores(metric, pairs))
+        assert "dense_edge_positions" not in snapshot.cache
+
 
 def filter_at(snapshot: Snapshot, pairs: np.ndarray, q: float) -> TemporalFilter:
     """A temporal filter whose thresholds sit at the q-th percentile of
@@ -396,10 +417,37 @@ class TestFilteredBlocks:
         assert np.array_equal(first, pairs[mask])
         assert candidate_cache_key(snapshot, first) is None
         assert blocks_for(snapshot, first) is not blocks_for(snapshot, first)
-        # A read-only mask over an array the snapshot does not cache, too.
-        mask.flags.writeable = False
-        other = kept_pairs(snapshot, pairs.copy(), mask)
+        # The memoised mask over an array the snapshot does not cache, too.
+        memoised = filter_at(snapshot, pairs, 80)(snapshot, pairs)
+        other = kept_pairs(snapshot, pairs.copy(), memoised)
         assert candidate_cache_key(snapshot, other) is None
+
+    def test_read_only_view_over_a_rewritten_buffer(self):
+        """A filter returning one read-only view of a buffer it rewrites
+        between calls keeps what the view holds now, not what it held."""
+        snapshot = random_snapshot(40, 0.1, 23)
+        pairs = two_hop_pairs(snapshot)
+        buffer = np.zeros(len(pairs), dtype=bool)
+        view = buffer.view()
+        view.flags.writeable = False
+        for start in (0, 1, 2):
+            buffer[:] = False
+            buffer[start::3] = True
+            kept = kept_pairs(snapshot, pairs, view)
+            assert np.array_equal(kept, pairs[start::3])
+            assert candidate_cache_key(snapshot, kept) is None
+
+    def test_fresh_read_only_masks_add_nothing_to_the_cache(self):
+        snapshot = random_snapshot(40, 0.1, 23)
+        pairs = two_hop_pairs(snapshot)
+        keys = set(snapshot.cache)
+        for _ in range(3):
+            mask = np.broadcast_to(True, len(pairs))
+            kept = kept_pairs(snapshot, pairs, mask)
+            assert np.array_equal(kept, pairs)
+            score_pairs(get_metric("CN").fit(snapshot), snapshot, kept)
+        added = set(snapshot.cache) - keys
+        assert not any("kept" in str(key) for key in added), added
 
 
 class TestLowRankFactors:
