@@ -23,15 +23,17 @@ def top_k_pairs(
     """Return the k pairs with the highest scores (random tie order).
 
     ``pairs`` is ``(n, 2)``, ``scores`` is ``(n,)``.  If fewer than ``k``
-    pairs are supplied, all of them are returned (callers fill the rest with
-    random non-edges; see :func:`repro.eval.experiment.evaluate_step`).
+    pairs are supplied, all of them are returned, as a new array (callers
+    fill the rest with random non-edges; see
+    :func:`repro.eval.experiment.evaluate_step`).
     """
     if len(pairs) != len(scores):
         raise ValueError(f"{len(pairs)} pairs but {len(scores)} scores")
     if k <= 0:
         return pairs[:0]
     if len(pairs) <= k:
-        return pairs
+        # A copy: ``pairs`` may be a snapshot's cached candidate array.
+        return pairs.copy()
     generator = ensure_rng(rng)
     # Shuffle first: a stable sort of the shuffled arrays yields uniformly
     # random order within every tie group.

@@ -31,8 +31,7 @@ from repro.metrics.base import SimilarityMetric, cached, register
 from repro.metrics.kernels import (
     adjacency_keys,
     csr_edge_column,
-    expansion_of,
-    intersection_counts,
+    edge_common_neighbors,
     probe_sorted_keys,
 )
 from repro.utils.pairs import Pair, canonical_pair, encode_position_pairs
@@ -49,17 +48,15 @@ def synthetic_edge_weights(
 ) -> np.ndarray:
     """:func:`synthesize_weights` as a column in ``edge_indices`` order.
 
-    The embeddedness ``|CN(u,v)|`` of every edge is one common-neighbour
-    count over the kernel expansion (exact integers, as ``A^2`` sampled
+    The embeddedness ``|CN(u,v)|`` of every edge is the kernels' cached
+    per-edge common-neighbour count (exact integers, as ``A^2`` sampled
     them), and one lognormal draw per edge, in edge-creation order,
     supplies the noise.
     """
     rng = ensure_rng(seed)
     now = snapshot.time
     span = max(1e-9, now - snapshot.trace.start_time)
-    iu, iv = snapshot.edge_indices()
-    pair_ids = expansion_of(snapshot, iu, iv)[0]
-    embeddedness = intersection_counts(pair_ids, len(iu))
+    embeddedness = edge_common_neighbors(snapshot)
     age = (now - snapshot.edge_times()) / span  # 0 = fresh
     base = 1.0 + embeddedness_gain * embeddedness + (1.0 - age)
     return base * rng.lognormal(0.0, noise, size=len(base))

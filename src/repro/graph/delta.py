@@ -62,8 +62,22 @@ from repro.utils.pairs import (
     encode_position_pairs,
 )
 
+#: the float score tables the delta engine can keep warm, each a sum over
+#: common neighbours of a per-node weight function of
+#: :mod:`repro.metrics.local`, named here because that package imports this
+#: one (resolved by :func:`_score_weights`).
+_SCORE_WEIGHTS = {"AA": "inv_log_degree_weights", "RA": "inv_degree_weights"}
 #: names the delta engine can keep warm score tables for.
-TRACKABLE_SCORES = ("CN", "AA", "RA")
+TRACKABLE_SCORES = ("CN", *_SCORE_WEIGHTS)
+
+
+def _score_weights(
+    names: "Iterable[str]", degrees: np.ndarray
+) -> "dict[str, np.ndarray]":
+    """The per-node weight vector of each named float score table."""
+    from repro.metrics import local
+
+    return {name: getattr(local, _SCORE_WEIGHTS[name])(degrees) for name in names}
 
 
 @dataclass(frozen=True)
@@ -125,7 +139,7 @@ class DeltaGraph:
     def _rebuild_from_trace(self) -> None:
         """Derive every maintained structure from the wrapped trace.
 
-        Runs the proven batch kernels (stream index, ``A @ A`` products)
+        Runs the proven batch kernels (stream index, common-neighbour expansion)
         exactly once; from here on :meth:`apply` keeps the state current
         without ever rebuilding.
         """
@@ -185,19 +199,16 @@ class DeltaGraph:
             intersection_counts,
             weighted_counts,
         )
-        from repro.metrics.local import inv_degree_weights, inv_log_degree_weights
 
         snap = Snapshot(trace, num_edges)
         pairs = two_hop_pairs(snap)
         rows, cols = pairs_to_indices(snap, pairs)
         self._cand_keys = encode_position_pairs(rows, cols)
-        weight_fns = {"AA": inv_log_degree_weights, "RA": inv_degree_weights}
-        degrees = self._deg.astype(np.float64)
-        weight_vecs = {
-            name: weight_fns[name](degrees)
-            for name in self._tracked
-            if name != "CN"  # CN is served from the exact integer counts
-        }
+        # CN is served from the exact integer counts.
+        weight_vecs = _score_weights(
+            [name for name in self._tracked if name != "CN"],
+            self._deg.astype(np.float64),
+        )
         indptr, indices = snap.csr_structure()
         limit = block_pair_limit()
         cn_parts: "list[np.ndarray]" = []
@@ -572,10 +583,6 @@ class DeltaGraph:
                     common_neighbor_expansion,
                     weighted_counts,
                 )
-                from repro.metrics.local import (
-                    inv_degree_weights,
-                    inv_log_degree_weights,
-                )
 
                 dirty_rows, dirty_cols = decode_position_pairs(
                     self._cand_keys[mask]
@@ -584,13 +591,8 @@ class DeltaGraph:
                     indptr, indices, dirty_rows, dirty_cols,
                     adj_keys=self._adj_keys,
                 )
-                degrees = self._deg.astype(np.float64)
-                weight_fns = {
-                    "AA": inv_log_degree_weights,
-                    "RA": inv_degree_weights,
-                }
-                for name in tracked:
-                    weights = weight_fns[name](degrees)
+                weight_vecs = _score_weights(tracked, self._deg.astype(np.float64))
+                for name, weights in weight_vecs.items():
                     self._scores[name][mask] = weighted_counts(
                         pair_ids, neighbors, weights, refreshed
                     )

@@ -9,8 +9,12 @@ These serve two roles in the paper:
   distribution moments and percentiles, clustering, path length,
   assortativity).
 
-Everything is implemented from first principles on the snapshot's adjacency
-sets; networkx is only used in the test suite to cross-validate results.
+Everything is implemented from first principles on the snapshot's columnar
+structure (degree array, CSR adjacency, edge columns).  Triangle counts and
+clustering coefficients are array reads of the per-node triangle counts of
+:func:`repro.metrics.kernels.node_triangle_counts`, which come from the
+same common-neighbour expansion the link-prediction metrics score with;
+networkx is only used in the test suite to cross-validate results.
 """
 
 from __future__ import annotations
@@ -40,20 +44,26 @@ def degree_statistics(snapshot: Snapshot, percentiles: tuple[float, ...] = (50, 
     return float(degrees.mean()), float(degrees.std()), pct
 
 
+def node_clustering(snapshot: Snapshot) -> np.ndarray:
+    """Clustering coefficient of every node, aligned with ``node_list``.
+
+    ``2 * triangles / (k * (k - 1))`` from the kernels' per-node triangle
+    counts, and 0 where the degree ``k < 2``.
+    """
+    from repro.metrics.kernels import node_triangle_counts
+
+    k = snapshot.degree_array()
+    out = np.zeros(len(k), dtype=np.float64)
+    wedged = k >= 2
+    out[wedged] = (
+        2.0 * node_triangle_counts(snapshot)[wedged] / (k[wedged] * (k[wedged] - 1))
+    )
+    return out
+
+
 def local_clustering(snapshot: Snapshot, node: int) -> float:
     """Clustering coefficient of one node: closed wedges / possible wedges."""
-    neigh = snapshot.neighbors(node)
-    k = len(neigh)
-    if k < 2:
-        return 0.0
-    links = 0
-    neigh_list = list(neigh)
-    for i, u in enumerate(neigh_list):
-        nu = snapshot.neighbors(u)
-        for v in neigh_list[i + 1 :]:
-            if v in nu:
-                links += 1
-    return 2.0 * links / (k * (k - 1))
+    return float(node_clustering(snapshot)[snapshot.node_pos[node]])
 
 
 def average_clustering(
@@ -63,17 +73,18 @@ def average_clustering(
 ) -> float:
     """Mean local clustering coefficient, optionally over a node sample.
 
-    Exact computation is quadratic in degree; for the larger synthetic
-    traces a uniform node sample (the standard estimator) is accurate and
-    fast.
+    ``sample_size`` averages a uniform node sample instead (the standard
+    estimator), drawn as positions into ``node_list``.
     """
-    nodes = snapshot.node_list
-    if not nodes:
+    coefficients = node_clustering(snapshot)
+    if len(coefficients) == 0:
         return 0.0
-    if sample_size is not None and sample_size < len(nodes):
+    if sample_size is not None and sample_size < len(coefficients):
         rng = ensure_rng(seed)
-        nodes = list(rng.choice(nodes, size=sample_size, replace=False))
-    return float(np.mean([local_clustering(snapshot, u) for u in nodes]))
+        coefficients = coefficients[
+            rng.choice(len(coefficients), size=sample_size, replace=False)
+        ]
+    return float(np.mean(coefficients))
 
 
 def triangle_count(snapshot: Snapshot, node: int) -> int:
@@ -82,15 +93,9 @@ def triangle_count(snapshot: Snapshot, node: int) -> int:
     This is the ``N_triangle`` term of the local naive Bayes metrics
     (BCN/BAA/BRA, Table 3).
     """
-    neigh = snapshot.neighbors(node)
-    neigh_list = list(neigh)
-    count = 0
-    for i, u in enumerate(neigh_list):
-        nu = snapshot.neighbors(u)
-        for v in neigh_list[i + 1 :]:
-            if v in nu:
-                count += 1
-    return count
+    from repro.metrics.kernels import node_triangle_counts
+
+    return int(node_triangle_counts(snapshot)[snapshot.node_pos[node]])
 
 
 def bfs_distances(snapshot: Snapshot, source: int, max_depth: int | None = None) -> dict[int, int]:

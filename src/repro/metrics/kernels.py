@@ -19,6 +19,13 @@ metric scoring it reuses:
   both, one segment sum per side.  One expansion replaces every sparse
   matrix product these metrics used to sample.
 
+The expansion (:func:`common_neighbor_expansion`, run on a snapshot by
+:func:`expansion_of`) is the one walk over CSR rows for common neighbours
+in the package.  The temporal filter's CN time gap reads it too, and so
+do :func:`edge_common_neighbors` (an edge's embeddedness, the triangles it
+closes) and :func:`node_triangle_counts` (the role function of BCN/BAA/BRA
+and the clustering coefficients of :mod:`repro.graph.stats`).
+
 The sums are bitwise identical to sampling ``A @ diag(w) @ A`` — the
 formulation the kernels replaced, kept as the reference oracle in
 ``tests/matrix_oracle.py`` — and the delta engine and the serving layer
@@ -171,30 +178,6 @@ def probe_sorted_keys(
     return keys[at] == probe, at
 
 
-def smaller_side_expansion(
-    indptr: np.ndarray, rows: np.ndarray, cols: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Walk each pair's smaller-degree endpoint's CSR row, back-to-front.
-
-    Returns ``(pair_ids, flat, other)``, one entry per walked neighbour:
-    the pair's index, the neighbour's CSR position (``indices[flat]`` is
-    the neighbour) and the pair's other endpoint, which callers probe for
-    adjacency to that neighbour.  Element ``j`` of a pair whose walked
-    endpoint is ``w`` reads CSR position ``indptr[w + 1] - 1 - j``.
-    """
-    deg = np.diff(indptr)
-    expand_rows = deg[rows] <= deg[cols]
-    left = np.where(expand_rows, rows, cols)
-    right = np.where(expand_rows, cols, rows)
-    counts = deg[left]
-    total = int(counts.sum())
-    offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    local = np.arange(total, dtype=np.int64) - offsets
-    flat = np.repeat(indptr[left] + counts - 1, counts) - local
-    pair_ids = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
-    return pair_ids, flat, np.repeat(right, counts)
-
-
 def common_neighbor_expansion(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -215,33 +198,40 @@ def common_neighbor_expansion(
     ``np.bincount`` sums bitwise-identical to matrix sampling (see the
     module docstring).
 
-    The smaller-degree endpoint's adjacency list is expanded and the other
-    endpoint membership-probed, so the work is
+    The smaller-degree endpoint's adjacency list is walked back-to-front
+    and the other endpoint membership-probed, so the work is
     ``sum_i min(deg(u_i), deg(v_i))`` probes regardless of which side is
-    the hub.  The probe is one gather from a dense ``adj_positions`` table
-    when one is supplied (small dense snapshots), else a ``searchsorted``
-    against the packed sorted edge keys; either way it also yields the
-    probed edge's CSR position.  Membership is exact either way — the
-    probe selects, never computes — so the choice cannot affect a single
-    output bit.
+    the hub.  The probe is one gather from the raveled dense
+    ``adj_positions`` table when one is supplied (small dense snapshots),
+    else a ``searchsorted`` against the packed sorted edge keys
+    ``adj_keys``; either way it also yields the probed edge's CSR
+    position.  Membership is exact either way — the probe selects, never
+    computes — so the choice cannot affect a single output bit.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     if len(rows) == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty, empty
-    pair_ids, flat, other = smaller_side_expansion(indptr, rows, cols)
+    deg = np.diff(indptr)
+    expand_rows = deg[rows] <= deg[cols]
+    left = np.where(expand_rows, rows, cols)
+    right = np.where(expand_rows, cols, rows)
+    counts = deg[left]
+    # A pair whose walked row is w fills slots ends - deg(w) .. ends - 1 of
+    # the flat arrays; slot g reads CSR position indptr[w] + ends - 1 - g.
+    flat = np.repeat(indptr[left] + np.cumsum(counts) - 1, counts)
+    flat -= np.arange(len(flat), dtype=np.int64)
+    pair_ids = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
     neighbors = indices[flat]
     if adj_positions is not None:
-        at = adj_positions[other, neighbors]
+        probe = np.repeat(right * len(adj_positions), counts)
+        probe += neighbors
+        at = adj_positions.ravel()[probe]
         hit = np.flatnonzero(at >= 0)
     else:
-        if adj_keys is None:
-            n = len(indptr) - 1
-            all_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-            adj_keys = encode_position_pairs(all_rows, indices)
         member, at = probe_sorted_keys(
-            adj_keys, encode_position_pairs(other, neighbors)
+            adj_keys, encode_position_pairs(np.repeat(right, counts), neighbors)
         )
         hit = np.flatnonzero(member)
     return pair_ids[hit], neighbors[hit], flat[hit], at[hit]
@@ -287,6 +277,44 @@ def weighted_counts(
     return np.bincount(
         pair_ids, weights=weights[neighbors], minlength=num_pairs
     )
+
+
+def edge_common_neighbors(snapshot: Snapshot) -> np.ndarray:
+    """Cached, read-only ``|Γ(u) ∩ Γ(v)|`` of every edge, ``edge_indices`` order.
+
+    One expansion over the snapshot's own edges: the count of an edge is
+    the number of triangles it closes, and an edge's embeddedness.
+    """
+    def compute() -> np.ndarray:
+        iu, iv = snapshot.edge_indices()
+        counts = intersection_counts(expansion_of(snapshot, iu, iv)[0], len(iu))
+        counts.flags.writeable = False
+        return counts
+
+    return cached(snapshot, "edge_common_neighbors", compute)
+
+
+def node_triangle_counts(snapshot: Snapshot) -> np.ndarray:
+    """Cached, read-only triangles through each node, aligned with ``node_list``.
+
+    Every triangle through ``w`` is closed by two of ``w``'s edges, so the
+    count is half the sum of :func:`edge_common_neighbors` over the edges
+    incident to ``w``.  The counts are exact integers held as float64
+    (any summation order of integers below 2^53 is exact), so they equal
+    ``diag(A^3) / 2`` bit for bit.
+    """
+    def compute() -> np.ndarray:
+        iu, iv = snapshot.edge_indices()
+        counts = edge_common_neighbors(snapshot)
+        triangles = np.bincount(
+            np.concatenate((iu, iv)),
+            weights=np.concatenate((counts, counts)),
+            minlength=snapshot.num_nodes,
+        ) / 2.0
+        triangles.flags.writeable = False
+        return triangles
+
+    return cached(snapshot, "triangles", compute)
 
 
 class CandidateBlock:

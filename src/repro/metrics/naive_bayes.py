@@ -16,7 +16,10 @@ prior constant ``s = |V|(|V|-1) / (2|E|) - 1`` the three scores are
     BRA(u,v) = sum_w (log(s) + log(R_w)) / deg(w)
 
 each a weighted 2-hop path count, so they share the common-neighbour
-expansion kernel of :mod:`repro.metrics.kernels` with CN/AA/RA.
+expansion kernel of :mod:`repro.metrics.kernels` with CN/AA/RA.  The
+triangle counts come from the same kernel:
+:func:`~repro.metrics.kernels.node_triangle_counts` sums each node's
+per-edge common-neighbour counts.
 """
 
 from __future__ import annotations
@@ -26,28 +29,8 @@ import math
 import numpy as np
 
 from repro.graph.snapshots import Snapshot
-from repro.metrics.base import (
-    SimilarityMetric,
-    adjacency,
-    cached,
-    degrees,
-    register,
-)
-
-
-def node_triangle_counts(snapshot: Snapshot) -> np.ndarray:
-    """Triangles through each node, aligned with ``node_list``.
-
-    ``diag(A^3) / 2`` computed without forming ``A^3``:
-    ``(A @ A) ∘ A`` summed per row counts closed 2-paths at each node,
-    which is twice the number of triangles through it.
-    """
-    def compute() -> np.ndarray:
-        a = adjacency(snapshot)
-        closed = (a @ a).multiply(a).sum(axis=1)
-        return np.asarray(closed).ravel() / 2.0
-
-    return cached(snapshot, "triangles", compute)
+from repro.metrics.base import SimilarityMetric, cached, degrees, register
+from repro.metrics.kernels import node_triangle_counts
 
 
 def role_function(snapshot: Snapshot) -> np.ndarray:

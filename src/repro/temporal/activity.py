@@ -16,14 +16,13 @@ The node-level kernels run directly on the trace's event columns: one
 time or windowed edge count in a single vectorised pass — no per-node
 Python bisect loops.
 
-The CN time gap is one expansion pass over all requested pairs, not a set
-intersection per pair: each pair's smaller-degree endpoint's CSR row is
-walked and the other endpoint probed for every neighbour ``w`` (the
-common-neighbour expansion of :mod:`repro.metrics.kernels`).  ``t_{uw}``
-is read from a creation-time column aligned with the CSR; ``t_{vw}`` comes
-from the same probe — a gather from a dense ``n x n`` time matrix on small
-dense snapshots, else the ``searchsorted`` position in the packed edge
-keys.  A ``maximum.at`` scatter then takes each pair's latest arrival;
+The CN time gap reads the common-neighbour expansion of
+:mod:`repro.metrics.kernels` (:func:`~repro.metrics.kernels.expansion_of`),
+the one walk-and-probe over CSR rows every common-neighbour quantity
+shares: for each common neighbour ``w`` of a pair it yields the CSR
+positions of both edges ``(u, w)`` and ``(v, w)``, so ``t_{uw}`` and
+``t_{vw}`` are two gathers from a creation-time column aligned with the
+CSR.  A ``maximum.at`` scatter then takes each pair's latest arrival;
 ``max`` of float64 is exact, so the gaps equal a per-pair Python loop's
 bit for bit.
 """
@@ -37,14 +36,7 @@ import numpy as np
 
 from repro.graph.snapshots import Snapshot
 from repro.metrics.base import cached
-from repro.metrics.kernels import (
-    adjacency_keys,
-    csr_edge_column,
-    probe_sorted_keys,
-    smaller_side_expansion,
-    use_dense_probe,
-)
-from repro.utils.pairs import encode_position_pairs
+from repro.metrics.kernels import csr_edge_column, expansion_of
 
 
 @dataclass
@@ -126,23 +118,6 @@ def csr_edge_times(snapshot: Snapshot) -> np.ndarray:
     )
 
 
-def dense_edge_times(snapshot: Snapshot) -> np.ndarray:
-    """Cached ``n x n`` creation-time matrix, ``-inf`` for non-edges.
-
-    The O(1) probe for small dense snapshots; callers gate on
-    :func:`~repro.metrics.kernels.use_dense_probe`.
-    """
-    def compute() -> np.ndarray:
-        iu, iv = snapshot.edge_indices()
-        times = snapshot.edge_times()
-        dense = np.full((snapshot.num_nodes, snapshot.num_nodes), -np.inf)
-        dense[iu, iv] = times
-        dense[iv, iu] = times
-        return dense
-
-    return cached(snapshot, "dense_edge_times", compute)
-
-
 def cn_time_gaps(snapshot: Snapshot, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Days since each position pair last gained a common neighbour.
 
@@ -150,22 +125,10 @@ def cn_time_gaps(snapshot: Snapshot, rows: np.ndarray, cols: np.ndarray) -> np.n
     arrival time of common neighbour ``w`` is ``max(t_{uw}, t_{vw})`` and
     a pair's latest arrival is the ``maximum.at`` of those over its ``w``.
     """
-    indptr, indices = snapshot.csr_structure()
     times = csr_edge_times(snapshot)
-    pair_ids, flat, other = smaller_side_expansion(indptr, rows, cols)
-    neighbors = indices[flat]
-    if use_dense_probe(snapshot):
-        other_times = dense_edge_times(snapshot)[other, neighbors]
-        hit = other_times != -np.inf
-    else:
-        hit, at = probe_sorted_keys(
-            adjacency_keys(snapshot), encode_position_pairs(other, neighbors)
-        )
-        other_times = times[at]
+    pair_ids, _, walked, probed = expansion_of(snapshot, rows, cols)
     latest = np.full(len(rows), -np.inf)
-    np.maximum.at(
-        latest, pair_ids[hit], np.maximum(times[flat[hit]], other_times[hit])
-    )
+    np.maximum.at(latest, pair_ids, np.maximum(times[walked], times[probed]))
     gaps = np.full(len(rows), np.inf)
     has_cn = latest != -np.inf
     gaps[has_cn] = snapshot.time - latest[has_cn]

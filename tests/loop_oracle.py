@@ -10,7 +10,10 @@ tuple membership test per candidate, a ``has_edge`` call per pair or edge
 so the parity suites can compare the two with ``np.array_equal``.
 
 The edge weights the weighted metrics synthesize have a loop here too:
-one neighbour-set intersection and one lognormal draw per edge.
+one neighbour-set intersection and one lognormal draw per edge.  So do
+the triangle count and clustering coefficient of ``repro.graph.stats``:
+a membership test per pair of a node's neighbours, and the average over
+a node sample drawn from the node list.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.temporal.activity import pair_activity
+from repro.utils.rng import ensure_rng
 
 
 def cn_time_gap(snapshot, u: int, v: int) -> float:
@@ -113,3 +117,35 @@ def weight_matrix(snapshot, weights, alpha: float) -> sp.csr_matrix:
         cols.extend((pos[v], pos[u]))
         data.extend((value, value))
     return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+
+
+def triangle_count(snapshot, node: int) -> int:
+    """Linked pairs among ``node``'s neighbours, one membership test each."""
+    neigh_list = list(snapshot.neighbors(node))
+    count = 0
+    for i, u in enumerate(neigh_list):
+        nu = snapshot.neighbors(u)
+        for v in neigh_list[i + 1 :]:
+            if v in nu:
+                count += 1
+    return count
+
+
+def local_clustering(snapshot, node: int) -> float:
+    """Closed wedges / possible wedges at ``node``."""
+    k = len(snapshot.neighbors(node))
+    if k < 2:
+        return 0.0
+    return 2.0 * triangle_count(snapshot, node) / (k * (k - 1))
+
+
+def average_clustering(snapshot, sample_size=None, seed=None) -> float:
+    """Mean :func:`local_clustering`, over a node sample when ``sample_size``
+    is below the node count."""
+    nodes = snapshot.node_list
+    if not nodes:
+        return 0.0
+    if sample_size is not None and sample_size < len(nodes):
+        rng = ensure_rng(seed)
+        nodes = list(rng.choice(nodes, size=sample_size, replace=False))
+    return float(np.mean([local_clustering(snapshot, u) for u in nodes]))

@@ -26,11 +26,18 @@ the block's positions; its reference is that gather over one block
 holding all the pairs, which is what the metric's own ``score`` did
 before the kernels existed.
 
+The local naive Bayes metrics' triangle counts come from the per-edge
+common-neighbour counts of the kernels; their reference is the sparse
+``(A @ A) ∘ A`` row sum they were computed with before, and the role
+function and BCN/BAA/BRA weights are rebuilt from it here.
+
 Products are rebuilt on every call rather than cached on the snapshot, so
 the oracle neither reads nor seeds state the code under test uses.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -75,6 +82,47 @@ def weighted_edge_product(snapshot, metric) -> sp.csr_matrix:
     a = snapshot.adjacency_matrix()
     diag = sp.diags(scaling)
     return (w @ diag @ a + a @ diag @ w).tocsr()
+
+
+def node_triangle_counts(snapshot) -> np.ndarray:
+    """Triangles through each node: ``(A @ A) ∘ A`` summed per row, halved.
+
+    Each row sum counts the closed 2-paths at a node, twice its triangles.
+    """
+    a = snapshot.adjacency_matrix()
+    return np.asarray((a @ a).multiply(a).sum(axis=1)).ravel() / 2.0
+
+
+def role_function(snapshot) -> np.ndarray:
+    """``R_w = (N_triangle + 1) / (N_non_triangle + 1)`` from the triangles above."""
+    deg = snapshot.degree_array()
+    tri = node_triangle_counts(snapshot)
+    wedges = deg * (deg - 1) / 2.0
+    return (tri + 1.0) / ((wedges - tri) + 1.0)
+
+
+def naive_bayes_weights(snapshot, name: str) -> np.ndarray:
+    """The per-node weight a BCN / BAA / BRA score sums over common neighbours."""
+    deg = snapshot.degree_array()
+    n, e = snapshot.num_nodes, snapshot.num_edges
+    base = math.log(n * (n - 1) / (2.0 * e) - 1.0) + np.log(role_function(snapshot))
+    if name == "BCN":
+        return base
+    out = np.zeros_like(base)
+    if name == "BAA":
+        mask = deg > 1
+        out[mask] = base[mask] / np.log(deg[mask])
+    else:
+        mask = deg > 0
+        out[mask] = base[mask] / deg[mask]
+    return out
+
+
+def naive_bayes_scores(snapshot, name: str, pairs: np.ndarray) -> np.ndarray:
+    """BCN / BAA / BRA of ``pairs``, from the matrix-product triangle counts."""
+    rows, cols = pairs_to_indices(snapshot, np.asarray(pairs, dtype=np.int64))
+    weights = naive_bayes_weights(snapshot, name)
+    return sample(weighted_two_hop(snapshot, weights), rows, cols)
 
 
 def sample(matrix: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -3,12 +3,14 @@
 Covers the temporal filter (its CN-gap pass and keep-masks, first and
 memoised calls), the calibration positive/negative split, classifier
 labelling, the synthesized edge weights, the weighted metrics' weight
-columns and the time-series wrapper's existence check.  Each kernel runs
-on a plain snapshot, a snowball-sampled ``SnapshotView`` and a
-``DeltaGraph.materialize()`` snapshot, and with both membership probes
-(the dense n x n table and the sorted edge keys).  References live in
-``tests/loop_oracle.py``; every comparison is ``np.array_equal``, never
-``allclose``.
+columns, the time-series wrapper's existence check, and the per-node
+triangle counts with everything read from them (the local naive Bayes
+role function and scores, triangle counts and clustering coefficients).
+Each kernel runs on a plain snapshot, a snowball-sampled ``SnapshotView``
+and a ``DeltaGraph.materialize()`` snapshot, and with both membership
+probes (the dense n x n table and the sorted edge keys).  References live
+in ``tests/loop_oracle.py`` and ``tests/matrix_oracle.py``; every
+comparison is ``np.array_equal`` or ``==``, never ``allclose``.
 """
 
 from __future__ import annotations
@@ -24,14 +26,17 @@ from repro.extensions.weighted import (
     _weight_columns,
     synthesize_weights,
 )
+from repro.graph import stats
 from repro.graph.delta import DeltaGraph
 from repro.graph.snapshots import Snapshot, new_edges_between
+from repro.metrics import kernels
+from repro.metrics.base import get_metric
 from repro.metrics.candidates import all_nonedge_pairs, two_hop_pairs
+from repro.metrics.naive_bayes import node_triangle_counts, role_function
 from repro.temporal import FilterParams, TemporalFilter, TimeSeriesMetric, pair_activity
-from repro.temporal import activity as activity_module
 from repro.temporal.calibrate import positive_negative_pairs
 from repro.utils.rng import ensure_rng
-from tests import loop_oracle
+from tests import loop_oracle, matrix_oracle
 
 KINDS = ("plain", "view", "delta")
 ALPHAS = (1.0, 0.5, -0.7, 2.0)
@@ -62,9 +67,10 @@ def observed_and_future(snapshots, kind: str) -> "tuple[Snapshot, Snapshot]":
 
 @pytest.fixture(params=("dense", "sorted_keys"))
 def probe(request, monkeypatch):
-    """Force the CN-gap pass down one membership probe."""
+    """Force the common-neighbour expansion (and so the CN-gap pass) down
+    one membership probe."""
     dense = request.param == "dense"
-    monkeypatch.setattr(activity_module, "use_dense_probe", lambda snapshot: dense)
+    monkeypatch.setattr(kernels, "use_dense_probe", lambda snapshot: dense)
     return request.param
 
 
@@ -135,6 +141,57 @@ class TestFilterMask:
         params = params_for(snapshot, pairs)
         got = TemporalFilter(params)(snapshot, pairs)
         assert np.array_equal(got, loop_oracle.filter_mask(params, snapshot, pairs))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+class TestTriangles:
+    def test_triangle_counts(self, facebook_snapshots, kind, probe):
+        snapshot, _ = observed_and_future(facebook_snapshots, kind)
+        want = matrix_oracle.node_triangle_counts(snapshot)
+        assert want.any()
+        assert np.array_equal(node_triangle_counts(snapshot), want)
+        assert [stats.triangle_count(snapshot, u) for u in snapshot.nodes()] == [
+            loop_oracle.triangle_count(snapshot, u) for u in snapshot.nodes()
+        ]
+
+    def test_role_function(self, facebook_snapshots, kind, probe):
+        snapshot, _ = observed_and_future(facebook_snapshots, kind)
+        assert np.array_equal(
+            role_function(snapshot), matrix_oracle.role_function(snapshot)
+        )
+
+    @pytest.mark.parametrize("name", ("BCN", "BAA", "BRA"))
+    def test_naive_bayes_scores(self, facebook_snapshots, kind, probe, name):
+        snapshot, _ = observed_and_future(facebook_snapshots, kind)
+        pairs = gap_pairs(snapshot)
+        got = get_metric(name).fit(snapshot).score(pairs)
+        want = matrix_oracle.naive_bayes_scores(snapshot, name, pairs)
+        assert np.array_equal(got, want)
+
+    def test_local_clustering(self, facebook_snapshots, kind, probe):
+        snapshot, _ = observed_and_future(facebook_snapshots, kind)
+        got = [stats.local_clustering(snapshot, u) for u in snapshot.nodes()]
+        want = [loop_oracle.local_clustering(snapshot, u) for u in snapshot.nodes()]
+        assert 0.0 < max(want) and got == want
+
+    @pytest.mark.parametrize("sample_size, seed", [(None, None), (40, 0), (40, 7), (10**6, 0)])
+    def test_average_clustering(self, facebook_snapshots, kind, probe, sample_size, seed):
+        snapshot, _ = observed_and_future(facebook_snapshots, kind)
+        got = stats.average_clustering(snapshot, sample_size=sample_size, seed=seed)
+        want = loop_oracle.average_clustering(snapshot, sample_size=sample_size, seed=seed)
+        assert got == want
+
+
+def test_clustering_of_low_degree_nodes(tiny_trace):
+    """Degree-0/1 nodes have no wedge: clustering 0, no triangle."""
+    snapshot = Snapshot(tiny_trace, 5)
+    view = snapshot.subgraph([0, 1, 4])
+    for s in (snapshot, view):
+        for u in s.nodes():
+            assert stats.local_clustering(s, u) == loop_oracle.local_clustering(s, u)
+            assert stats.triangle_count(s, u) == loop_oracle.triangle_count(s, u)
+        assert stats.average_clustering(s) == loop_oracle.average_clustering(s)
+    assert stats.local_clustering(snapshot, 4) == 0.0
 
 
 def test_memo_is_keyed_by_params(facebook_snapshots):

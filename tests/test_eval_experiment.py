@@ -56,6 +56,17 @@ class TestEvaluateStep:
         assert result.random_fill == 2
         assert len(result.predicted) == n_candidates + 2
 
+    def test_predicted_does_not_alias_the_candidate_cache(self, tiny_snapshot):
+        """With exactly k candidates every one is predicted, as a copy."""
+        from repro.metrics.candidates import two_hop_pairs
+
+        truth = {(int(u), int(v)) for u, v in two_hop_pairs(tiny_snapshot)}
+        result = evaluate_step("CN", tiny_snapshot, truth, rng=0)
+        assert result.random_fill == 0 and len(result.predicted) == len(truth)
+        before = tiny_snapshot.cache["pairs_two_hop"].copy()
+        result.predicted[:] = -1
+        assert np.array_equal(tiny_snapshot.cache["pairs_two_hop"], before)
+
     def test_pair_filter_restricts_candidates(self, facebook_snapshots):
         prev, _, truth = next(iter(prediction_steps(facebook_snapshots[-2:])))
 
