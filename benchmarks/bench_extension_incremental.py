@@ -1,70 +1,69 @@
 """Extension bench: streaming vs batch candidate maintenance.
 
-``IncrementalNeighborhood`` maintains the 2-hop candidate map in
-``O(deg(u) + deg(v))`` per inserted edge; the batch pipeline recomputes
-``A²`` per snapshot.  This bench times both on the same edge stream and
-checks they agree — the point where streaming wins is the design argument
-for the extension.
+``DeltaGraph(track_scores=("CN",))`` — the serving engine's configuration —
+maintains the 2-hop candidate set and its exact CN counts in
+``O(deg(u) + deg(v))`` bump work per inserted edge; the batch pipeline
+re-enumerates the candidates per snapshot.  This bench streams the same
+edges through both and checks they agree — the point where streaming wins
+is the design argument for the delta engine.
 """
 
-import numpy as np
+import copy
+import time
 
 from benchmarks.conftest import write_result
-from repro.graph.delta import IncrementalNeighborhood
+from repro.graph.delta import DeltaGraph
 from repro.graph.snapshots import Snapshot
 from repro.metrics.candidates import two_hop_pairs
 
 
 def test_incremental_matches_batch_on_preset(networks, benchmark):
-    data = networks["facebook"]
-    trace = data.trace
-    edges = [(u, v) for u, v, _ in trace.edges()]
+    trace = networks["facebook"].trace
 
     def stream_everything():
-        inc = IncrementalNeighborhood()
-        inc.extend(edges)
-        return inc
+        delta = DeltaGraph(track_scores=("CN",))
+        delta.apply(trace.edges())
+        return delta
 
-    inc = benchmark.pedantic(stream_everything, rounds=1, iterations=1)
-    snapshot = Snapshot(trace, trace.num_edges)
-    batch = {tuple(p) for p in two_hop_pairs(snapshot)}
-    streaming = {tuple(p) for p in inc.two_hop_pairs()}
+    delta = benchmark.pedantic(stream_everything, rounds=1, iterations=1)
+    batch = {tuple(p) for p in two_hop_pairs(Snapshot(trace, trace.num_edges))}
+    streaming = {tuple(p) for p in two_hop_pairs(delta.materialize())}
     assert streaming == batch
+    assert delta.num_candidates == len(batch)
     write_result(
         "extension_incremental",
-        f"edges streamed: {len(edges)}\n"
-        f"2-hop candidates maintained: {len(streaming)}\n"
+        f"edges streamed: {delta.num_edges}\n"
+        f"2-hop candidates maintained: {delta.num_candidates}\n"
         f"agrees with batch A^2 enumeration: True",
     )
 
 
 def test_incremental_update_cost_is_local(networks, benchmark):
-    """Per-edge update touches only the endpoint neighbourhoods: inserting
-    the last 10% of edges costs a small fraction of a full rebuild."""
-    data = networks["facebook"]
-    edges = [(u, v) for u, v, _ in data.trace.edges()]
-    cut = int(len(edges) * 0.9)
-    warm = IncrementalNeighborhood()
-    warm.extend(edges[:cut])
-
-    import copy
-    import time
+    """Per-edge update touches only the endpoint neighbourhoods: applying
+    the last 10% of edges to a warm engine costs a small fraction of a
+    full rebuild."""
+    trace = networks["facebook"].trace
+    events = list(trace.edges())
+    cut = int(len(events) * 0.9)
+    warm = DeltaGraph(track_scores=("CN",))
+    warm.apply(events[:cut])
 
     def tail_updates():
-        inc = copy.deepcopy(warm)
-        inc.extend(edges[cut:])
-        return inc
+        delta = copy.deepcopy(warm)
+        delta.apply(events[cut:])
+        return delta
 
     benchmark.pedantic(tail_updates, rounds=1, iterations=1)
 
     # Manual timing for the comparison line (deepcopy excluded).
-    inc = copy.deepcopy(warm)
+    delta = copy.deepcopy(warm)
     t0 = time.perf_counter()
-    inc.extend(edges[cut:])
+    delta.apply(events[cut:])
     tail_time = time.perf_counter() - t0
+    # The rebuild wraps a copy so the shared session trace stays untouched.
+    full_trace = copy.deepcopy(trace)
     t0 = time.perf_counter()
-    full = IncrementalNeighborhood()
-    full.extend(edges)
+    DeltaGraph(full_trace, track_scores=("CN",))
     full_time = time.perf_counter() - t0
     write_result(
         "extension_incremental_cost",

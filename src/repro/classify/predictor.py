@@ -20,7 +20,7 @@ import numpy as np
 from repro.classify.features import FeatureExtractor
 from repro.classify.sampling import labeled_pairs, undersample_indices
 from repro.eval.accuracy import score_prediction
-from repro.eval.experiment import MetricStepResult, PairFilter
+from repro.eval.experiment import MetricStepResult, PairFilter, filter_mask
 from repro.eval.ranking import top_k_pairs
 from repro.graph.sampling import snowball_sample
 from repro.graph.snapshots import Snapshot, new_edges_between
@@ -190,7 +190,7 @@ class ClassificationPredictor:
         generator = ensure_rng(rng)
         pairs, features = self.extractor.compute_for_candidates(test_view)
         if pair_filter is not None and len(pairs):
-            mask = np.asarray(pair_filter(test_view, pairs), dtype=bool)
+            mask = filter_mask(pair_filter, test_view, pairs)
             pairs, features = pairs[mask], features[mask]
         k = len(truth)
         scores = (

@@ -93,6 +93,20 @@ def evaluate_step(
     )
 
 
+def filter_mask(
+    pair_filter: PairFilter, snapshot: Snapshot, pairs: np.ndarray
+) -> np.ndarray:
+    """``pair_filter``'s keep-mask over ``pairs``, checked to be one flag
+    per pair."""
+    mask = np.asarray(pair_filter(snapshot, pairs), dtype=bool)
+    if mask.shape != (len(pairs),):
+        raise ValueError(
+            f"pair filter returned mask of shape {mask.shape} "
+            f"for {len(pairs)} pairs"
+        )
+    return mask
+
+
 def rank_top_k(
     metric: "SimilarityMetric | str",
     snapshot: Snapshot,
@@ -123,13 +137,7 @@ def rank_top_k(
         else candidate_pairs(snapshot, metric.candidate_strategy)
     )
     if pair_filter is not None and len(pairs):
-        mask = np.asarray(pair_filter(snapshot, pairs), dtype=bool)
-        if mask.shape != (len(pairs),):
-            raise ValueError(
-                f"pair filter returned mask of shape {mask.shape} "
-                f"for {len(pairs)} pairs"
-            )
-        pairs = kept_pairs(snapshot, pairs, mask)
+        pairs = kept_pairs(snapshot, pairs, filter_mask(pair_filter, snapshot, pairs))
     scores = score_pairs(metric, snapshot, pairs)
     return metric, top_k_pairs(pairs, scores, k, rng)
 

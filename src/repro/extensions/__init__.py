@@ -6,12 +6,7 @@
   consider these factors in future work.").
 - :mod:`repro.extensions.directed` — directed link prediction ("link
   direction [43]", the other named future-work item), driven by the growth
-  engine's record of who initiated each edge;
-- :class:`~repro.graph.delta.IncrementalNeighborhood` — incremental
-  maintenance of the candidate machinery under edge insertions, the
-  engineering counterpart of the paper's scalability discussion, which
-  lives in :mod:`repro.graph.delta` beside the columnar delta engine and
-  is re-exported here.
+  engine's record of who initiated each edge.
 """
 
 from repro.extensions.directed import (
@@ -22,8 +17,6 @@ from repro.extensions.directed import (
     TransitivePaths,
     generate_directed_trace,
 )
-
-from repro.graph.delta import IncrementalNeighborhood
 from repro.extensions.weighted import (
     WeightedAdamicAdar,
     WeightedCommonNeighbors,
@@ -38,7 +31,6 @@ __all__ = [
     "SharedFollowers",
     "TransitivePaths",
     "generate_directed_trace",
-    "IncrementalNeighborhood",
     "WeightedCommonNeighbors",
     "WeightedAdamicAdar",
     "WeightedResourceAllocation",

@@ -7,9 +7,11 @@ synthetic output mimics the observation:
 
 - size trajectory: seed/total node and edge counts, duration;
 - **triadic share**: the fraction of new edges that close a 2-hop pair at
-  creation time — measured exactly, in one pass, with the incremental
-  candidate tracker; measured separately for the first and second half of
-  the trace to capture the lambda_2 trend (``triadic_prob_final``);
+  creation time — measured exactly by one common-neighbour expansion over
+  the final graph's edges (an edge closed a 2-hop pair iff some common
+  neighbour's two edges to its endpoints are both older, a time-respecting
+  path); measured separately for the first and second half of the trace to
+  capture the lambda_2 trend (``triadic_prob_final``);
 - **newcomer share**: edges created by a node less than a day old;
 - **recency**: median initiator idle time at edge creation, mapped to the
   recent-actor share;
@@ -24,11 +26,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.delta import IncrementalNeighborhood
 from repro.generators.base import GrowthConfig
 from repro.graph.dyngraph import TemporalGraph
 from repro.graph.snapshots import Snapshot
 from repro.graph.stats import degree_assortativity
+from repro.metrics.kernels import csr_edge_column, expansion_of
 
 
 def measure_mechanisms(trace: TemporalGraph) -> dict[str, float]:
@@ -39,26 +41,26 @@ def measure_mechanisms(trace: TemporalGraph) -> dict[str, float]:
     """
     if trace.num_edges < 10:
         raise ValueError("trace too short to measure mechanisms")
-    tracker = IncrementalNeighborhood()
-    two_hop_closures = 0
-    closures_first, closures_second = 0, 0
+    # The full snapshot holds the edges in creation order, so an edge's
+    # position is its creation index.  Edge i closed a 2-hop pair iff some
+    # common neighbour z had both of its edges to the endpoints before i:
+    # z joined the pair at the later of those two edges, and the earliest
+    # z over the final graph's common neighbours decides (an exact integer
+    # minimum per edge).
+    snapshot = Snapshot(trace, trace.num_edges)
+    iu, iv = snapshot.edge_indices()
+    edges = len(iu)
+    pair_ids, _, walked, probed = expansion_of(snapshot, iu, iv)
+    order = csr_edge_column(snapshot, np.arange(edges))
+    first_common = np.full(edges, edges, dtype=np.int64)
+    np.minimum.at(first_common, pair_ids, np.maximum(order[walked], order[probed]))
+    closes = first_common < np.arange(edges)
+    half = edges // 2
+    closures_first = int(np.count_nonzero(closes[:half]))
+    closures_second = int(np.count_nonzero(closes[half:]))
     newcomer_edges = 0
     idle_samples: list[float] = []
-    half = trace.num_edges // 2
-    for index, (u, v, t) in enumerate(trace.edges()):
-        known = tracker.has_edge(u, v) is False and u in tracker._adj and v in tracker._adj
-        closes = False
-        if known:
-            try:
-                closes = tracker.common_neighbors(u, v) > 0
-            except ValueError:  # pragma: no cover - duplicate edge guard
-                closes = False
-        if closes:
-            two_hop_closures += 1
-            if index < half:
-                closures_first += 1
-            else:
-                closures_second += 1
+    for u, v, t in trace.edges():
         # Newcomer: an endpoint that arrived less than a day before t.
         if min(t - trace.node_arrival_time(u), t - trace.node_arrival_time(v)) < 1.0:
             newcomer_edges += 1
@@ -66,10 +68,8 @@ def measure_mechanisms(trace: TemporalGraph) -> dict[str, float]:
             idle_samples.append(
                 min(trace.idle_time(u, t - 1e-9), trace.idle_time(v, t - 1e-9))
             )
-        tracker.add_edge(u, v)
-    edges = trace.num_edges
     return {
-        "triadic_share": two_hop_closures / edges,
+        "triadic_share": (closures_first + closures_second) / edges,
         "triadic_share_first_half": closures_first / max(1, half),
         "triadic_share_second_half": closures_second / max(1, edges - half),
         "newcomer_share": newcomer_edges / edges,

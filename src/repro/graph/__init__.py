@@ -9,7 +9,7 @@ both for the evolution figures (Figs. 2-4) and as meta-classifier features
 """
 
 from repro.graph.audit import AuditReport, TraceAuditError, audit_delta, audit_graph
-from repro.graph.delta import DeltaGraph, DeltaReport, IncrementalNeighborhood
+from repro.graph.delta import DeltaGraph, DeltaReport
 from repro.graph.dyngraph import TemporalGraph
 from repro.graph.sampling import snowball_sample
 from repro.graph.snapshots import Snapshot, snapshot_sequence
@@ -41,7 +41,6 @@ __all__ = [
     "audit_delta",
     "DeltaGraph",
     "DeltaReport",
-    "IncrementalNeighborhood",
     "RecoveryError",
     "RecoveryResult",
     "WalCorruptError",

@@ -36,10 +36,6 @@ position keys (:data:`~repro.utils.pairs.PAIR_POSITION_SHIFT`): integer
 keys sort exactly like row-major ``(row, col)`` tuples, and because node
 insertion remaps positions *monotonically*, patching a key array after new
 nodes arrive is a decode / gather / re-encode — never a re-sort.
-
-:class:`IncrementalNeighborhood` — the dictionary-based streaming tracker
-this module grew out of — lives here too and remains the lightweight
-id-space option when only CN counts are needed.
 """
 
 from __future__ import annotations
@@ -672,118 +668,3 @@ class DeltaGraph:
     def __setstate__(self, state: dict) -> None:
         self.__init__(state["trace"], track_scores=state["track_scores"])
 
-
-class IncrementalNeighborhood:
-    """Streaming adjacency + common-neighbour counts for non-edges.
-
-    The dictionary-based, raw-id-space tracker the delta engine grew from:
-    it maintains, under ``add_edge``, adjacency, degrees, and the CN count
-    of every unconnected 2-hop pair in ``O(deg(u) + deg(v))`` per inserted
-    edge — the lightweight option when only CN counts are needed and no
-    columnar snapshot will ever be materialised.
-    """
-
-    def __init__(self) -> None:
-        self._adj: dict[int, set[int]] = {}
-        self._edges: set[Pair] = set()
-        #: unconnected pair -> number of common neighbours (> 0 only).
-        self._cn: dict[Pair, int] = {}
-
-    # ------------------------------------------------------------------
-    @property
-    def num_nodes(self) -> int:
-        return len(self._adj)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self._edges)
-
-    def degree(self, node: int) -> int:
-        return len(self._adj.get(node, ()))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return canonical_pair(u, v) in self._edges
-
-    def common_neighbors(self, u: int, v: int) -> int:
-        """CN count of an unconnected pair (0 if beyond two hops)."""
-        if self.has_edge(u, v):
-            raise ValueError(f"({u}, {v}) is an edge, not a candidate")
-        return self._cn.get(canonical_pair(u, v), 0)
-
-    # ------------------------------------------------------------------
-    def _bump(self, a: int, b: int, delta: int) -> None:
-        """Adjust the CN count of candidate pair (a, b)."""
-        if a == b:
-            return
-        pair = canonical_pair(a, b)
-        if pair in self._edges:
-            return
-        value = self._cn.get(pair, 0) + delta
-        if value > 0:
-            self._cn[pair] = value
-        else:
-            self._cn.pop(pair, None)
-
-    def add_edge(self, u: int, v: int) -> bool:
-        """Insert edge (u, v); returns False if it already existed.
-
-        Updates in O(deg(u) + deg(v)): the new edge creates a new 2-path
-        u-v-x for every neighbour x of v (affecting candidate (u, x)) and
-        v-u-x for every neighbour x of u (affecting candidate (v, x)).
-        """
-        if u == v:
-            raise ValueError(f"self-loop ({u}, {u}) rejected")
-        pair = canonical_pair(u, v)
-        if pair in self._edges:
-            return False
-        self._adj.setdefault(u, set())
-        self._adj.setdefault(v, set())
-        # The pair stops being a candidate the moment it becomes an edge.
-        self._cn.pop(pair, None)
-        for x in self._adj[v]:
-            self._bump(u, x, +1)
-        for x in self._adj[u]:
-            self._bump(v, x, +1)
-        self._adj[u].add(v)
-        self._adj[v].add(u)
-        self._edges.add(pair)
-        return True
-
-    def extend(self, edges: Iterable[tuple[int, int]]) -> int:
-        """Insert edges in order; returns how many were actually new.
-
-        Duplicate pairs in the stream are skipped (and excluded from the
-        returned count) exactly as in :meth:`add_edge`; self-loops raise.
-        """
-        inserted = 0
-        for u, v in edges:
-            if self.add_edge(u, v):
-                inserted += 1
-        return inserted
-
-    # ------------------------------------------------------------------
-    def two_hop_pairs(self) -> np.ndarray:
-        """Current unconnected 2-hop pairs as an (n, 2) array."""
-        if not self._cn:
-            return np.zeros((0, 2), dtype=np.int64)
-        return np.asarray(sorted(self._cn), dtype=np.int64)
-
-    def cn_scores(self, pairs: np.ndarray) -> np.ndarray:
-        """CN scores for given candidate pairs (0 beyond two hops)."""
-        return np.fromiter(
-            (self._cn.get(canonical_pair(int(u), int(v)), 0) for u, v in pairs),
-            dtype=np.float64,
-            count=len(pairs),
-        )
-
-    def top_candidates(self, k: int) -> list[tuple[Pair, int]]:
-        """The k candidate pairs with the highest CN count.
-
-        Deterministic tie order (by pair id) — callers that need the
-        paper's random tie-breaking should use ``repro.eval.ranking`` over
-        ``two_hop_pairs()`` / ``cn_scores()`` instead.
-        """
-        if k < 0:
-            raise ValueError(f"k must be non-negative, got {k}")
-        ranked = sorted(self._cn.items(), key=lambda kv: (-kv[1], kv[0]))
-        return ranked[:k]

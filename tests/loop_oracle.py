@@ -14,6 +14,11 @@ one neighbour-set intersection and one lognormal draw per edge.  So do
 the triangle count and clustering coefficient of ``repro.graph.stats``:
 a membership test per pair of a node's neighbours, and the average over
 a node sample drawn from the node list.
+
+``measure_mechanisms`` keeps its edge-by-edge replay: a dict-of-sets
+tracker bumps the common-neighbour count of every unconnected 2-hop pair
+as each edge arrives, and an edge closes a 2-hop pair when its own count
+is positive at creation.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.temporal.activity import pair_activity
+from repro.utils.pairs import canonical_pair
 from repro.utils.rng import ensure_rng
 
 
@@ -149,3 +155,70 @@ def average_clustering(snapshot, sample_size=None, seed=None) -> float:
         rng = ensure_rng(seed)
         nodes = list(rng.choice(nodes, size=sample_size, replace=False))
     return float(np.mean([local_clustering(snapshot, u) for u in nodes]))
+
+
+class IncrementalNeighborhood:
+    """Streaming adjacency plus the CN count of every unconnected 2-hop
+    pair, updated in ``O(deg(u) + deg(v))`` dict bumps per inserted edge."""
+
+    def __init__(self) -> None:
+        self.adj: dict[int, set[int]] = {}
+        self.edges: set = set()
+        #: unconnected pair -> number of common neighbours (> 0 only).
+        self.cn: dict = {}
+
+    def common_neighbors(self, u: int, v: int) -> int:
+        """CN count of an unconnected pair (0 if beyond two hops)."""
+        return self.cn.get(canonical_pair(u, v), 0)
+
+    def _bump(self, a: int, b: int) -> None:
+        pair = canonical_pair(a, b)
+        if a != b and pair not in self.edges:
+            self.cn[pair] = self.cn.get(pair, 0) + 1
+
+    def add_edge(self, u: int, v: int) -> None:
+        """Insert a new edge: a 2-path u-v-x for every neighbour x of v and
+        v-u-x for every neighbour x of u."""
+        pair = canonical_pair(u, v)
+        self.adj.setdefault(u, set())
+        self.adj.setdefault(v, set())
+        # The pair stops being a candidate the moment it becomes an edge.
+        self.cn.pop(pair, None)
+        for x in self.adj[v]:
+            self._bump(u, x)
+        for x in self.adj[u]:
+            self._bump(v, x)
+        self.adj[u].add(v)
+        self.adj[v].add(u)
+        self.edges.add(pair)
+
+
+def measure_mechanisms(trace) -> dict:
+    """``repro.generators.fit.measure_mechanisms`` replayed edge by edge
+    through :class:`IncrementalNeighborhood`."""
+    tracker = IncrementalNeighborhood()
+    closures_first, closures_second = 0, 0
+    newcomer_edges = 0
+    idle_samples: list = []
+    half = trace.num_edges // 2
+    for index, (u, v, t) in enumerate(trace.edges()):
+        if tracker.common_neighbors(u, v) > 0:
+            if index < half:
+                closures_first += 1
+            else:
+                closures_second += 1
+        if min(t - trace.node_arrival_time(u), t - trace.node_arrival_time(v)) < 1.0:
+            newcomer_edges += 1
+        else:
+            idle_samples.append(
+                min(trace.idle_time(u, t - 1e-9), trace.idle_time(v, t - 1e-9))
+            )
+        tracker.add_edge(u, v)
+    edges = trace.num_edges
+    return {
+        "triadic_share": (closures_first + closures_second) / edges,
+        "triadic_share_first_half": closures_first / max(1, half),
+        "triadic_share_second_half": closures_second / max(1, edges - half),
+        "newcomer_share": newcomer_edges / edges,
+        "median_initiator_idle": float(np.median(idle_samples)) if idle_samples else 0.0,
+    }

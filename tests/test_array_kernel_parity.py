@@ -5,7 +5,9 @@ memoised calls), the calibration positive/negative split, classifier
 labelling, the synthesized edge weights, the weighted metrics' weight
 columns, the time-series wrapper's existence check, and the per-node
 triangle counts with everything read from them (the local naive Bayes
-role function and scores, triangle counts and clustering coefficients).
+role function and scores, triangle counts and clustering coefficients),
+and the triadic-closure measurement of ``measure_mechanisms`` against an
+edge-by-edge replay through a dict-based common-neighbour tracker.
 Each kernel runs on a plain snapshot, a snowball-sampled ``SnapshotView``
 and a ``DeltaGraph.materialize()`` snapshot, and with both membership
 probes (the dense n x n table and the sorted edge keys).  References live
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.classify import sampled_instance
 from repro.classify.sampling import labeled_pairs
@@ -27,7 +30,10 @@ from repro.extensions.weighted import (
     synthesize_weights,
 )
 from repro.graph import stats
+from repro.generators import presets
+from repro.generators.fit import measure_mechanisms
 from repro.graph.delta import DeltaGraph
+from repro.graph.dyngraph import TemporalGraph
 from repro.graph.snapshots import Snapshot, new_edges_between
 from repro.metrics import kernels
 from repro.metrics.base import get_metric
@@ -37,6 +43,7 @@ from repro.temporal import FilterParams, TemporalFilter, TimeSeriesMetric, pair_
 from repro.temporal.calibrate import positive_negative_pairs
 from repro.utils.rng import ensure_rng
 from tests import loop_oracle, matrix_oracle
+from tests.test_properties import edge_streams
 
 KINDS = ("plain", "view", "delta")
 ALPHAS = (1.0, 0.5, -0.7, 2.0)
@@ -339,3 +346,54 @@ def test_timeseries_existence_check(facebook_snapshots):
         series[exists, j] = metric.score(pairs[exists])
     assert 0 < np.count_nonzero(series[:, 0]) < len(pairs)
     assert np.array_equal(ts.score(pairs), series.mean(axis=1))
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        (name, scale)
+        for name in ("facebook", "renren", "youtube")
+        for scale in (0.25, 1.0)
+    ],
+    ids=lambda param: f"{param[0]}-{param[1]}",
+)
+def preset_replay(request):
+    """A preset trace and its edge-by-edge mechanism measurement."""
+    name, scale = request.param
+    trace = presets.load(name, scale=scale, seed=7)
+    return trace, loop_oracle.measure_mechanisms(trace)
+
+
+#: streams of at least 10 edges with times floored to a 10-day grid, so
+#: ties are common: closure must follow creation order, not time.
+tied_streams = (
+    edge_streams(max_nodes=12, max_edges=40)
+    .filter(lambda stream: len(stream) >= 10)
+    .map(lambda stream: [(u, v, float(t // 10)) for u, v, t in stream])
+)
+
+
+class TestTriadicClosure:
+    def test_mechanisms_match_the_replay(self, preset_replay, probe):
+        trace, want = preset_replay
+        assert measure_mechanisms(trace) == want
+
+    @given(tied_streams)
+    @settings(max_examples=60, deadline=None)
+    def test_mechanisms_match_the_replay_on_tied_streams(self, stream):
+        trace = TemporalGraph.from_stream(stream)
+        assert measure_mechanisms(trace) == loop_oracle.measure_mechanisms(trace)
+
+    @given(edge_streams(max_nodes=10, max_edges=30))
+    @settings(max_examples=40, deadline=None)
+    def test_replay_tracker_matches_batch(self, stream):
+        """The replay's CN counts are the batch CN scores of the 2-hop pairs."""
+        trace = TemporalGraph.from_stream(stream)
+        snapshot = Snapshot(trace, trace.num_edges)
+        tracker = loop_oracle.IncrementalNeighborhood()
+        for u, v, _ in trace.edges():
+            tracker.add_edge(u, v)
+        pairs = two_hop_pairs(snapshot)
+        assert sorted(tracker.cn) == [tuple(p) for p in pairs.tolist()]
+        want = get_metric("CN").fit(snapshot).score(pairs)
+        assert [tracker.cn[tuple(p)] for p in pairs.tolist()] == want.tolist()

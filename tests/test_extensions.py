@@ -1,9 +1,7 @@
-"""Tests for the extension modules (weighted metrics, incremental updates)."""
+"""Tests for the weighted-metric extension."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.extensions.weighted import (
     WeightedAdamicAdar,
@@ -11,12 +9,9 @@ from repro.extensions.weighted import (
     WeightedResourceAllocation,
     synthesize_weights,
 )
-from repro.graph.delta import IncrementalNeighborhood
 from repro.graph.snapshots import Snapshot
 from repro.metrics.base import get_metric
 from repro.metrics.candidates import two_hop_pairs
-from tests.conftest import build_trace
-from tests.test_properties import edge_streams
 
 
 class TestSynthesizeWeights:
@@ -124,92 +119,3 @@ class TestWeightedMetrics:
         wra = WeightedResourceAllocation(weights, alpha=1.0).fit(s).score(pairs)
         ra = get_metric("RA").fit(s).score(pairs)
         assert spearmanr(wra, ra).statistic > 0.5
-
-
-class TestIncrementalShim:
-    def test_package_surface_does_not_warn(self, recwarn):
-        """Importing the extensions package itself must stay silent."""
-        import importlib
-
-        import repro.extensions
-
-        importlib.reload(repro.extensions)
-        assert not [
-            w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
-        ]
-        assert repro.extensions.IncrementalNeighborhood is IncrementalNeighborhood
-
-
-class TestIncrementalNeighborhood:
-    def test_matches_batch_on_tiny_trace(self, tiny_trace, tiny_snapshot):
-        inc = IncrementalNeighborhood()
-        inc.extend((u, v) for u, v, _ in tiny_trace.edges())
-        batch_pairs = {tuple(p) for p in two_hop_pairs(tiny_snapshot)}
-        assert {tuple(p) for p in inc.two_hop_pairs()} == batch_pairs
-        arr = np.asarray(sorted(batch_pairs), dtype=np.int64)
-        cn_batch = get_metric("CN").fit(tiny_snapshot).score(arr)
-        assert np.array_equal(inc.cn_scores(arr), cn_batch)
-
-    @given(edge_streams(max_nodes=10, max_edges=30))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_batch_on_random_streams(self, stream):
-        from repro.graph.dyngraph import TemporalGraph
-
-        trace = TemporalGraph.from_stream(stream)
-        snapshot = Snapshot(trace, trace.num_edges)
-        inc = IncrementalNeighborhood()
-        inc.extend((u, v) for u, v, _ in trace.edges())
-        batch = {tuple(p) for p in two_hop_pairs(snapshot)}
-        assert {tuple(p) for p in inc.two_hop_pairs()} == batch
-        if batch:
-            arr = np.asarray(sorted(batch), dtype=np.int64)
-            cn_batch = get_metric("CN").fit(snapshot).score(arr)
-            assert np.array_equal(inc.cn_scores(arr), cn_batch)
-
-    def test_duplicate_edge_rejected(self):
-        inc = IncrementalNeighborhood()
-        assert inc.add_edge(0, 1)
-        assert not inc.add_edge(1, 0)
-        assert inc.num_edges == 1
-
-    def test_extend_returns_inserted_count(self):
-        inc = IncrementalNeighborhood()
-        # 4 events, one a duplicate (orientation-insensitive): 3 inserted.
-        assert inc.extend([(0, 1), (1, 2), (0, 1), (2, 0)]) == 3
-        assert inc.num_edges == 3
-        # A fully duplicate stream inserts nothing.
-        assert inc.extend([(1, 0), (2, 1)]) == 0
-        assert inc.num_edges == 3
-
-    def test_extend_raises_on_self_loop_mid_stream(self):
-        inc = IncrementalNeighborhood()
-        with pytest.raises(ValueError, match="self-loop"):
-            inc.extend([(0, 1), (2, 2), (1, 3)])
-        # Events before the bad one were applied; the rest were not.
-        assert inc.num_edges == 1
-
-    def test_self_loop_rejected(self):
-        with pytest.raises(ValueError):
-            IncrementalNeighborhood().add_edge(2, 2)
-
-    def test_edge_removes_candidate(self):
-        inc = IncrementalNeighborhood()
-        inc.extend([(0, 1), (1, 2)])
-        assert inc.common_neighbors(0, 2) == 1
-        inc.add_edge(0, 2)
-        with pytest.raises(ValueError, match="edge"):
-            inc.common_neighbors(0, 2)
-
-    def test_top_candidates(self):
-        inc = IncrementalNeighborhood()
-        # Star around 0 plus an extra wedge 1-9, 2-9.
-        inc.extend([(0, i) for i in range(1, 5)])
-        inc.extend([(1, 9), (2, 9)])
-        top = inc.top_candidates(2)
-        # (1,2) closes through {0, 9} and (0,9) through {1, 2}: both count 2.
-        assert {pair for pair, _ in top} == {(0, 9), (1, 2)}
-        assert all(count == 2 for _, count in top)
-
-    def test_top_candidates_validation(self):
-        with pytest.raises(ValueError):
-            IncrementalNeighborhood().top_candidates(-1)

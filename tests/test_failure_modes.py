@@ -11,7 +11,7 @@ import pytest
 from repro.classify import ClassificationPredictor, FeatureExtractor
 from repro.eval.experiment import evaluate_step
 from repro.graph.dyngraph import TemporalGraph
-from repro.graph.snapshots import Snapshot, snapshot_sequence
+from repro.graph.snapshots import Snapshot, new_edges_between, snapshot_sequence
 from repro.metrics.base import all_metric_names, get_metric
 from repro.metrics.candidates import all_nonedge_pairs, two_hop_pairs
 from repro.temporal import FilterParams, TemporalFilter
@@ -109,6 +109,26 @@ class TestFilterEdgeCases:
         )
         pairs = all_nonedge_pairs(disconnected_snapshot)
         assert not filt(disconnected_snapshot, pairs).any()
+
+    @pytest.mark.parametrize("path", ("metric", "classifier"))
+    @pytest.mark.parametrize("bad", ("scalar", "short"))
+    def test_malformed_mask_rejected_by_both_paths(self, facebook_snapshots, path, bad):
+        """A filter must return one flag per pair, or the step fails early
+        with the same error whichever predictor ranks the pairs."""
+        g2, g1, g0 = facebook_snapshots[-3:]
+        truth = new_edges_between(g1, g0)
+
+        def bad_filter(snapshot, pairs):
+            return True if bad == "scalar" else np.ones(len(pairs) - 1, dtype=bool)
+
+        if path == "classifier":
+            predictor = ClassificationPredictor("NB", theta=1 / 10, seed=0)
+            predictor.train(g2, g1)
+        with pytest.raises(ValueError, match="pair filter returned mask of shape"):
+            if path == "metric":
+                evaluate_step("CN", g1, truth, rng=0, pair_filter=bad_filter)
+            else:
+                predictor.predict_step(g1, truth, rng=0, pair_filter=bad_filter)
 
 
 class TestClassifierEdgeCases:
