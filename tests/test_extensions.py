@@ -1,7 +1,8 @@
-"""Tests for the weighted-metric extension."""
+"""Tests for the extension modules (weighted metrics, streaming CN counts)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.extensions.weighted import (
     WeightedAdamicAdar,
@@ -9,9 +10,12 @@ from repro.extensions.weighted import (
     WeightedResourceAllocation,
     synthesize_weights,
 )
+from repro.graph.delta import DeltaGraph
+from repro.graph.dyngraph import TemporalGraph
 from repro.graph.snapshots import Snapshot
 from repro.metrics.base import get_metric
 from repro.metrics.candidates import two_hop_pairs
+from tests.test_properties import edge_streams
 
 
 class TestSynthesizeWeights:
@@ -119,3 +123,30 @@ class TestWeightedMetrics:
         wra = WeightedResourceAllocation(weights, alpha=1.0).fit(s).score(pairs)
         ra = get_metric("RA").fit(s).score(pairs)
         assert spearmanr(wra, ra).statistic > 0.5
+
+
+class TestIncrementalNeighborhood:
+    """The streaming CN maintainer (``DeltaGraph(track_scores=("CN",))``)
+    agrees with the batch 2-hop enumeration and CN scores."""
+
+    @staticmethod
+    def _assert_matches_batch(trace, snapshot):
+        delta = DeltaGraph(track_scores=("CN",))
+        delta.apply(trace.edges())
+        streamed = delta.materialize()
+        batch = two_hop_pairs(snapshot)
+        assert np.array_equal(two_hop_pairs(streamed), batch)
+        assert delta.num_candidates == len(batch)
+        if len(batch):
+            cn_batch = get_metric("CN").fit(snapshot).score(batch)
+            cn_streamed = get_metric("CN").fit(streamed).score(batch)
+            assert np.array_equal(cn_streamed, cn_batch)
+
+    def test_matches_batch_on_tiny_trace(self, tiny_trace, tiny_snapshot):
+        self._assert_matches_batch(tiny_trace, tiny_snapshot)
+
+    @given(edge_streams(max_nodes=10, max_edges=30))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_batch_on_random_streams(self, stream):
+        trace = TemporalGraph.from_stream(stream)
+        self._assert_matches_batch(trace, Snapshot(trace, trace.num_edges))
