@@ -40,37 +40,60 @@ def test_fig5_accuracy_ratio_series(networks, metric_sweep, benchmark):
     write_result("fig5_metric_accuracy", "\n".join(lines))
 
 
-def test_fig5_all_beat_random_on_friendship(metric_sweep, benchmark):
-    benchmark(lambda: None)  # keep this shape test active under --benchmark-only
-    ratios = mean_ratios(metric_sweep, "facebook")
+def all_mean_ratios(sweep):
+    return {network: mean_ratios(sweep, network) for network in sweep}
+
+
+# The findings, each over ``ratios[network][metric]`` (mean accuracy
+# ratios); ``tests/test_paper_claims.py`` runs the same checks in tier-1.
+
+
+def check_all_beat_random_on_friendship(ratios):
+    facebook = ratios["facebook"]
     strong = [m for m in FIGURE5_METRICS if m not in ("SP",)]
-    beating = [m for m in strong if ratios[m] > 1.0]
-    assert len(beating) >= len(strong) - 2, ratios
+    beating = [m for m in strong if facebook[m] > 1.0]
+    assert len(beating) >= len(strong) - 2, facebook
 
 
-def test_fig5_sp_and_pa_weak_on_friendship(metric_sweep, benchmark):
-    benchmark(lambda: None)  # keep this shape test active under --benchmark-only
+def check_sp_and_pa_weak_on_friendship(ratios):
     for network in ("facebook", "renren"):
-        ratios = mean_ratios(metric_sweep, network)
-        best = max(ratios.values())
-        assert ratios["SP"] < 0.5 * best, (network, ratios)
-        assert ratios["PA"] < best, (network, ratios)
+        best = max(ratios[network].values())
+        assert ratios[network]["SP"] < 0.5 * best, (network, ratios[network])
+        assert ratios[network]["PA"] < best, (network, ratios[network])
 
 
-def test_fig5_cn_family_top_group_on_friendship(metric_sweep, benchmark):
-    benchmark(lambda: None)  # keep this shape test active under --benchmark-only
+def check_cn_family_top_group_on_friendship(ratios):
     for network in ("facebook", "renren"):
-        ratios = mean_ratios(metric_sweep, network)
-        ranked = sorted(ratios, key=ratios.get, reverse=True)
+        mine = ratios[network]
+        ranked = sorted(mine, key=mine.get, reverse=True)
         top_half = set(ranked[: len(ranked) // 2])
         assert top_half & {"BCN", "BAA", "BRA"}, (network, ranked)
 
 
-def test_fig5_youtube_structure(metric_sweep, benchmark):
-    benchmark(lambda: None)  # keep this shape test active under --benchmark-only
-    ratios = mean_ratios(metric_sweep, "youtube")
-    ranked = sorted(ratios, key=ratios.get, reverse=True)
+def check_youtube_structure(ratios):
+    youtube = ratios["youtube"]
+    ranked = sorted(youtube, key=youtube.get, reverse=True)
     # Rescal in the top group; JC and SP at the bottom (paper Section 4.2).
     assert "Rescal" in ranked[:4], ranked
-    assert ratios["JC"] <= 0.25 * max(ratios.values()), ratios
-    assert ratios["SP"] <= 0.25 * max(ratios.values()), ratios
+    assert youtube["JC"] <= 0.25 * max(youtube.values()), youtube
+    assert youtube["SP"] <= 0.25 * max(youtube.values()), youtube
+
+
+def test_fig5_all_beat_random_on_friendship(metric_sweep, benchmark):
+    benchmark(lambda: None)  # keep this shape test active under --benchmark-only
+    check_all_beat_random_on_friendship(all_mean_ratios(metric_sweep))
+
+
+def test_fig5_sp_and_pa_weak_on_friendship(metric_sweep, benchmark):
+    benchmark(lambda: None)  # keep this shape test active under --benchmark-only
+    check_sp_and_pa_weak_on_friendship(all_mean_ratios(metric_sweep))
+
+
+def test_fig5_cn_family_top_group_on_friendship(metric_sweep, benchmark):
+    benchmark(lambda: None)  # keep this shape test active under --benchmark-only
+    check_cn_family_top_group_on_friendship(all_mean_ratios(metric_sweep))
+
+
+def test_fig5_youtube_structure(metric_sweep, benchmark):
+    benchmark(lambda: None)  # keep this shape test active under --benchmark-only
+    check_youtube_structure(all_mean_ratios(metric_sweep))

@@ -31,11 +31,13 @@ def build_filters(networks):
     return filters
 
 
-def improvement_table(networks, filters):
+def improvement_table(networks, filters, metrics=METRICS):
+    """``table[(network, metric)] = (unfiltered, filtered)`` mean ratios
+    over the later half of each network's evaluated steps."""
     table = {}
     for name, data in networks.items():
         eval_idx = data.eval_indices[len(data.eval_indices) // 2 :]
-        for metric in METRICS:
+        for metric in metrics:
             base, filtered = [], []
             for i in eval_idx:
                 prev, _, truth = data.steps[i]

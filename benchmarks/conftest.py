@@ -66,20 +66,22 @@ class NetworkData:
     eval_indices: list[int]  # which steps the sweep evaluates
 
 
-def build_networks() -> dict[str, NetworkData]:
-    """Deterministically rebuild the three traces from the env knobs.
+def build_networks(
+    scale: float = SCALE, step_count: int = STEPS, seed: int = SEED
+) -> dict[str, NetworkData]:
+    """Deterministically rebuild the three traces (default: the env knobs).
 
     Called by the session fixture *and* by sweep worker processes: the
-    traces are pure functions of (SCALE, SEED), so a worker reconstructing
+    traces are pure functions of (scale, seed), so a worker reconstructing
     them locally sees byte-identical snapshots without any pickling.
     """
     out = {}
     for name in NETWORKS:
-        trace = presets.load(name, scale=SCALE, seed=SEED)
-        delta = presets.snapshot_delta(name, SCALE)
+        trace = presets.load(name, scale=scale, seed=seed)
+        delta = presets.snapshot_delta(name, scale)
         snaps = snapshot_sequence(trace, delta, start=trace.num_edges // 3)
         steps = list(prediction_steps(snaps))
-        idx = np.linspace(0, len(steps) - 1, min(STEPS, len(steps)), dtype=int)
+        idx = np.linspace(0, len(steps) - 1, min(step_count, len(steps)), dtype=int)
         out[name] = NetworkData(
             name=name,
             trace=trace,
@@ -123,11 +125,16 @@ def _run_sweep_cell(cell: "tuple[str, str, int]") -> MetricStepResult:
 @pytest.fixture(scope="session")
 def metric_sweep(networks) -> dict[str, dict[str, list[MetricStepResult]]]:
     """Every Figure 5 metric evaluated on every selected step of every
-    network — the shared substrate of Figs. 5-8 and Tables 4-5.
+    network — the shared substrate of Figs. 5-8 and Tables 4-5."""
+    return run_sweep(networks, JOBS)
 
-    With ``REPRO_JOBS > 1`` the cells are dispatched over a process pool;
-    each cell's RNG depends only on its step index, so the sweep is
-    identical for any job count.
+
+def run_sweep(networks, jobs: int = 1) -> dict[str, dict[str, list[MetricStepResult]]]:
+    """The Figure 5 sweep, as ``sweep[network][metric]`` in step order.
+
+    With ``jobs > 1`` the cells are dispatched over a process pool; each
+    cell's RNG depends only on its step index, so the sweep is identical
+    for any job count.
     """
     cells = [
         (name, metric, i)
@@ -135,9 +142,9 @@ def metric_sweep(networks) -> dict[str, dict[str, list[MetricStepResult]]]:
         for metric in FIGURE5_METRICS
         for i in networks[name].eval_indices
     ]
-    if JOBS > 1:
+    if jobs > 1:
         with ProcessPoolExecutor(
-            max_workers=min(JOBS, len(cells)), initializer=_init_sweep_worker
+            max_workers=min(jobs, len(cells)), initializer=_init_sweep_worker
         ) as pool:
             results = list(pool.map(_run_sweep_cell, cells, chunksize=4))
     else:

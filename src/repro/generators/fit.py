@@ -39,6 +39,11 @@ def measure_mechanisms(trace: TemporalGraph) -> dict[str, float]:
     Returns a dict with ``triadic_share`` (overall, first and second half),
     ``newcomer_share``, and ``median_initiator_idle``.
     """
+    return _mechanisms(trace, Snapshot(trace, trace.num_edges))
+
+
+def _mechanisms(trace: TemporalGraph, snapshot: Snapshot) -> dict[str, float]:
+    """:func:`measure_mechanisms` over the trace's full snapshot."""
     if trace.num_edges < 10:
         raise ValueError("trace too short to measure mechanisms")
     # The full snapshot holds the edges in creation order, so an edge's
@@ -47,7 +52,6 @@ def measure_mechanisms(trace: TemporalGraph) -> dict[str, float]:
     # z joined the pair at the later of those two edges, and the earliest
     # z over the final graph's common neighbours decides (an exact integer
     # minimum per edge).
-    snapshot = Snapshot(trace, trace.num_edges)
     iu, iv = snapshot.edge_indices()
     edges = len(iu)
     pair_ids, _, walked, probed = expansion_of(snapshot, iu, iv)
@@ -79,8 +83,8 @@ def measure_mechanisms(trace: TemporalGraph) -> dict[str, float]:
 
 def fit_growth_config(trace: TemporalGraph, name: str = "fitted") -> GrowthConfig:
     """Method-of-moments GrowthConfig for an observed trace."""
-    mechanisms = measure_mechanisms(trace)
     snapshot = Snapshot(trace, trace.num_edges)
+    mechanisms = _mechanisms(trace, snapshot)
     assortativity = degree_assortativity(snapshot)
     duration = max(1.0, trace.end_time - trace.start_time)
 

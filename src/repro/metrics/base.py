@@ -114,26 +114,28 @@ def degrees(snapshot: Snapshot) -> np.ndarray:
     return cached(snapshot, "deg", snapshot.degree_array)
 
 
-def symmetric_entries(
+def matrix_entries(
     snapshot: Snapshot,
     key: str,
-    block,
+    rows: np.ndarray,
+    cols: np.ndarray,
     compute: "Callable[[int | None], np.ndarray]",
+    column: "Callable[[int], np.ndarray] | None" = None,
 ) -> np.ndarray:
-    """A block's entries of a symmetric per-snapshot ``n x n`` matrix.
+    """Entries ``M[rows[i], cols[i]]`` of a per-snapshot ``n x n`` matrix.
 
-    ``compute(p)`` returns row ``p`` of the matrix, or the whole matrix
-    when ``p`` is None.  When every pair of the block shares one node (a
-    served ``/predict`` read) only that node's row is computed, memoised
-    in a per-snapshot dict under ``key@rows`` (one cache key, so telemetry
-    labels do not grow with the nodes read); otherwise the whole matrix
-    is, once, under ``key``.
-    Both answer bit for bit alike only if a row computed alone equals
-    that row of the whole matrix and the matrix is exactly symmetric —
-    true of the exact integer path algebra (hop counts, powers of ``A``)
-    the callers use.
+    ``compute(p)`` returns row ``p`` of ``M``, or the whole matrix when
+    ``p`` is None; ``column(p)`` returns column ``p`` and defaults to
+    ``compute``, which is right for a symmetric ``M``.  When every pair
+    shares one node (a served ``/predict`` read) only that node's row and
+    column are computed, memoised in a per-snapshot dict under
+    ``key@rows`` (one cache key, so telemetry labels do not grow with the
+    nodes read); otherwise the whole matrix is, once, under ``key``.
+    Both answer bit for bit alike only if a row and a column computed
+    alone equal those of the whole matrix — true of the exact integer
+    path algebra (hop counts, powers of ``A``) and of the sparse walk
+    products, which sum every entry in the same CSR order either way.
     """
-    rows, cols = block.rows, block.cols
     matrix = snapshot.cache.get(key)
     if matrix is None and len(rows):
         for hub in (int(rows[0]), int(cols[0])):
@@ -141,8 +143,10 @@ def symmetric_entries(
             if np.all(on_row | (cols == hub)):
                 memo = snapshot.cache.setdefault(f"{key}@rows", {})
                 if hub not in memo:
-                    memo[hub] = compute(hub)
-                return memo[hub][np.where(on_row, cols, rows)]
+                    row = compute(hub)
+                    memo[hub] = (row, row if column is None else column(hub))
+                row, col = memo[hub]
+                return np.where(on_row, row[cols], col[rows])
     matrix = cached(snapshot, key, lambda: compute(None))
     return matrix[rows, cols]
 

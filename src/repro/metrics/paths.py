@@ -28,8 +28,8 @@ from repro.metrics.base import (
     cached,
     dense_adjacency,
     eigsh_start,
+    matrix_entries,
     register,
-    symmetric_entries,
 )
 from repro.metrics.kernels import sliced_rows
 
@@ -66,10 +66,11 @@ class ShortestPath(SimilarityMetric):
 
     def score_block(self, block) -> np.ndarray:
         snapshot = self._require_fit()
-        dist = symmetric_entries(
+        dist = matrix_entries(
             snapshot,
             "sp_dist",
-            block,
+            block.rows,
+            block.cols,
             lambda p: shortest_path(
                 adjacency(snapshot), method="D", unweighted=True, indices=p
             ),
@@ -104,7 +105,9 @@ class LocalPath(SimilarityMetric):
         # 2-hop counts come from the shared expansion (exact integers, so
         # order-independent); only the 3-hop term reads a dense A^3.
         p2 = block.counts()
-        p3 = symmetric_entries(snapshot, "A3_dense", block, self._three_hop)
+        p3 = matrix_entries(
+            snapshot, "A3_dense", block.rows, block.cols, self._three_hop
+        )
         return p2 + self.epsilon * p3
 
 
@@ -160,8 +163,9 @@ class KatzTruncated(SimilarityMetric):
     """Katz_sc [38]: truncated-series proximity estimation.
 
     Sums ``beta^l * |paths^l|`` for ``l <= l_max`` over dense matrix
-    powers (or one row of them, for a block that shares one node); this is the "scalable" Katz variant of the paper (cheap, less
-    accurate than the low-rank spectral form, as the paper observes).
+    powers (or one row of them, for a block that shares one node); this
+    is the "scalable" Katz variant of the paper (cheap, less accurate
+    than the low-rank spectral form, as the paper observes).
     """
 
     name = "Katz_sc"
@@ -191,9 +195,10 @@ class KatzTruncated(SimilarityMetric):
 
     def score_block(self, block) -> np.ndarray:
         snapshot = self._require_fit()
-        return symmetric_entries(
+        return matrix_entries(
             snapshot,
             f"katz_sc_{self.beta}_{self.max_length}",
-            block,
+            block.rows,
+            block.cols,
             self._series,
         )

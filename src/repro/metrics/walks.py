@@ -2,23 +2,31 @@
 
 - **PPR** [5]: ``pi_{u,v} + pi_{v,u}`` where ``pi_{u,v}`` is the stationary
   probability that a random walk from ``u`` with restart probability
-  ``alpha`` is at ``v``.  At snapshot scale the full PPR matrix
-  ``alpha * (I - (1-alpha) P)^{-1}`` is obtained with one dense solve.
+  ``alpha`` is at ``v``.  The full PPR matrix is
+  ``alpha * (I - (1-alpha) P)^{-1} = alpha * S D`` with the symmetric
+  ``S = (D - (1-alpha) A)^{-1}``, so one Cholesky inverse of that positive
+  definite matrix serves every pair as ``alpha * S_uv * (d_u + d_v)``.
 - **LRW** [25]: ``deg(u)/(2|E|) * pi_uv(m) + deg(v)/(2|E|) * pi_vu(m)``
   where ``pi_uv(m)`` is the m-step transition probability — a *local*
-  random walk that only explores an m-hop ball.
+  random walk that only explores an m-hop ball.  ``P^m`` is a chain of
+  sparse-times-dense products, and a read of one node computes only that
+  node's row (over its ball) and column (``m`` sparse matrix-vector
+  products), bit for bit those of the whole product.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from repro.graph.snapshots import Snapshot
 from repro.metrics.base import (
     SimilarityMetric,
+    adjacency,
     cached,
     degrees,
-    dense_adjacency,
+    matrix_entries,
     register,
 )
 
@@ -26,16 +34,89 @@ from repro.metrics.base import (
 PPR_ALPHA = 0.15
 
 
-def transition_matrix(snapshot: Snapshot) -> np.ndarray:
-    """Row-stochastic dense transition matrix ``P = D^{-1} A``."""
-    def compute() -> np.ndarray:
-        a = dense_adjacency(snapshot)
+def transition_matrix(snapshot: Snapshot) -> sp.csr_matrix:
+    """Row-stochastic sparse transition matrix ``P = D^{-1} A`` (CSR)."""
+    def compute() -> sp.csr_matrix:
+        a = adjacency(snapshot)
         deg = degrees(snapshot)
         inv = np.zeros_like(deg)
         np.divide(1.0, deg, out=inv, where=deg > 0)
-        return a * inv[:, None]
+        data = a.data * np.repeat(inv, np.diff(a.indptr))
+        return sp.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
 
     return cached(snapshot, "P", compute)
+
+
+def walk_power(p: sp.csr_matrix, steps: int, hub: "int | None") -> np.ndarray:
+    """``P^steps`` as ``P @ (... @ (P @ P_dense))``, or its row ``hub``.
+
+    scipy's CSR products start each output entry at 0 and add the row's
+    terms in CSR order, times a dense matrix or times a CSR one (which
+    skips only the exact zeros).  Row ``hub`` of ``P @ M`` is
+    ``P[hub, N(hub)] @ M[N(hub)]``, so the row needs each intermediate
+    product only on the hub's ball, one hop wider per step: the innermost
+    one as ``P[ball] @ P``, the outer ones with the ball's CSR columns
+    renumbered into the next ball.  So the row is bitwise the whole
+    product's.
+    """
+    if hub is None:
+        power = p.toarray()
+        for _ in range(steps - 1):
+            power = p @ power
+        return power
+    if steps == 1:
+        return p[[hub]].toarray()[0]
+    ball = np.array([hub])
+    rings = []
+    for _ in range(steps - 2):
+        rows = p[ball]
+        rings.append((ball, rows))
+        ball = np.unique(rows.indices)
+    power = (p[ball] @ p).toarray()
+    for outer, rows in reversed(rings):
+        local = sp.csr_matrix(
+            (rows.data, np.searchsorted(ball, rows.indices), rows.indptr),
+            shape=(len(outer), len(ball)),
+        )
+        power = local @ power
+        ball = outer
+    return power[0]
+
+
+def walk_column(p: sp.csr_matrix, steps: int, hub: int) -> np.ndarray:
+    """Column ``hub`` of :func:`walk_power`'s whole product: ``steps`` CSR
+    matrix-vector products from the unit vector ``e_hub``, each summing an
+    entry in the CSR order the whole product uses."""
+    power = np.zeros(p.shape[0])
+    power[hub] = 1.0
+    for _ in range(steps):
+        power = p @ power
+    return power
+
+
+def ppr_kernel(snapshot: Snapshot, alpha: float) -> np.ndarray:
+    """Symmetric ``S = (D - (1-alpha) A)^{-1}``, with ``PPR = alpha * S D``.
+
+    The matrix is strictly diagonally dominant with a positive diagonal,
+    hence positive definite: one Cholesky factorisation and its inverse
+    (LAPACK ``dpotrf``/``dpotri``, upper triangle, mirrored so ``S`` is
+    exactly symmetric).  A degree-0 node of a sampled view gets diagonal 1,
+    so its row of ``S`` is the unit vector and its scores are exactly 0.
+    """
+    deg = degrees(snapshot)
+    system = adjacency(snapshot).toarray()
+    system *= -(1.0 - alpha)
+    np.fill_diagonal(system, np.where(deg > 0, deg, 1.0))
+    # ``system`` is symmetric: its transpose is the Fortran-ordered buffer
+    # LAPACK factors in place.
+    factor, info = lapack.dpotrf(system.T, lower=0, clean=0, overwrite_a=1)
+    if info == 0:
+        inverse, info = lapack.dpotri(factor, lower=0, overwrite_c=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"PPR system is not positive definite ({info})")
+    upper = np.triu(inverse)
+    upper += np.triu(inverse, 1).T
+    return upper
 
 
 @register
@@ -53,22 +134,16 @@ class PersonalizedPageRank(SimilarityMetric):
 
     def fit(self, snapshot: Snapshot) -> "PersonalizedPageRank":
         self.snapshot = snapshot
-        key = f"ppr_{self.alpha}"
-
-        def compute() -> np.ndarray:
-            p = transition_matrix(snapshot)
-            n = p.shape[0]
-            # pi_u solves pi_u (I - (1-a) P) = a e_u for every u at once.
-            system = np.eye(n) - (1.0 - self.alpha) * p
-            return self.alpha * np.linalg.inv(system)
-
-        self._pi = cached(snapshot, key, compute)
+        self._s = cached(
+            snapshot, f"ppr_{self.alpha}", lambda: ppr_kernel(snapshot, self.alpha)
+        )
+        self._deg = degrees(snapshot)
         return self
 
     def score_block(self, block) -> np.ndarray:
         self._require_fit()
         rows, cols = block.rows, block.cols
-        return self._pi[rows, cols] + self._pi[cols, rows]
+        return self.alpha * self._s[rows, cols] * (self._deg[rows] + self._deg[cols])
 
 
 @register
@@ -86,23 +161,24 @@ class LocalRandomWalk(SimilarityMetric):
 
     def fit(self, snapshot: Snapshot) -> "LocalRandomWalk":
         self.snapshot = snapshot
-        key = f"lrw_{self.steps}"
-
-        def compute() -> np.ndarray:
-            p = transition_matrix(snapshot)
-            pm = p.copy()
-            for _ in range(self.steps - 1):
-                pm = pm @ p
-            return pm
-
-        self._pm = cached(snapshot, key, compute)
         self._deg = degrees(snapshot)
         self._two_e = 2.0 * snapshot.num_edges
         return self
 
+    def _entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        snapshot = self.snapshot
+        return matrix_entries(
+            snapshot,
+            f"lrw_{self.steps}",
+            rows,
+            cols,
+            lambda hub: walk_power(transition_matrix(snapshot), self.steps, hub),
+            lambda hub: walk_column(transition_matrix(snapshot), self.steps, hub),
+        )
+
     def score_block(self, block) -> np.ndarray:
         self._require_fit()
         rows, cols = block.rows, block.cols
-        forward = self._deg[rows] / self._two_e * self._pm[rows, cols]
-        backward = self._deg[cols] / self._two_e * self._pm[cols, rows]
+        forward = self._deg[rows] / self._two_e * self._entries(rows, cols)
+        backward = self._deg[cols] / self._two_e * self._entries(cols, rows)
         return forward + backward

@@ -198,7 +198,12 @@ class DecisionTreeClassifier:
         if not gain[best] > 1e-12:  # require a strictly positive gain
             return None
         f, r = j[best], i[best]
-        threshold = float((values[f, r] + values[f, r + 1]) / 2.0)
+        below, above = values[f, r], values[f, r + 1]
+        threshold = float((below + above) / 2.0)
+        if threshold == above:
+            # adjacent floats: the midpoint rounds onto the upper value, and
+            # ``<= threshold`` would send every row left
+            threshold = float(below)
         return int(features[f]), threshold, float(gain[best])
 
     # ------------------------------------------------------------------

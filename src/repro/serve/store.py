@@ -21,10 +21,11 @@ would compute on the same prefix.
 
 A read costs what its node's neighbourhood costs: its candidates come
 from the node's CSR rows, never from the snapshot's full candidate
-array, and SP, LP and Katz_sc compute the node's row of their path
-matrix instead of the whole matrix.  The engine keeps only the exact
-CN counts warm; AA and RA score a read's few hundred pairs through the
-common-neighbour expansion, so no write pays to refresh float tables.
+array; SP, LP and Katz_sc compute the node's row of their path matrix,
+and LRW the node's row and column of ``P^m``, instead of the whole
+matrix.  The engine keeps only the exact CN counts warm; AA and RA
+score a read's few hundred pairs through the common-neighbour
+expansion, so no write pays to refresh float tables.
 """
 
 from __future__ import annotations
@@ -153,9 +154,10 @@ class ScoreStore:
         through the batched kernel layer
         (:func:`repro.metrics.kernels.score_pairs`: the engine's warm CN
         table, the common-neighbour expansion for AA/RA and the other
-        neighbourhood metrics, one matrix row for SP/LP/Katz_sc), so each
-        value is bit-identical to the batch pipeline's score for the same
-        pair on the same prefix.  Ranking is deterministic:
+        neighbourhood metrics, one matrix row for SP/LP/Katz_sc, one row
+        and one column of ``P^m`` for LRW), so each value is
+        bit-identical to the batch pipeline's score for the same pair on
+        the same prefix.  Ranking is deterministic:
         descending score, ascending neighbour id on ties — a stable
         contract for clients, unlike the evaluation protocol's random
         tie-breaking (which is a property of the *accuracy experiment*,

@@ -15,11 +15,18 @@ their reference is the product their fit built before that:
 ``W^a @ diag(g) @ A + A @ diag(g) @ W^a`` from the per-item weight matrix
 of ``tests/loop_oracle.py``, sampled at the pair positions.
 
-SP, LP's 3-hop term and Katz_sc compute one row of their matrix when a
-block's pairs share a node, and the whole matrix otherwise; their
-reference is the whole-matrix formula they had before that split:
+SP, LP's 3-hop term, Katz_sc and LRW compute one row (LRW: and one
+column) of their matrix when a block's pairs share a node, and the whole
+matrix otherwise; their reference is the whole-matrix formula:
 ``shortest_path`` over every source, the sparse ``A`` times a dense
-``A^2``, and the truncated Katz series over dense powers.
+``A^2``, the truncated Katz series over dense powers, and LRW's
+``P @ (P @ P_dense)`` with a CSR ``P``.
+
+PPR and LRW are float fits, and their sparse and Cholesky formulations
+replaced dense ones that round differently: ``alpha * (I - (1-alpha) P)^-1``
+by ``np.linalg.inv`` and dense ``P^m`` by repeated GEMMs.  Those formulas
+stay here as tolerance oracles (:func:`dense_walk_scores`), checked to a
+relative ``DENSE_WALK_RTOL``, not bit for bit.
 
 Every other metric's kernel gathers from a matrix its ``fit`` built, at
 the block's positions; its reference is that gather over one block
@@ -53,8 +60,11 @@ WEIGHTED_TWO_HOP = frozenset({"AA", "RA", "BCN", "BAA", "BRA"})
 WEIGHTED_EDGES = frozenset({"WCN", "WAA", "WRA"})
 #: every metric the matrix formulation covers.
 MATRIX_METRICS = (
-    WEIGHTED_TWO_HOP | WEIGHTED_EDGES | {"CN", "JC", "LP", "SP", "Katz_sc"}
+    WEIGHTED_TWO_HOP | WEIGHTED_EDGES | {"CN", "JC", "LP", "SP", "Katz_sc", "LRW"}
 )
+#: relative tolerance of the sparse and Cholesky walk fits against the
+#: dense formulas they replaced.
+DENSE_WALK_RTOL = 1e-12
 
 
 def weighted_two_hop(snapshot, weights: np.ndarray) -> sp.csr_matrix:
@@ -144,6 +154,52 @@ def katz_series(a: sp.csr_matrix, beta: float, max_length: int) -> np.ndarray:
     return total
 
 
+def dense_transition(snapshot) -> np.ndarray:
+    """Dense ``P = D^-1 A`` (a degree-0 node's row is 0)."""
+    deg = snapshot.degree_array()
+    inv = np.zeros_like(deg)
+    np.divide(1.0, deg, out=inv, where=deg > 0)
+    return snapshot.adjacency_matrix().toarray() * inv[:, None]
+
+
+def walk_product(snapshot, steps: int) -> np.ndarray:
+    """``P^steps`` as ``P @ (... @ (P @ P_dense))`` with a CSR ``P``."""
+    power = dense_transition(snapshot)
+    p = sp.csr_matrix(power)
+    for _ in range(steps - 1):
+        power = p @ power
+    return power
+
+
+def lrw_from(snapshot, pm: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """LRW scores ``deg_u/2|E| P^m_uv + deg_v/2|E| P^m_vu`` from a matrix ``P^m``."""
+    deg = snapshot.degree_array()
+    two_e = 2.0 * snapshot.num_edges
+    return deg[rows] / two_e * pm[rows, cols] + deg[cols] / two_e * pm[cols, rows]
+
+
+def dense_walk_scores(metric: SimilarityMetric, pairs: np.ndarray) -> np.ndarray:
+    """PPR or LRW scores of ``pairs`` by the dense formulas.
+
+    PPR: ``pi_uv + pi_vu`` of ``pi = alpha * (I - (1-alpha) P)^-1`` by
+    ``np.linalg.inv``.  LRW: ``P^m`` by ``m - 1`` dense products.  Compare
+    with ``rtol=DENSE_WALK_RTOL``.
+    """
+    snapshot = metric.snapshot
+    assert snapshot is not None, "fit the metric first"
+    rows, cols = pairs_to_indices(snapshot, np.asarray(pairs, dtype=np.int64))
+    p = dense_transition(snapshot)
+    if metric.name == "PPR":
+        system = np.eye(p.shape[0]) - (1.0 - metric.alpha) * p
+        pi = metric.alpha * np.linalg.inv(system)
+        return pi[rows, cols] + pi[cols, rows]
+    assert metric.name == "LRW", metric.name
+    pm = p.copy()
+    for _ in range(metric.steps - 1):
+        pm = pm @ p
+    return lrw_from(snapshot, pm, rows, cols)
+
+
 def oracle_scores(metric: SimilarityMetric, pairs: np.ndarray) -> np.ndarray:
     """Reference scores of ``pairs`` under a fitted ``metric``."""
     snapshot = metric.snapshot
@@ -161,6 +217,8 @@ def oracle_scores(metric: SimilarityMetric, pairs: np.ndarray) -> np.ndarray:
         return np.where(np.isinf(dist), -np.inf, -dist)
     if metric.name == "Katz_sc":
         return katz_series(a, metric.beta, metric.max_length)[rows, cols]
+    if metric.name == "LRW":
+        return lrw_from(snapshot, walk_product(snapshot, metric.steps), rows, cols)
     if metric.name in WEIGHTED_EDGES:
         return sample(weighted_edge_product(snapshot, metric), rows, cols)
     if metric.name in WEIGHTED_TWO_HOP:

@@ -7,11 +7,14 @@ the answer of the whole-snapshot path:
 - ``candidate_pairs(snapshot, strategy, node=u)`` reads ``u``'s CSR
   neighbourhood instead of building and masking the full candidate
   array, and must return exactly the masked rows, in the same order;
-- SP, LP and Katz_sc compute one row of their path matrix for a block
-  whose pairs share a node, and the whole matrix otherwise.  Every
-  mix of the two on one snapshot — a row first, the matrix first, tiny
-  blocks of either kind, a single pair — must match the whole-matrix
-  formulas of ``tests/matrix_oracle.py``.
+- SP, LP and Katz_sc compute one row of their path matrix, and LRW one
+  row and one column of ``P^m``, for a block whose pairs share a node,
+  and the whole matrix otherwise.  Every mix of the two on one snapshot
+  — a row first, the matrix first, tiny blocks of either kind, a single
+  pair — must match the whole-matrix formulas of
+  ``tests/matrix_oracle.py``.  LRW's float products stay bitwise only
+  because scipy sums each entry of a CSR-times-dense product in CSR
+  order, as CSR times a vector does; a test here pins that.
 
 Scores are compared as int64 bit patterns, so ``-0.0`` against ``0.0``
 or one differing last bit fails.
@@ -19,6 +22,7 @@ or one differing last bit fails.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.graph.delta import DeltaGraph
 from repro.graph.dyngraph import TemporalGraph
@@ -30,7 +34,7 @@ from tests.matrix_oracle import oracle_scores
 from tests.test_kernel_parity import random_snapshot
 
 STRATEGIES = ("two_hop", "all")
-PATH_METRICS = ("SP", "LP", "Katz_sc")
+NODE_SCOPED_METRICS = ("SP", "LP", "Katz_sc", "LRW")
 
 
 def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
@@ -148,7 +152,7 @@ def oracle(name: str, snapshot: Snapshot, pairs: np.ndarray) -> np.ndarray:
     return oracle_scores(get_metric(name).fit(snapshot), pairs)
 
 
-@pytest.mark.parametrize("name", PATH_METRICS)
+@pytest.mark.parametrize("name", NODE_SCOPED_METRICS)
 class TestRowOrMatrix:
     def test_row_first_then_matrix(self, snapshot, name):
         pairs = candidate_pairs(snapshot, "all")
@@ -188,3 +192,37 @@ def test_disconnected_pairs_score_minus_inf():
         got = score("SP", snapshot, mine)
         assert np.isneginf(got).any() and np.isfinite(got).any()
         assert same_bits(got, oracle("SP", snapshot, mine))
+
+
+def test_scipy_sums_csr_products_in_csr_order():
+    """Each entry of CSR x dense is ``0 + a_1 x_1 + a_2 x_2 + ...`` over its
+    row's entries in CSR order.  So a column equals CSR x vector, CSR x CSR
+    (which skips the exact zeros) equals CSR x its dense copy, and a row of
+    a row-sliced CSR x dense with its columns renumbered equals that row of
+    the whole product, bit for bit: what LRW's one-node reads rely on."""
+    snapshot = random_snapshot(60, 0.15, 3)
+    a = snapshot.adjacency_matrix()
+    rng = np.random.default_rng(0)
+    p = sp.csr_matrix((rng.random(a.nnz), a.indices, a.indptr), shape=a.shape)
+    dense = rng.random(a.shape)
+    full = p @ dense
+    for i in (0, 17, 59):
+        for j in (0, 31):
+            entry = 0.0
+            for k in range(p.indptr[i], p.indptr[i + 1]):
+                entry += p.data[k] * dense[p.indices[k], j]
+            assert same_bits(full[i, j], entry)
+    for j in range(0, a.shape[1], 7):
+        assert same_bits(full[:, j], p @ dense[:, j])
+    ball = np.unique(p[[3, 17, 40]].indices)
+    assert same_bits((p[ball] @ p).toarray(), (p @ p.toarray())[ball])
+    rows = p[ball]
+    inner = np.unique(rows.indices)
+    local = sp.csr_matrix(
+        (rows.data, np.searchsorted(inner, rows.indices), rows.indptr),
+        shape=(len(ball), len(inner)),
+    )
+    sliced = local @ dense[inner]
+    assert same_bits(sliced, full[ball])
+    for j in range(0, a.shape[1], 7):
+        assert same_bits(sliced[:, j], local @ dense[inner, j])

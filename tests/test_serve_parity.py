@@ -25,7 +25,7 @@ from repro.metrics.candidates import candidate_pairs
 from repro.metrics.local import DELTA_SCORES_KEY
 from repro.serve import ServeConfig, ServerHarness
 
-METRICS = ["CN", "AA", "RA", "PA", "JC", "SP", "LP", "Katz_sc"]
+METRICS = ["CN", "AA", "RA", "PA", "JC", "SP", "LP", "Katz_sc", "PPR", "LRW"]
 
 
 def batch_scores(trace, cutoff: int, metric_name: str) -> dict:

@@ -156,6 +156,22 @@ def predictor_training_set(facebook_snapshots):
     return recorder.x, recorder.y, predictor.scaler.transform(features)
 
 
+def test_split_between_adjacent_floats():
+    """The midpoint of two adjacent floats can round onto the upper one;
+    the threshold must still separate them, or every row goes left and an
+    unbounded tree recurses until ``RecursionError``."""
+    low = np.nextafter(1.0, 2.0)
+    high = np.nextafter(low, 2.0)
+    assert (low + high) / 2.0 == high
+    x = np.array([[low], [high]] * 3)
+    y = np.array([0, 1] * 3)
+    tree = DecisionTreeClassifier(seed=0).fit(x, y)
+    oracle = tree_oracle.DecisionTreeClassifier(seed=0).fit(x, y)
+    assert_same_tree(tree, oracle, x, x)
+    assert tree.threshold_[0] == low
+    assert np.array_equal(tree.predict(x), y)
+
+
 def test_predictor_training_set_tree(predictor_training_set):
     x, y, x_test = predictor_training_set
     assert 0 < y.sum() < len(y)

@@ -156,6 +156,8 @@ class DecisionTreeClassifier:
             if gain[i] > best_gain:
                 best_gain = float(gain[i])
                 threshold = float((values[i] + values[i + 1]) / 2.0)
+                if threshold == values[i + 1]:  # adjacent floats
+                    threshold = float(values[i])
                 best = (int(f), threshold, best_gain)
         return best
 
