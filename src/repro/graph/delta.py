@@ -605,7 +605,10 @@ class DeltaGraph:
         Byte-identical to ``Snapshot(rebuilt_trace, num_edges)`` plus its
         lazily built structure and metric caches: node table, position
         columns, CSR adjacency, candidate enumeration (``pairs_two_hop``),
-        CN/AA/RA score tables, and the vectorised idle-time column.
+        CN/AA/RA score tables, and the vectorised idle-time column.  The
+        candidates go over as the engine's packed keys, validated (a
+        corrupted array raises here) and decoded once by
+        :func:`~repro.metrics.candidates.seed_candidate_cache`.
         """
         self._check_in_sync()
         if self.num_edges == 0:
@@ -632,12 +635,7 @@ class DeltaGraph:
         from repro.metrics.candidates import seed_candidate_cache
         from repro.metrics.local import DELTA_SCORES_KEY
 
-        if len(self._cand_keys):
-            rows, cols = decode_position_pairs(self._cand_keys)
-            pairs = np.column_stack((self._node_ids[rows], self._node_ids[cols]))
-        else:
-            pairs = np.zeros((0, 2), dtype=np.int64)
-        seed_candidate_cache(snapshot, pairs)
+        seed_candidate_cache(snapshot, self._cand_keys)
         table: dict = {"keys": self._cand_keys.copy()}
         if "CN" in self._tracked:
             table["CN"] = self._cand_cn.astype(np.float64)

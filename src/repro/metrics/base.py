@@ -28,6 +28,7 @@ from collections.abc import Callable
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from repro import telemetry
 from repro.graph.snapshots import Snapshot
@@ -107,6 +108,25 @@ def eigsh_start(n: int) -> np.ndarray:
     differ in their last bits.  This is the same uniform draw, seeded.
     """
     return np.random.default_rng(0).uniform(-1.0, 1.0, n)
+
+
+def adjacency_spectrum(snapshot: Snapshot, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cached ``(eigenvalues, eigenvectors)`` of the adjacency, ascending.
+
+    The ``k`` eigenpairs of largest magnitude by ARPACK (``eigsh`` from
+    :func:`eigsh_start`), or all ``n`` of them by a dense ``eigh`` when
+    ``n <= k + 2``, where ARPACK cannot run.  Keyed by ``k`` alone, so
+    every metric asking for one size shares one eigensolve per snapshot
+    and reads the same arrays whichever asks first.
+    """
+    def compute() -> tuple[np.ndarray, np.ndarray]:
+        a = adjacency(snapshot)
+        n = a.shape[0]
+        if n <= k + 2:
+            return np.linalg.eigh(a.toarray())
+        return spla.eigsh(a, k=k, which="LM", v0=eigsh_start(n))
+
+    return cached(snapshot, f"spectrum_{k}", compute)
 
 
 def degrees(snapshot: Snapshot) -> np.ndarray:

@@ -34,7 +34,7 @@ from repro import telemetry
 from repro.graph.snapshots import Snapshot
 from repro.metrics.base import adjacency, cached, two_hop_matrix
 from repro.telemetry.metrics import SIZE_BUCKETS
-from repro.utils.pairs import encode_position_pairs
+from repro.utils.pairs import decode_position_pairs
 from repro.utils.rng import ensure_rng
 
 #: strategy-selection thresholds (see DESIGN.md "Batched kernels &
@@ -50,60 +50,35 @@ def _empty_pairs() -> np.ndarray:
     return np.zeros((0, 2), dtype=np.int64)
 
 
-def seed_candidate_cache(snapshot: Snapshot, pairs: np.ndarray) -> None:
-    """Install a precomputed 2-hop candidate array into the snapshot cache.
+def seed_candidate_cache(snapshot: Snapshot, keys: np.ndarray) -> None:
+    """Install a precomputed 2-hop candidate set into the snapshot cache.
 
-    The delta engine maintains the candidate set incrementally and seeds
-    materialised snapshots through this hook, so :func:`two_hop_pairs`
-    serves the maintained array instead of building ``A^2``.
-
-    The incoming array is validated and canonicalised rather than trusted:
-    it must be an integer ``(n, 2)`` array of known node ids with no
-    self-pairs; rows are flipped to ``u < v`` order and sorted row-major
-    over snapshot positions when they are not already (the order every
-    consumer — ranking RNG tie-breaks, delta score tables, the kernel
-    block splitter — relies on).  Duplicate pairs raise.  A
-    well-formed array (the delta engine's own) passes through unchanged,
-    same object identity included, so warm-table fast paths keep working.
+    The delta engine maintains the candidate set incrementally as packed
+    position keys (:func:`~repro.utils.pairs.encode_position_pairs`) and
+    seeds materialised snapshots through this hook, so
+    :func:`two_hop_pairs` serves the maintained set instead of building
+    ``A^2``.  The keys are validated, not trusted, in one pass with no
+    search: a 1-D integer array, strictly increasing (the row-major order
+    ranking tie-breaks, delta score tables and the block splitter rely
+    on), with ``0 <= row < col < n``.  Anything else raises
+    ``ValueError``; valid keys are decoded once into node-id pairs.
     """
-    pairs = np.asarray(pairs)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
+    keys = np.asarray(keys)
+    if keys.ndim != 1 or not np.issubdtype(keys.dtype, np.integer):
         raise ValueError(
-            f"candidate pairs must be an (n, 2) array, got shape {pairs.shape}"
+            f"candidate keys must be a 1-D integer array, got {keys.dtype} "
+            f"of shape {keys.shape}"
         )
-    if not np.issubdtype(pairs.dtype, np.integer):
-        raise ValueError(
-            f"candidate pairs must be an integer array, got dtype {pairs.dtype}"
-        )
-    pairs = pairs.astype(np.int64, copy=False)
-    if len(pairs):
-        lo = np.minimum(pairs[:, 0], pairs[:, 1])
-        hi = np.maximum(pairs[:, 0], pairs[:, 1])
-        if np.any(lo == hi):
-            bad = int(lo[np.flatnonzero(lo == hi)[0]])
-            raise ValueError(f"self-pair ({bad}, {bad}) in seeded candidates")
-        try:
-            rows = snapshot.positions_of(lo)
-            cols = snapshot.positions_of(hi)
-        except KeyError as exc:
-            raise ValueError(
-                f"seeded candidate references unknown node {exc.args[0]}"
-            ) from exc
-        keys = encode_position_pairs(rows, cols)
-        deltas = np.diff(keys)
-        if np.any(deltas == 0):
-            raise ValueError("duplicate pair in seeded candidates")
-        if np.any(deltas < 0):
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-            if np.any(np.diff(keys) == 0):
-                raise ValueError("duplicate pair in seeded candidates")
-            pairs = np.column_stack((lo[order], hi[order]))
-        elif not (
-            np.array_equal(lo, pairs[:, 0]) and np.array_equal(hi, pairs[:, 1])
-        ):
-            pairs = np.column_stack((lo, hi))
-    snapshot.cache["pairs_two_hop"] = pairs
+    keys = keys.astype(np.int64, copy=False)
+    rows, cols = decode_position_pairs(keys)
+    if np.any(np.diff(keys) <= 0):
+        raise ValueError("seeded candidate keys are not strictly increasing")
+    if np.any(rows >= cols):
+        raise ValueError("seeded candidate key is not a (row < col) pair")
+    if len(keys) and (keys[0] < 0 or cols.max() >= snapshot.num_nodes):
+        raise ValueError("seeded candidate key is outside the node table")
+    ids = snapshot.node_ids
+    snapshot.cache["pairs_two_hop"] = np.column_stack((ids[rows], ids[cols]))
     snapshot.cache[ENUM_STRATEGY_KEY] = "seeded"
 
 

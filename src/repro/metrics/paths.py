@@ -18,16 +18,14 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import shortest_path
 
 from repro.graph.snapshots import Snapshot
 from repro.metrics.base import (
     SimilarityMetric,
     adjacency,
-    cached,
+    adjacency_spectrum,
     dense_adjacency,
-    eigsh_start,
     matrix_entries,
     register,
 )
@@ -36,6 +34,9 @@ from repro.metrics.kernels import sliced_rows
 #: Paper-tuned parameters (Section 3.2).
 LP_EPSILON = 1e-4
 KATZ_BETA = 1e-3
+#: Katz_lr's spectrum size; Rescal reads the same spectrum (see
+#: :func:`~repro.metrics.base.adjacency_spectrum`).
+KATZ_RANK = 50
 
 
 def path_counts(snapshot: Snapshot, p: "int | None", max_length: int):
@@ -122,7 +123,7 @@ class KatzLowRank(SimilarityMetric):
     name = "Katz_lr"
     candidate_strategy = "all"
 
-    def __init__(self, beta: float = KATZ_BETA, rank: int = 50) -> None:
+    def __init__(self, beta: float = KATZ_BETA, rank: int = KATZ_RANK) -> None:
         super().__init__()
         if beta <= 0:
             raise ValueError(f"beta must be positive, got {beta}")
@@ -133,20 +134,9 @@ class KatzLowRank(SimilarityMetric):
 
     def fit(self, snapshot: Snapshot) -> "KatzLowRank":
         self.snapshot = snapshot
-        n = snapshot.num_nodes
-        r = min(self.rank, max(1, n - 2))
-        key = f"katz_lr_{self.beta}_{r}"
-
-        def compute() -> tuple[np.ndarray, np.ndarray]:
-            a = adjacency(snapshot)
-            if n <= r + 2:
-                lam, vec = np.linalg.eigh(a.toarray())
-            else:
-                lam, vec = spla.eigsh(a, k=r, which="LM", v0=eigsh_start(n))
-            factor = self.beta * lam / (1.0 - self.beta * lam)
-            return vec, factor
-
-        self._vec, self._factor = cached(snapshot, key, compute)
+        r = min(self.rank, max(1, snapshot.num_nodes - 2))
+        lam, self._vec = adjacency_spectrum(snapshot, r)
+        self._factor = self.beta * lam / (1.0 - self.beta * lam)
         return self
 
     def score_block(self, block) -> np.ndarray:

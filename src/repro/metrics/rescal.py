@@ -14,6 +14,9 @@ relation slice:
   ``X <- (A X R^T + A^T X R) (R M R^T + R^T M R + lambda I)^{-1}``
   with ``M = X^T X``.
 
+``X`` starts from :func:`eigen_init`, so Rescal and Katz_lr share one
+eigensolve per snapshot; the init makes the factorisation deterministic.
+
 Section 4.2's key observation — RESCAL concentrates weight on supernodes
 and therefore dominates on the disassortative YouTube graph — emerges
 directly from this factorisation.
@@ -22,39 +25,42 @@ directly from this factorisation.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from repro.graph.snapshots import Snapshot
 from repro.metrics.base import (
     SimilarityMetric,
     adjacency,
+    adjacency_spectrum,
     cached,
-    eigsh_start,
     register,
 )
 from repro.metrics.kernels import sliced_rows
+from repro.metrics.paths import KATZ_RANK
+
+
+def eigen_init(snapshot: Snapshot, rank: int) -> np.ndarray:
+    """The top-``rank`` eigenvectors of ``A`` by ``|lambda|``, in ascending
+    eigenvalue order, from the spectrum Katz_lr reads (``k = max(KATZ_RANK,
+    rank)``, capped at ``n - 2``): the space ``eigsh(k=rank)`` finds, and
+    the same rule when the spectrum is a dense ``eigh``."""
+    k = min(max(KATZ_RANK, rank), max(1, snapshot.num_nodes - 2))
+    lam, vec = adjacency_spectrum(snapshot, k)
+    top = np.argsort(-np.abs(lam), kind="stable")[: min(rank, k)]
+    return vec[:, np.sort(top)]
 
 
 def rescal_als(
     a_sparse,
-    rank: int,
+    x: np.ndarray,
     iterations: int = 25,
     regularization: float = 1e-2,
     tol: float = 1e-5,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run RESCAL ALS on a (sparse, symmetric) adjacency matrix.
+    """Run RESCAL ALS on a (sparse, symmetric) adjacency matrix from the
+    initial factor ``x`` (``n x rank``, e.g. :func:`eigen_init`).
 
-    Returns ``(X, R)``.  ``X`` is initialised from the top-``rank``
-    eigenvectors of ``A`` (the standard "eigen init" which makes the
-    factorisation deterministic for a given snapshot).
+    Returns ``(X, R)``.
     """
-    n = a_sparse.shape[0]
-    rank = min(rank, max(1, n - 2))
-    if n <= rank + 2:
-        _, x = np.linalg.eigh(a_sparse.toarray())
-        x = x[:, -rank:]
-    else:
-        _, x = spla.eigsh(a_sparse, k=rank, which="LM", v0=eigsh_start(n))
     r = _update_r(a_sparse, x)
     prev_fit = np.inf
     for _ in range(iterations):
@@ -118,7 +124,7 @@ class Rescal(SimilarityMetric):
         def compute() -> tuple[np.ndarray, np.ndarray]:
             return rescal_als(
                 adjacency(snapshot),
-                rank=self.rank,
+                eigen_init(snapshot, self.rank),
                 iterations=self.iterations,
                 regularization=self.regularization,
             )

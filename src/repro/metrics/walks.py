@@ -5,7 +5,9 @@
   ``alpha`` is at ``v``.  The full PPR matrix is
   ``alpha * (I - (1-alpha) P)^{-1} = alpha * S D`` with the symmetric
   ``S = (D - (1-alpha) A)^{-1}``, so one Cholesky inverse of that positive
-  definite matrix serves every pair as ``alpha * S_uv * (d_u + d_v)``.
+  definite matrix serves every pair as ``alpha * S_uv * (d_u + d_v)``,
+  read off the upper triangle LAPACK leaves (``S_uv`` at
+  ``(min, max)``), so ``S`` is never mirrored.
 - **LRW** [25]: ``deg(u)/(2|E|) * pi_uv(m) + deg(v)/(2|E|) * pi_vu(m)``
   where ``pi_uv(m)`` is the m-step transition probability — a *local*
   random walk that only explores an m-hop ball.  ``P^m`` is a chain of
@@ -95,13 +97,15 @@ def walk_column(p: sp.csr_matrix, steps: int, hub: int) -> np.ndarray:
 
 
 def ppr_kernel(snapshot: Snapshot, alpha: float) -> np.ndarray:
-    """Symmetric ``S = (D - (1-alpha) A)^{-1}``, with ``PPR = alpha * S D``.
+    """``S = (D - (1-alpha) A)^{-1}`` in its upper triangle; ``PPR = alpha * S D``.
 
     The matrix is strictly diagonally dominant with a positive diagonal,
     hence positive definite: one Cholesky factorisation and its inverse
-    (LAPACK ``dpotrf``/``dpotri``, upper triangle, mirrored so ``S`` is
-    exactly symmetric).  A degree-0 node of a sampled view gets diagonal 1,
-    so its row of ``S`` is the unit vector and its scores are exactly 0.
+    (LAPACK ``dpotrf``/``dpotri``, upper triangle).  ``S`` is symmetric,
+    so only entries ``[i, j]`` with ``i <= j`` are defined; the strict
+    lower triangle is LAPACK scratch.  A degree-0 node of a sampled view
+    gets diagonal 1, so its row of ``S`` is the unit vector and its
+    scores are exactly 0.
     """
     deg = degrees(snapshot)
     system = adjacency(snapshot).toarray()
@@ -114,9 +118,7 @@ def ppr_kernel(snapshot: Snapshot, alpha: float) -> np.ndarray:
         inverse, info = lapack.dpotri(factor, lower=0, overwrite_c=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"PPR system is not positive definite ({info})")
-    upper = np.triu(inverse)
-    upper += np.triu(inverse, 1).T
-    return upper
+    return inverse
 
 
 @register
@@ -143,7 +145,8 @@ class PersonalizedPageRank(SimilarityMetric):
     def score_block(self, block) -> np.ndarray:
         self._require_fit()
         rows, cols = block.rows, block.cols
-        return self.alpha * self._s[rows, cols] * (self._deg[rows] + self._deg[cols])
+        upper = self._s[np.minimum(rows, cols), np.maximum(rows, cols)]
+        return self.alpha * upper * (self._deg[rows] + self._deg[cols])
 
 
 @register

@@ -28,6 +28,13 @@ by ``np.linalg.inv`` and dense ``P^m`` by repeated GEMMs.  Those formulas
 stay here as tolerance oracles (:func:`dense_walk_scores`), checked to a
 relative ``DENSE_WALK_RTOL``, not bit for bit.
 
+Rescal starts its ALS from the top-``rank`` eigenvectors by magnitude of
+the spectrum it shares with Katz_lr (``eigsh`` at ``max(50, rank)``), no
+longer from its own ``eigsh(k=rank)``.  The two inits span the same space
+but round differently, so :func:`own_spectrum_rescal_scores` keeps the
+own-spectrum Rescal as a tolerance oracle: scores within
+``RESCAL_INIT_RTOL`` of the largest score.
+
 Every other metric's kernel gathers from a matrix its ``fit`` built, at
 the block's positions; its reference is that gather over one block
 holding all the pairs, which is what the metric's own ``score`` did
@@ -48,10 +55,12 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import shortest_path
 
-from repro.metrics.base import SimilarityMetric, pairs_to_indices
+from repro.metrics.base import SimilarityMetric, eigsh_start, pairs_to_indices
 from repro.metrics.kernels import CandidateBlock
+from repro.metrics.rescal import rescal_als
 from tests import loop_oracle
 
 #: metrics whose kernel sums a per-node weight over common neighbours.
@@ -65,6 +74,9 @@ MATRIX_METRICS = (
 #: relative tolerance of the sparse and Cholesky walk fits against the
 #: dense formulas they replaced.
 DENSE_WALK_RTOL = 1e-12
+#: Rescal from the shared spectrum against Rescal from its own
+#: ``eigsh(k=rank)``: the largest score difference, over the largest score.
+RESCAL_INIT_RTOL = 1e-9
 
 
 def weighted_two_hop(snapshot, weights: np.ndarray) -> sp.csr_matrix:
@@ -198,6 +210,29 @@ def dense_walk_scores(metric: SimilarityMetric, pairs: np.ndarray) -> np.ndarray
     for _ in range(metric.steps - 1):
         pm = pm @ p
     return lrw_from(snapshot, pm, rows, cols)
+
+
+def own_spectrum_rescal_scores(metric: SimilarityMetric, pairs: np.ndarray) -> np.ndarray:
+    """Rescal scores of ``pairs``, its ALS started from ``eigsh(k=rank)``.
+
+    Needs ``n > rank + 2`` (ARPACK's range).  Compare with an absolute
+    tolerance of ``RESCAL_INIT_RTOL`` times the largest score.
+    """
+    snapshot = metric.snapshot
+    assert snapshot is not None and metric.name == "Rescal"
+    a = snapshot.adjacency_matrix()
+    n = a.shape[0]
+    rank = min(metric.rank, max(1, n - 2))
+    assert n > rank + 2, "eigsh needs n > rank + 2"
+    _, x = spla.eigsh(a, k=rank, which="LM", v0=eigsh_start(n))
+    x, r = rescal_als(
+        a, x, iterations=metric.iterations, regularization=metric.regularization
+    )
+    rows, cols = pairs_to_indices(snapshot, np.asarray(pairs, dtype=np.int64))
+    xr = x @ r
+    return np.einsum("ij,ij->i", xr[rows], x[cols]) + np.einsum(
+        "ij,ij->i", xr[cols], x[rows]
+    )
 
 
 def oracle_scores(metric: SimilarityMetric, pairs: np.ndarray) -> np.ndarray:

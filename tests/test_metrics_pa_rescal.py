@@ -3,11 +3,16 @@
 import networkx as nx
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from repro.graph.snapshots import Snapshot
-from repro.metrics.base import adjacency, get_metric
+from repro.metrics import paths, rescal
+from repro.metrics.base import adjacency, adjacency_spectrum, get_metric
 from repro.metrics.candidates import all_nonedge_pairs
-from repro.metrics.rescal import rescal_als
+from repro.metrics.rescal import eigen_init, rescal_als
+from tests.conftest import build_trace
+from tests.matrix_oracle import RESCAL_INIT_RTOL, own_spectrum_rescal_scores
+from tests.test_kernel_parity import random_snapshot
 
 
 class TestPreferentialAttachment:
@@ -44,8 +49,6 @@ class TestRescalALS:
     def test_reconstructs_block_structure(self):
         """On a graph made of two cliques, a rank-2 RESCAL must score
         within-block non-edges far above cross-block ones."""
-        from tests.conftest import build_trace
-
         events = []
         t = 0.0
         # Two 6-cliques minus one edge each (so non-edges exist per block).
@@ -70,8 +73,9 @@ class TestRescalALS:
         a = adjacency(s)
         from repro.metrics.rescal import _fit_residual
 
-        x0, r0 = rescal_als(a, rank=10, iterations=1)
-        x1, r1 = rescal_als(a, rank=10, iterations=20)
+        x = eigen_init(s, 10)
+        x0, r0 = rescal_als(a, x, iterations=1)
+        x1, r1 = rescal_als(a, x, iterations=20)
         assert _fit_residual(a, x1, r1) <= _fit_residual(a, x0, r0) + 1e-6
 
     def test_score_symmetric(self, tiny_snapshot):
@@ -103,3 +107,87 @@ class TestRescalALS:
             np.asarray([[0, 5]])
         )
         assert a[0] == pytest.approx(b[0])
+
+
+def star_snapshot(leaves: int = 9) -> Snapshot:
+    """A star: eigenvalues ``±sqrt(leaves)`` and ``leaves - 1`` zeros."""
+    trace = build_trace([(0, leaf, float(leaf)) for leaf in range(1, leaves + 1)])
+    return Snapshot(trace, trace.num_edges)
+
+
+class TestEigenInit:
+    def test_small_graph_keeps_negative_eigenvector(self):
+        """Below ARPACK's size the dense spectrum is cut by ``|lambda|``
+        too, so the star's -3 eigenvector is in the init."""
+        snapshot = star_snapshot()
+        x = eigen_init(snapshot, 25)
+        assert x.shape == (10, 8)
+        lam, vec = np.linalg.eigh(snapshot.adjacency_matrix().toarray())
+        assert lam[0] == pytest.approx(-3.0) and lam[-1] == pytest.approx(3.0)
+        for v in (vec[:, 0], vec[:, -1]):
+            assert np.linalg.norm(x @ (x.T @ v)) == pytest.approx(1.0)
+
+    def test_columns_are_top_magnitude_ascending(self, facebook_snapshots):
+        snapshot = facebook_snapshots[0]
+        lam, vec = adjacency_spectrum(snapshot, 50)
+        x = eigen_init(snapshot, 25)
+        top = np.sort(np.argsort(-np.abs(lam), kind="stable")[:25])
+        assert np.array_equal(x, vec[:, top])
+        assert np.all(np.diff(lam[top]) >= 0)
+        assert np.abs(lam[top]).min() >= np.abs(np.delete(lam, top)).max()
+
+    @pytest.mark.parametrize("kind", ["eigsh", "dense"])
+    def test_within_tolerance_of_own_spectrum(self, facebook_snapshots, kind):
+        """Rescal scores match a Rescal initialised from its own
+        ``eigsh(k=rank)`` (the init before the spectrum was shared)."""
+        if kind == "eigsh":
+            snapshot = facebook_snapshots[0]
+        else:  # 45 nodes: a dense spectrum here, eigsh(k=25) in the oracle
+            snapshot = random_snapshot(45, 0.15, 3)
+        metric = get_metric("Rescal").fit(snapshot)
+        pairs = all_nonedge_pairs(snapshot)
+        want = own_spectrum_rescal_scores(metric, pairs)
+        np.testing.assert_allclose(
+            metric.score(pairs),
+            want,
+            rtol=0,
+            atol=RESCAL_INIT_RTOL * np.abs(want).max(),
+        )
+
+
+class TestSharedSpectrum:
+    """Katz_lr and Rescal share one eigensolve per snapshot."""
+
+    @pytest.mark.parametrize("order", [("Katz_lr", "Rescal"), ("Rescal", "Katz_lr")])
+    def test_one_eigensolve_per_snapshot(self, facebook_snapshots, monkeypatch, order):
+        solves = []
+        real = spla.eigsh
+
+        def counted(*args, **kwargs):
+            solves.append(kwargs.get("k"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "eigsh", counted)
+        spectra = []
+
+        def spy(module):
+            real_spectrum = module.adjacency_spectrum
+
+            def recorded(snapshot, k):
+                spectra.append(real_spectrum(snapshot, k))
+                return spectra[-1]
+
+            monkeypatch.setattr(module, "adjacency_spectrum", recorded)
+
+        spy(paths)
+        spy(rescal)
+        source = facebook_snapshots[0]
+        for _ in range(2):
+            snapshot = Snapshot(source.trace, source.cutoff)
+            assert snapshot.num_nodes > 52  # the ARPACK branch
+            for name in order:
+                get_metric(name).fit(snapshot)
+        assert solves == [50, 50]
+        assert len(spectra) == 4
+        assert spectra[0] is spectra[1] and spectra[2] is spectra[3]
+        assert spectra[0] is not spectra[2]

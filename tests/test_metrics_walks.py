@@ -32,6 +32,11 @@ class TestTransitionMatrix:
         assert p[pos[7], pos[1]] == 0.0
 
 
+def mirrored(upper: np.ndarray) -> np.ndarray:
+    """The symmetric ``S`` whose upper triangle ``ppr_kernel`` returns."""
+    return np.triu(upper) + np.triu(upper, 1).T
+
+
 class TestPPR:
     def test_matches_networkx_pagerank(self, tiny_snapshot):
         """score(u, v) must be pi_u(v) + pi_v(u) from networkx's
@@ -59,15 +64,40 @@ class TestPPR:
         assert a[0] == pytest.approx(b[0])
 
     def test_rows_sum_to_one(self, tiny_snapshot):
-        """Each row of the PPR matrix ``alpha * S D`` sums to one."""
+        """Each row of the PPR matrix ``alpha * S D`` sums to one, with
+        ``S`` mirrored from the kernel's upper triangle."""
         alpha = 0.15
-        s = ppr_kernel(tiny_snapshot, alpha)
+        s = mirrored(ppr_kernel(tiny_snapshot, alpha))
         rows = alpha * s @ tiny_snapshot.degree_array()
         assert rows == pytest.approx(np.ones(tiny_snapshot.num_nodes))
 
     def test_kernel_is_exactly_symmetric(self):
-        s = ppr_kernel(random_snapshot(40, 0.08, 11), 0.15)
+        """The mirrored triangle is exactly symmetric and is the inverse
+        of ``D - (1-alpha) A`` on both sides of the diagonal."""
+        alpha = 0.15
+        snapshot = random_snapshot(40, 0.08, 11)
+        s = mirrored(ppr_kernel(snapshot, alpha))
         assert np.array_equal(s, s.T)
+        system = -(1.0 - alpha) * snapshot.adjacency_matrix().toarray()
+        np.fill_diagonal(system, snapshot.degree_array())
+        np.testing.assert_allclose(s, np.linalg.inv(system), rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: random_snapshot(40, 0.08, 11),
+            lambda: view_with_isolated_node(random_snapshot(30, 0.12, 5))[0],
+        ],
+        ids=["random", "isolated-node view"],
+    )
+    def test_reversed_pairs_score_bitwise_equal(self, make):
+        """``score(u, v)`` and ``score(v, u)`` read one triangle entry."""
+        snapshot = make()
+        metric = get_metric("PPR").fit(snapshot)
+        pairs = candidate_pairs(snapshot, "all")
+        forward = metric.score(pairs)
+        backward = metric.score(pairs[:, ::-1].copy())
+        assert np.array_equal(forward.view(np.uint64), backward.view(np.uint64))
 
     def test_isolated_node_scores_zero(self):
         view, lonely = view_with_isolated_node(random_snapshot(30, 0.12, 5))

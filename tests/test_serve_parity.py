@@ -25,7 +25,10 @@ from repro.metrics.candidates import candidate_pairs
 from repro.metrics.local import DELTA_SCORES_KEY
 from repro.serve import ServeConfig, ServerHarness
 
-METRICS = ["CN", "AA", "RA", "PA", "JC", "SP", "LP", "Katz_sc", "PPR", "LRW"]
+METRICS = [
+    "CN", "AA", "RA", "PA", "JC", "SP", "LP", "Katz_sc", "PPR", "LRW", "Katz_lr",
+    "Rescal",
+]
 
 
 def batch_scores(trace, cutoff: int, metric_name: str) -> dict:
