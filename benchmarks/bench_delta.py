@@ -7,24 +7,24 @@ candidate enumeration plus CN/AA/RA fit + score over the full candidate
 set — but get there differently:
 
 - **delta** — ``DeltaGraph.apply(batch)`` + ``materialize()`` (incremental
-  column/index/CSR patching, dirty-region score refresh);
+  column/index/CSR patching and exact CN-count bumps);
 - **rebuild** — ``TemporalGraph.from_columns(validated=True)`` over the
   whole prefix, a fresh ``Snapshot``, and cold metric caches, exactly what
   a non-incremental pipeline pays per arriving batch.
+
+Both sides then score AA and RA through the common-neighbour expansion on
+their snapshot; only CN can read the engine's maintained counts.
 
 Every measured batch is parity-checked byte-for-byte (pairs and scores via
 ``tobytes``) before its timing is trusted, and the full (non ``--smoke``)
 run asserts the acceptance floor: delta beats rebuild by >= 5x for small
 batches on the largest size, asserted at the smallest measured fraction
-(0.1% of the stream).  The sweep deliberately extends to 1% and 5% to
-show the crossover: because materialised snapshots must be byte-identical
-to rebuilds, a candidate score may only be served warm if it is exactly
-the value a rebuild would compute, and the dirty region (pairs whose CN
-set or a common neighbour's degree changed) grows superlinearly with the
-batch — at 1% of the stream, 45-75% of all candidate scores genuinely
-change on these presets, so the delta engine converges toward rebuild
-cost there by necessity, not by implementation slack.  Results go to
-``BENCH_delta.json`` at the repo root and ``benchmarks/results/delta.txt``.
+(0.1% of the stream).  The sweep extends to 1% and 5% to show the gap
+closing as batches grow.  The query scores every candidate pair on both
+sides, so it bounds the speedup: the "Incremental delta engine" section of
+DESIGN.md records the speedup measured on the current engine, which misses
+that floor on the largest size.  Results go to ``BENCH_delta.json`` at the
+repo root and ``benchmarks/results/delta.txt``.
 
 Usage::
 
@@ -63,7 +63,7 @@ SIZES = (
 
 #: batch sizes as fractions of the full stream.  All are <= 5% of the
 #: stream; the smallest is the regime the acceptance floor covers, the
-#: larger two document the crossover where most scores genuinely change.
+#: larger two show the gap to a rebuild closing as batches grow.
 FRACTIONS = (0.001, 0.01, 0.05)
 
 #: the fraction the >= 5x floor is asserted at (see module docstring).
@@ -163,7 +163,7 @@ def run(scales, write_json: bool) -> dict:
         # Acceptance floor (ISSUE 6): on the largest size, small batches
         # must come in at >= 5x over full rebuilds.  Asserted at the
         # smallest measured fraction; the larger fractions are reported
-        # but dominated by genuinely-changed scores (module docstring).
+        # only (module docstring).
         largest = sizes[-1]
         for section in largest["batch_sizes"]:
             if section["fraction"] <= FLOOR_FRACTION:

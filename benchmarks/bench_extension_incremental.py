@@ -1,7 +1,6 @@
 """Extension bench: streaming vs batch candidate maintenance.
 
-``DeltaGraph(track_scores=("CN",))`` — the serving engine's configuration —
-maintains the 2-hop candidate set and its exact CN counts in
+``DeltaGraph()`` — the serving engine — maintains the 2-hop candidate set and its exact CN counts in
 ``O(deg(u) + deg(v))`` bump work per inserted edge; the batch pipeline
 re-enumerates the candidates per snapshot.  This bench streams the same
 edges through both and checks they agree — the point where streaming wins
@@ -21,7 +20,7 @@ def test_incremental_matches_batch_on_preset(networks, benchmark):
     trace = networks["facebook"].trace
 
     def stream_everything():
-        delta = DeltaGraph(track_scores=("CN",))
+        delta = DeltaGraph()
         delta.apply(trace.edges())
         return delta
 
@@ -45,7 +44,7 @@ def test_incremental_update_cost_is_local(networks, benchmark):
     trace = networks["facebook"].trace
     events = list(trace.edges())
     cut = int(len(events) * 0.9)
-    warm = DeltaGraph(track_scores=("CN",))
+    warm = DeltaGraph()
     warm.apply(events[:cut])
 
     def tail_updates():
@@ -63,7 +62,7 @@ def test_incremental_update_cost_is_local(networks, benchmark):
     # The rebuild wraps a copy so the shared session trace stays untouched.
     full_trace = copy.deepcopy(trace)
     t0 = time.perf_counter()
-    DeltaGraph(full_trace, track_scores=("CN",))
+    DeltaGraph(full_trace)
     full_time = time.perf_counter() - t0
     write_result(
         "extension_incremental_cost",

@@ -13,6 +13,7 @@ Training and evaluation follow the paper's three-snapshot protocol:
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +115,7 @@ class ClassificationPredictor:
         seed: "int | np.random.Generator | None" = None,
         log_features: bool = True,
     ) -> None:
+        self.rng = ensure_rng(seed)
         if isinstance(classifier, str):
             try:
                 factory = CLASSIFIERS[classifier]
@@ -121,7 +123,13 @@ class ClassificationPredictor:
                 raise KeyError(
                     f"unknown classifier {classifier!r}; choose from {sorted(CLASSIFIERS)}"
                 ) from None
-            self.classifier = factory()
+            # A randomised classifier (RF, AdaBoost, GBT) draws from a child
+            # of the predictor's generator; spawning leaves the parent's
+            # stream, and so the undersampling draws, untouched.
+            if "seed" in inspect.signature(factory).parameters:
+                self.classifier = factory(seed=self.rng.spawn(1)[0])
+            else:
+                self.classifier = factory()
             self.classifier_name = classifier
         else:
             self.classifier = classifier
@@ -129,7 +137,6 @@ class ClassificationPredictor:
         self.theta = theta
         self.extractor = FeatureExtractor(feature_names, log_transform=log_features)
         self.scaler = StandardScaler()
-        self.rng = ensure_rng(seed)
         self._trained = False
 
     # ------------------------------------------------------------------

@@ -14,24 +14,18 @@ updates every derived columnar structure in place instead of rebuilding:
 - CSR adjacency, degree, and last-activity columns, repaired only for the
   touched rows;
 - the unconnected 2-hop candidate set with exact common-neighbour counts,
-  maintained in ``O(deg(u) + deg(v))`` bump work per inserted edge;
-- cached CN/AA/RA score tables, refreshed lazily for the *dirty region*
-  only: pairs whose CN count changed, plus candidate pairs with both
-  endpoints adjacent to a node whose degree changed since the last flush
-  (a changed intermediate ``w`` of pair ``(a, b)`` implies ``a, b ∈ N(w)``,
-  so the union of changed-node neighbourhoods covers every stale score).
+  maintained in ``O(deg(u) + deg(v))`` bump work per inserted edge.
 
 ``materialize()`` returns a snapshot **byte-identical** to a full rebuild
 at the same cutoff — columns, CSR structure, candidate enumeration order,
-and metric scores.  Two properties make the score tables bitwise-stable
-rather than merely close: common-neighbour counts are maintained as exact
-integers (every float64 in ``A @ A`` is an integer below 2^53), and dirty
-AA/RA entries are recomputed through the kernel layer's common-neighbour
-expansion, which sums each pair's weights in the same order as the batch
-path's ``score_block`` (see :mod:`repro.metrics.kernels`).
-``tests/test_delta_equivalence.py`` enforces this on randomized streams.
+and metric scores.  CN is served from the maintained counts, which are
+exact integers (every float64 in ``A @ A`` is an integer below 2^53);
+every other metric, AA and RA included, scores on the materialised
+snapshot through the same kernels as the batch path
+(:mod:`repro.metrics.kernels`).  ``tests/test_delta_equivalence.py``
+enforces this on randomized streams.
 
-Candidate pairs and score tables are keyed by packed ``row * S + col``
+Candidate pairs are keyed by packed ``row * S + col``
 position keys (:data:`~repro.utils.pairs.PAIR_POSITION_SHIFT`): integer
 keys sort exactly like row-major ``(row, col)`` tuples, and because node
 insertion remaps positions *monotonically*, patching a key array after new
@@ -44,12 +38,10 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro import telemetry
 from repro.graph.dyngraph import StreamIndex, TemporalGraph
 from repro.graph.snapshots import Snapshot, _isin_sorted
-from repro.telemetry.metrics import SIZE_BUCKETS
 from repro.utils.pairs import (
     PAIR_POSITION_SHIFT,
     Pair,
@@ -57,24 +49,6 @@ from repro.utils.pairs import (
     decode_position_pairs,
     encode_position_pairs,
 )
-
-#: the float score tables the delta engine can keep warm, each a sum over
-#: common neighbours of a per-node weight function of
-#: :mod:`repro.metrics.local`, named here because that package imports this
-#: one (resolved by :func:`_score_weights`).
-_SCORE_WEIGHTS = {"AA": "inv_log_degree_weights", "RA": "inv_degree_weights"}
-#: names the delta engine can keep warm score tables for.
-TRACKABLE_SCORES = ("CN", *_SCORE_WEIGHTS)
-
-
-def _score_weights(
-    names: "Iterable[str]", degrees: np.ndarray
-) -> "dict[str, np.ndarray]":
-    """The per-node weight vector of each named float score table."""
-    from repro.metrics import local
-
-    return {name: getattr(local, _SCORE_WEIGHTS[name])(degrees) for name in names}
-
 
 @dataclass(frozen=True)
 class DeltaReport:
@@ -88,10 +62,6 @@ class DeltaReport:
     self_loops: int
     #: node ids first seen in this batch.
     new_nodes: int
-    #: candidate pairs currently awaiting a score refresh.
-    dirty_pairs: int
-    #: nodes whose degree changed since the last score flush.
-    dirty_nodes: int
     #: size of the maintained unconnected 2-hop candidate set.
     candidates: int
 
@@ -114,18 +84,7 @@ class DeltaGraph:
     structures from the event columns and cross-checks them.
     """
 
-    def __init__(
-        self,
-        trace: "TemporalGraph | None" = None,
-        *,
-        track_scores: "tuple[str, ...]" = TRACKABLE_SCORES,
-    ) -> None:
-        unknown = [n for n in track_scores if n not in TRACKABLE_SCORES]
-        if unknown:
-            raise ValueError(
-                f"untrackable score names {unknown}; choose from {TRACKABLE_SCORES}"
-            )
-        self._tracked = tuple(track_scores)
+    def __init__(self, trace: "TemporalGraph | None" = None) -> None:
         self.trace = trace if trace is not None else TemporalGraph()
         self._rebuild_from_trace()
 
@@ -153,13 +112,6 @@ class DeltaGraph:
             self._adj_keys = np.zeros(0, dtype=np.int64)
             self._cand_keys = np.zeros(0, dtype=np.int64)
             self._cand_cn = np.zeros(0, dtype=np.int64)
-            self._scores = {
-                name: np.zeros(0, dtype=np.float64)
-                for name in self._tracked
-                if name != "CN"
-            }
-            self._dirty = np.zeros(0, dtype=bool)
-            self._dirty_nodes: set[int] = set()
             return
         index = trace.stream_index()
         if len(index.node_ids) >= PAIR_POSITION_SHIFT:
@@ -180,56 +132,31 @@ class DeltaGraph:
         np.maximum.at(last, index.eu, self._ct)
         np.maximum.at(last, index.ev, self._ct)
         self._last_active = last
-        # Candidate set + warm score tables via the kernel expansion — the
-        # same descending-order accumulation the batch path's score_block
-        # performs (and, by the SMMP-order argument in repro.metrics.kernels,
-        # the same float additions as sampling A @ diag(w) @ A), so the
-        # seeded values are bitwise-canonical.  The chunked loop bounds the
-        # expansion's working set; no A^2 or weighted product is
-        # materialised during seeding.
+        # Candidate set + exact CN counts via the kernel expansion, in
+        # chunks that bound its working set; no A^2 is materialised.
         from repro.metrics.base import pairs_to_indices
         from repro.metrics.candidates import two_hop_pairs
         from repro.metrics.kernels import (
             block_pair_limit,
             common_neighbor_expansion,
             intersection_counts,
-            weighted_counts,
         )
 
         snap = Snapshot(trace, num_edges)
         pairs = two_hop_pairs(snap)
         rows, cols = pairs_to_indices(snap, pairs)
         self._cand_keys = encode_position_pairs(rows, cols)
-        # CN is served from the exact integer counts.
-        weight_vecs = _score_weights(
-            [name for name in self._tracked if name != "CN"],
-            self._deg.astype(np.float64),
-        )
         indptr, indices = snap.csr_structure()
         limit = block_pair_limit()
-        cn_parts: "list[np.ndarray]" = []
-        score_parts: "dict[str, list[np.ndarray]]" = {n: [] for n in weight_vecs}
+        cn_parts = [np.zeros(0, dtype=np.int64)]
         for start in range(0, len(rows), limit):
             r = rows[start : start + limit]
             c = cols[start : start + limit]
-            pair_ids, neighbors, _, _ = common_neighbor_expansion(
+            pair_ids, _, _, _ = common_neighbor_expansion(
                 indptr, indices, r, c, adj_keys=self._adj_keys
             )
-            cn_parts.append(intersection_counts(pair_ids, len(r)))
-            for name, w in weight_vecs.items():
-                score_parts[name].append(
-                    weighted_counts(pair_ids, neighbors, w, len(r))
-                )
-
-        def cat(parts: "list[np.ndarray]") -> np.ndarray:
-            if not parts:
-                return np.zeros(0, dtype=np.float64)
-            return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-        self._cand_cn = cat(cn_parts).astype(np.int64)
-        self._scores = {name: cat(parts) for name, parts in score_parts.items()}
-        self._dirty = np.zeros(len(self._cand_keys), dtype=bool)
-        self._dirty_nodes = set()
+            cn_parts.append(intersection_counts(pair_ids, len(r)).astype(np.int64))
+        self._cand_cn = np.concatenate(cn_parts)
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -249,8 +176,7 @@ class DeltaGraph:
     def __repr__(self) -> str:
         return (
             f"DeltaGraph(nodes={self.num_nodes}, edges={self.num_edges}, "
-            f"candidates={self.num_candidates}, "
-            f"dirty={int(np.count_nonzero(self._dirty))})"
+            f"candidates={self.num_candidates})"
         )
 
     def _check_in_sync(self) -> None:
@@ -276,11 +202,7 @@ class DeltaGraph:
         if telemetry.tracer.enabled:
             with telemetry.tracer.span("delta.apply", events=len(events)) as span:
                 report = self._apply(events)
-                span.set(
-                    applied=report.applied,
-                    new_nodes=report.new_nodes,
-                    dirty_pairs=report.dirty_pairs,
-                )
+                span.set(applied=report.applied, new_nodes=report.new_nodes)
         else:
             report = self._apply(events)
         if telemetry.metrics.enabled:
@@ -288,12 +210,6 @@ class DeltaGraph:
             telemetry.metrics.counter("delta.edges_skipped").inc(
                 report.duplicates + report.self_loops
             )
-            telemetry.metrics.histogram(
-                "delta.dirty_nodes", bounds=SIZE_BUCKETS
-            ).observe(report.dirty_nodes)
-            telemetry.metrics.histogram(
-                "delta.dirty_pairs", bounds=SIZE_BUCKETS
-            ).observe(report.dirty_pairs)
         return report
 
     def _apply(self, events: "list[tuple[int, int, float]]") -> DeltaReport:
@@ -319,7 +235,6 @@ class DeltaGraph:
         start_edges = trace.num_edges
         pending: dict[Pair, int] = {}
         removed: list[Pair] = []
-        applied_pairs: list[Pair] = []
         duplicates = self_loops = 0
         adj = trace._adj
         edge_times = trace._edge_times
@@ -346,7 +261,6 @@ class DeltaGraph:
             pending.pop(pair, None)
             removed.append(pair)
             trace.add_edge(u, v, t)
-            applied_pairs.append(pair)
 
         end_edges = trace.num_edges
         if end_edges == start_edges:
@@ -355,8 +269,6 @@ class DeltaGraph:
                 duplicates=duplicates,
                 self_loops=self_loops,
                 new_nodes=0,
-                dirty_pairs=int(np.count_nonzero(self._dirty)),
-                dirty_nodes=len(self._dirty_nodes),
                 candidates=len(self._cand_keys),
             )
 
@@ -437,9 +349,8 @@ class DeltaGraph:
         adj_keys = np.insert(adj_keys, np.searchsorted(adj_keys, added), added)
 
         # Candidate set: drop pairs that just became edges, then apply the
-        # collected CN bumps (new candidates enter dirty with score 0).
-        cand_cn, dirty = self._cand_cn, self._dirty
-        scores = self._scores
+        # collected CN bumps.
+        cand_cn = self._cand_cn
         if removed:
             removed_arr = np.asarray(removed, dtype=np.int64)
             removed_keys = encode_position_pairs(
@@ -457,10 +368,6 @@ class DeltaGraph:
             if len(drop):
                 cand_keys = np.delete(cand_keys, drop)
                 cand_cn = np.delete(cand_cn, drop)
-                dirty = np.delete(dirty, drop)
-                scores = {
-                    name: np.delete(arr, drop) for name, arr in scores.items()
-                }
         if pending:
             pend_arr = np.asarray(list(pending.keys()), dtype=np.int64)
             pend_delta = np.asarray(list(pending.values()), dtype=np.int64)
@@ -479,21 +386,11 @@ class DeltaGraph:
             )
             bump_at = pos[member]
             cand_cn[bump_at] += pend_delta[member]
-            dirty[bump_at] = True
             enter_keys = pend_keys[~member]
             if len(enter_keys):
                 enter_at = np.searchsorted(cand_keys, enter_keys)
                 cand_keys = np.insert(cand_keys, enter_at, enter_keys)
                 cand_cn = np.insert(cand_cn, enter_at, pend_delta[~member])
-                dirty = np.insert(dirty, enter_at, True)
-                scores = {
-                    name: np.insert(arr, enter_at, 0.0)
-                    for name, arr in scores.items()
-                }
-
-        for a, b in applied_pairs:
-            self._dirty_nodes.add(a)
-            self._dirty_nodes.add(b)
 
         # Commit and re-install the trace-level caches so every Snapshot
         # built on this trace sees the incrementally maintained columns.
@@ -501,8 +398,7 @@ class DeltaGraph:
         self._eu, self._ev, self._first_seen = eu, ev, first_seen
         self._deg, self._last_active = deg, last_active
         self._adj_keys = adj_keys
-        self._cand_keys, self._cand_cn, self._dirty = cand_keys, cand_cn, dirty
-        self._scores = scores
+        self._cand_keys, self._cand_cn = cand_keys, cand_cn
         self.trace._install_stream_caches(
             (self._cu, self._cv, self._ct),
             StreamIndex(self._node_ids, eu, ev, first_seen),
@@ -512,89 +408,15 @@ class DeltaGraph:
             duplicates=duplicates,
             self_loops=self_loops,
             new_nodes=len(fresh),
-            dirty_pairs=int(np.count_nonzero(dirty)),
-            dirty_nodes=len(self._dirty_nodes),
             candidates=len(cand_keys),
         )
 
-    # ------------------------------------------------------------------
-    # Score flush (lazy: runs on materialize / explicit flush)
-    # ------------------------------------------------------------------
     def _csr_parts(self) -> tuple[np.ndarray, np.ndarray]:
         """Maintained CSR ``(indptr, indices)`` over node positions."""
         indptr = np.concatenate(
             (np.zeros(1, dtype=np.int64), np.cumsum(self._deg, dtype=np.int64))
         )
-        return indptr, self._adj_keys % PAIR_POSITION_SHIFT
-
-    def flush_scores(self) -> int:
-        """Refresh the float score tables for the dirty region; returns its size.
-
-        CN needs no refresh (``apply`` keeps its exact counts current), so
-        an engine tracking no float table only clears the dirty flags and
-        returns 0.
-
-        The dirty region is *exact*: pairs explicitly CN-bumped since the
-        last flush, plus pairs with a changed-degree node among their
-        common neighbours — found by sampling ``(A[W])^T (A[W])``, whose
-        ``(a, b)`` entry counts changed nodes adjacent to both ``a`` and
-        ``b`` (edges are only added, so a changed common neighbour is
-        adjacent to both endpoints after the batch too).  Entries are
-        recomputed through the kernel layer's common-neighbour expansion
-        over the maintained CSR, whose descending-order accumulation is
-        bitwise identical to the corresponding full-product entries (see
-        :mod:`repro.metrics.kernels`).
-        """
-        tracked = [name for name in self._tracked if name != "CN"]
-        refreshed = 0
-        mask = self._dirty
-        num_cand = len(self._cand_keys)
-        if tracked and num_cand and (mask.any() or self._dirty_nodes):
-            indptr, indices = self._csr_parts()
-            if self._dirty_nodes:
-                changed = np.asarray(sorted(self._dirty_nodes), dtype=np.int64)
-                positions = np.searchsorted(self._node_ids, changed)
-                matrix = sp.csr_matrix(
-                    (np.ones(len(indices), dtype=np.float64), indices, indptr),
-                    shape=(self.num_nodes, self.num_nodes),
-                )
-                changed_rows = matrix[positions]
-                covered = sp.triu(
-                    (changed_rows.T @ changed_rows).tocsr(), k=1
-                ).tocoo()
-                live = covered.data > 0  # guard explicit zeros
-                if np.any(live):
-                    keys = encode_position_pairs(
-                        covered.row[live], covered.col[live]
-                    )
-                    pos = np.searchsorted(self._cand_keys, keys)
-                    safe = np.minimum(pos, num_cand - 1)
-                    member = (pos < num_cand) & (
-                        self._cand_keys[safe] == keys
-                    )
-                    mask[pos[member]] = True
-            refreshed = int(np.count_nonzero(mask))
-            if refreshed:
-                from repro.metrics.kernels import (
-                    common_neighbor_expansion,
-                    weighted_counts,
-                )
-
-                dirty_rows, dirty_cols = decode_position_pairs(
-                    self._cand_keys[mask]
-                )
-                pair_ids, neighbors, _, _ = common_neighbor_expansion(
-                    indptr, indices, dirty_rows, dirty_cols,
-                    adj_keys=self._adj_keys,
-                )
-                weight_vecs = _score_weights(tracked, self._deg.astype(np.float64))
-                for name, weights in weight_vecs.items():
-                    self._scores[name][mask] = weighted_counts(
-                        pair_ids, neighbors, weights, refreshed
-                    )
-        self._dirty = np.zeros(num_cand, dtype=bool)
-        self._dirty_nodes.clear()
-        return refreshed
+        return indptr, decode_position_pairs(self._adj_keys)[1]
 
     # ------------------------------------------------------------------
     # materialize()
@@ -605,7 +427,7 @@ class DeltaGraph:
         Byte-identical to ``Snapshot(rebuilt_trace, num_edges)`` plus its
         lazily built structure and metric caches: node table, position
         columns, CSR adjacency, candidate enumeration (``pairs_two_hop``),
-        CN/AA/RA score tables, and the vectorised idle-time column.  The
+        the CN counts, and the vectorised idle-time column.  The
         candidates go over as the engine's packed keys, validated (a
         corrupted array raises here) and decoded once by
         :func:`~repro.metrics.candidates.seed_candidate_cache`.
@@ -623,7 +445,6 @@ class DeltaGraph:
         return self._materialize()
 
     def _materialize(self) -> Snapshot:
-        self.flush_scores()
         snapshot = Snapshot(self.trace, self.num_edges)
         snapshot._ids = self._node_ids
         snapshot._iu = self._eu
@@ -636,12 +457,10 @@ class DeltaGraph:
         from repro.metrics.local import DELTA_SCORES_KEY
 
         seed_candidate_cache(snapshot, self._cand_keys)
-        table: dict = {"keys": self._cand_keys.copy()}
-        if "CN" in self._tracked:
-            table["CN"] = self._cand_cn.astype(np.float64)
-        for name, values in self._scores.items():
-            table[name] = values.copy()
-        snapshot.cache[DELTA_SCORES_KEY] = table
+        snapshot.cache[DELTA_SCORES_KEY] = {
+            "keys": self._cand_keys.copy(),
+            "CN": self._cand_cn.astype(np.float64),
+        }
         # now - last is exactly the activity kernel's subtraction; every
         # stream node has an edge at or before the snapshot time, so the
         # never-active fallback cannot trigger at full cutoff.
@@ -659,10 +478,9 @@ class DeltaGraph:
 
     def __getstate__(self) -> dict:
         # The trace's compact stream pickle is the whole state; every
-        # maintained array is re-derived (bitwise, by the flush/product
-        # equivalence) on load, which also folds in any pending dirtiness.
-        return {"trace": self.trace, "track_scores": self._tracked}
+        # maintained array is re-derived (bitwise) on load.
+        return {"trace": self.trace}
 
     def __setstate__(self, state: dict) -> None:
-        self.__init__(state["trace"], track_scores=state["track_scores"])
+        self.__init__(state["trace"])
 

@@ -495,8 +495,8 @@ def blocks_for(snapshot: Snapshot, pairs: np.ndarray) -> "list[CandidateBlock]":
     cached on the snapshot, so expansions computed while scoring the first
     metric are reused by all later ones.  A candidate set at or below the
     block limit stays a single block wrapping the original array object —
-    preserving identity fast paths downstream (e.g. the delta engine's
-    warm-table shortcut).
+    preserving identity fast paths downstream (e.g. CN reading the delta
+    engine's counts for the snapshot's own candidate array).
     """
     limit = block_pair_limit()
 

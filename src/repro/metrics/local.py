@@ -32,8 +32,6 @@ def inv_log_degree_weights(deg: np.ndarray) -> np.ndarray:
 
     A degree-1 node can never be a common neighbour of a distinct pair, so
     zeroing it changes no pair score while avoiding division by log(1)=0.
-    Shared with the delta engine so both sides build bit-identical weight
-    vectors from the same degree column.
     """
     out = np.zeros_like(deg)
     mask = deg > 1
@@ -49,39 +47,25 @@ def inv_degree_weights(deg: np.ndarray) -> np.ndarray:
     return out
 
 
-def _safe_inv_log_degree(snapshot: Snapshot) -> np.ndarray:
-    return inv_log_degree_weights(degrees(snapshot))
-
-
-def _safe_inv_degree(snapshot: Snapshot) -> np.ndarray:
-    return inv_degree_weights(degrees(snapshot))
-
-
-#: snapshot-cache key under which the delta engine seeds warm score tables:
-#: ``{"keys": sorted packed position keys, "<metric>": float64 scores}``.
+#: snapshot-cache key under which the delta engine seeds its CN counts:
+#: ``{"keys": sorted packed position keys, "CN": float64 counts}``.
 DELTA_SCORES_KEY = "delta_scores"
 
 
-def has_delta_scores(snapshot: Snapshot, name: str) -> bool:
-    """True when the snapshot carries a delta-maintained table for ``name``."""
-    table = snapshot.cache.get(DELTA_SCORES_KEY)
-    return table is not None and name in table
-
-
 def delta_backed_scores(
-    snapshot: Snapshot, name: str, pairs: np.ndarray
+    snapshot: Snapshot, pairs: np.ndarray
 ) -> "np.ndarray | None":
-    """Serve pair scores from the delta engine's warm table, if possible.
+    """Serve CN scores from the delta engine's maintained counts, if possible.
 
-    Returns None — and the caller computes the scores from the block's
-    common-neighbour expansion — when the snapshot has no table for
-    ``name``, a pair's endpoint is unknown, or a pair is missing from the
+    Returns None — and the caller counts from the block's common-neighbour
+    expansion — when the snapshot was not materialised by the delta
+    engine, a pair's endpoint is unknown, or a pair is missing from the
     table (the table covers exactly the 2-hop candidate set; anything
-    outside it scores 0 on these metrics, but the expansion handles
-    arbitrary pairs uniformly, so it keeps that job).
+    outside it scores 0, but the expansion handles arbitrary pairs
+    uniformly, so it keeps that job).
     """
     table = snapshot.cache.get(DELTA_SCORES_KEY)
-    if table is None or name not in table:
+    if table is None:
         return None
     # Fast path: scoring the snapshot's own candidate enumeration — the
     # overwhelmingly common call — needs no key lookup at all, because the
@@ -89,7 +73,7 @@ def delta_backed_scores(
     if pairs is snapshot.cache.get("pairs_two_hop") and len(pairs) == len(
         table["keys"]
     ):
-        return table[name].copy()
+        return table["CN"].copy()
     from repro.utils.pairs import encode_position_pairs
 
     try:
@@ -102,7 +86,7 @@ def delta_backed_scores(
     safe = np.minimum(pos, max(len(keys) - 1, 0))
     if len(keys) == 0 or not np.all(keys[safe] == wanted):
         return None
-    return np.ascontiguousarray(table[name][safe])
+    return np.ascontiguousarray(table["CN"][safe])
 
 
 @register
@@ -118,7 +102,7 @@ class CommonNeighbors(SimilarityMetric):
 
     def score_block(self, block) -> np.ndarray:
         snapshot = self._require_fit()
-        warm = delta_backed_scores(snapshot, self.name, block.pairs)
+        warm = delta_backed_scores(snapshot, block.pairs)
         if warm is not None:
             return warm
         return block.counts().copy()
@@ -154,14 +138,11 @@ class AdamicAdar(SimilarityMetric):
 
     def fit(self, snapshot: Snapshot) -> "AdamicAdar":
         self.snapshot = snapshot
-        self._weights = _safe_inv_log_degree(snapshot)
+        self._weights = inv_log_degree_weights(degrees(snapshot))
         return self
 
     def score_block(self, block) -> np.ndarray:
-        snapshot = self._require_fit()
-        warm = delta_backed_scores(snapshot, self.name, block.pairs)
-        if warm is not None:
-            return warm
+        self._require_fit()
         return block.weighted(self._weights, self.name).copy()
 
 
@@ -174,12 +155,9 @@ class ResourceAllocation(SimilarityMetric):
 
     def fit(self, snapshot: Snapshot) -> "ResourceAllocation":
         self.snapshot = snapshot
-        self._weights = _safe_inv_degree(snapshot)
+        self._weights = inv_degree_weights(degrees(snapshot))
         return self
 
     def score_block(self, block) -> np.ndarray:
-        snapshot = self._require_fit()
-        warm = delta_backed_scores(snapshot, self.name, block.pairs)
-        if warm is not None:
-            return warm
+        self._require_fit()
         return block.weighted(self._weights, self.name).copy()

@@ -25,7 +25,7 @@ array; SP, LP and Katz_sc compute the node's row of their path matrix,
 and LRW the node's row and column of ``P^m``, instead of the whole
 matrix.  The engine keeps only the exact CN counts warm; AA and RA
 score a read's few hundred pairs through the common-neighbour
-expansion, so no write pays to refresh float tables.
+expansion, so a write refreshes no float score table.
 """
 
 from __future__ import annotations
@@ -66,17 +66,6 @@ class StoreWriteError(RuntimeError):
     """A write failed after screening (apply error or failed audit)."""
 
 
-def _serving_engine(trace: TemporalGraph) -> DeltaGraph:
-    """The store's delta engine: it keeps only the exact CN counts warm.
-
-    A read scores AA/RA for its few hundred pairs through the
-    common-neighbour expansion, which is bitwise the float tables the
-    engine could keep; refreshing those tables over each write's dirty
-    region would cost more than every read between two writes saves.
-    """
-    return DeltaGraph(trace, track_scores=("CN",))
-
-
 class ScoreStore:
     """Serving-side state: a delta engine plus its last-good snapshot.
 
@@ -103,7 +92,7 @@ class ScoreStore:
         #: when set, accepted batches are WAL-logged before they are
         #: applied, so an ack always implies a replayable record.
         self.durability = durability
-        self._engine = _serving_engine(trace)
+        self._engine = DeltaGraph(trace)
         self._snapshot = self._engine.materialize()
         self._batches_accepted = 0
         self._poisoned = False
@@ -270,7 +259,7 @@ class ScoreStore:
         if not self._poisoned:
             return
         good = self._snapshot
-        self._engine = _serving_engine(good.trace.prefix(good.num_edges))
+        self._engine = DeltaGraph(good.trace.prefix(good.num_edges))
         self._snapshot = self._engine.materialize()
         self._poisoned = False
 

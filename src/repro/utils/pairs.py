@@ -15,11 +15,12 @@ import numpy as np
 Pair = tuple[int, int]
 
 #: Packing base for position-pair keys: ``key = row * SHIFT + col``.  The
-#: delta engine (:mod:`repro.graph.delta`) and its score tables use these
-#: keys because, with both positions below the shift, integer keys sort
-#: exactly like ``(row, col)`` tuples — the row-major order candidate
-#: enumeration guarantees — while staying safely inside int64.
-PAIR_POSITION_SHIFT = 1 << 31
+#: delta engine (:mod:`repro.graph.delta`) keys its adjacency and candidate
+#: table this way because, with both positions below the shift, integer
+#: keys sort exactly like ``(row, col)`` tuples — the row-major order
+#: candidate enumeration guarantees — while staying safely inside int64.
+PAIR_POSITION_BITS = 31
+PAIR_POSITION_SHIFT = 1 << PAIR_POSITION_BITS
 
 
 def encode_position_pairs(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -34,9 +35,13 @@ def encode_position_pairs(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def decode_position_pairs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`encode_position_pairs`: ``(rows, cols)`` arrays."""
+    """Inverse of :func:`encode_position_pairs`: ``(rows, cols)`` arrays.
+
+    The shift is a power of two, so the arithmetic shift and the mask equal
+    ``//`` and ``%`` for every int64 key, negative ones included.
+    """
     keys = np.asarray(keys, dtype=np.int64)
-    return keys // PAIR_POSITION_SHIFT, keys % PAIR_POSITION_SHIFT
+    return keys >> PAIR_POSITION_BITS, keys & (PAIR_POSITION_SHIFT - 1)
 
 
 def canonical_pair(u: int, v: int) -> Pair:

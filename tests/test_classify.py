@@ -13,7 +13,7 @@ from repro.classify import (
 from repro.classify.sampling import true_imbalance
 from repro.eval.experiment import prediction_steps
 from repro.metrics import CLASSIFIER_FEATURES
-from repro.metrics.candidates import all_nonedge_pairs
+from repro.metrics.candidates import all_nonedge_pairs, two_hop_pairs
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +186,20 @@ class TestClassificationPredictor:
         pred.train(instance.train_view, instance.label_view)
         with pytest.raises(RuntimeError, match="coefficients"):
             pred.feature_weights()
+
+    def test_equal_seeds_give_equal_forest_scores(self, instance):
+        scores = []
+        for _ in range(2):
+            pred = ClassificationPredictor("RF", theta=1 / 20, seed=7)
+            pred.train(instance.train_view, instance.label_view)
+            pairs = two_hop_pairs(instance.test_view)
+            scores.append(pred.score_pairs(instance.test_view, pairs))
+        assert scores[0].tobytes() == scores[1].tobytes()
+
+    def test_forest_seed_leaves_undersampling_stream(self):
+        pred = ClassificationPredictor("RF", seed=7)
+        fresh = np.random.default_rng(7)
+        assert pred.rng.random(4).tobytes() == fresh.random(4).tobytes()
 
     def test_unknown_classifier(self):
         with pytest.raises(KeyError, match="unknown classifier"):

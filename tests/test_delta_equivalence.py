@@ -122,6 +122,8 @@ class TestByteIdentity:
     @given(chunked_traces())
     @settings(max_examples=60, deadline=None)
     def test_identical_after_every_batch(self, stream_and_chunks):
+        """The engine keeps only CN counts; AA/RA/JC score through the
+        expansion on the materialised snapshot and still match."""
         _, chunks = stream_and_chunks
         delta = DeltaGraph()
         for chunk in chunks:
@@ -130,24 +132,6 @@ class TestByteIdentity:
             assert report.ok, report.summary()
             if delta.num_edges:
                 assert_byte_identical(delta)
-
-    @given(chunked_traces())
-    @settings(max_examples=40, deadline=None)
-    def test_cn_only_engine_identical_after_every_batch(self, stream_and_chunks):
-        """The serving engine's configuration: no float tables to refresh.
-
-        AA/RA then score through the expansion on the materialised
-        snapshot, and a flush only clears the dirty flags.
-        """
-        _, chunks = stream_and_chunks
-        delta = DeltaGraph(track_scores=("CN",))
-        for chunk in chunks:
-            delta.apply(chunk)
-            assert delta.audit().ok
-            if delta.num_edges:
-                assert_byte_identical(delta)
-                assert not delta._dirty.any() and not delta._dirty_nodes
-                assert delta._scores == {}
 
     @given(traces())
     @settings(max_examples=40, deadline=None)
@@ -164,7 +148,8 @@ class TestByteIdentity:
     @given(traces())
     @settings(max_examples=40, deadline=None)
     def test_delta_backed_scores_match_matrix_path(self, stream):
-        """The seeded score tables == the matrix oracle, per pair."""
+        """Scores on the materialised snapshot == the matrix oracle, per
+        pair: CN from the seeded counts, AA/RA through the expansion."""
         delta = DeltaGraph()
         delta.apply(stream)
         if not delta.num_edges:
@@ -334,23 +319,3 @@ class TestBatchHygiene:
         with pytest.raises(ValueError, match="empty stream"):
             DeltaGraph().materialize()
 
-    def test_unknown_track_scores_rejected(self):
-        with pytest.raises(ValueError, match="untrackable"):
-            DeltaGraph(track_scores=("CN", "katz"))
-
-    def test_cn_only_tracking_skips_float_tables(self):
-        delta = DeltaGraph(track_scores=("CN",))
-        delta.apply([(1, 2, 0.0), (2, 3, 1.0), (3, 4, 2.0)])
-        assert delta._scores == {}
-        assert delta.audit().ok
-        snap = delta.materialize()
-        ref = rebuilt_snapshot(delta.trace)
-        pairs = two_hop_pairs(snap)
-        got = get_metric("CN").fit(snap).score(pairs)
-        want = get_metric("CN").fit(ref).score(two_hop_pairs(ref))
-        assert got.tobytes() == want.tobytes()
-        # AA has no warm table here, so it must fall back to the
-        # expansion — and still agree with the rebuild.
-        got_aa = get_metric("AA").fit(snap).score(pairs)
-        want_aa = get_metric("AA").fit(ref).score(two_hop_pairs(ref))
-        assert got_aa.tobytes() == want_aa.tobytes()

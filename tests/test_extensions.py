@@ -126,12 +126,12 @@ class TestWeightedMetrics:
 
 
 class TestIncrementalNeighborhood:
-    """The streaming CN maintainer (``DeltaGraph(track_scores=("CN",))``)
-    agrees with the batch 2-hop enumeration and CN scores."""
+    """The streaming CN maintainer (``DeltaGraph()``) agrees with the
+    batch 2-hop enumeration and CN scores."""
 
     @staticmethod
     def _assert_matches_batch(trace, snapshot):
-        delta = DeltaGraph(track_scores=("CN",))
+        delta = DeltaGraph()
         delta.apply(trace.edges())
         streamed = delta.materialize()
         batch = two_hop_pairs(snapshot)

@@ -205,11 +205,6 @@ class TestDeltaAudit:
         at = int(np.searchsorted(delta._cand_keys, key))
         delta._cand_keys = np.insert(delta._cand_keys, at, key)
         delta._cand_cn = np.insert(delta._cand_cn, at, 1)
-        delta._dirty = np.insert(delta._dirty, at, False)
-        delta._scores = {
-            name: np.insert(arr, at, 0.0)
-            for name, arr in delta._scores.items()
-        }
         assert "delta_candidates" in violated(delta.audit())
 
     def test_wrong_cn_count(self, delta):

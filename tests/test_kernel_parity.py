@@ -16,8 +16,8 @@ checks:
 - parity survives multi-block splitting (small REPRO_KERNEL_BLOCK_PAIRS);
 - the sparse and dense candidate enumerations produce identical arrays
   (hypothesis-driven);
-- the delta engine's expansion-based seeding and dirty-pair rescoring
-  stay bitwise-equal to a from-scratch rebuild;
+- a snapshot the delta engine materialised after a batch scores
+  CN/AA/RA bitwise-equal to a from-scratch rebuild;
 - the serving read path returns kernel-routed scores equal to the
   oracle's;
 - WCN/WAA/WRA match their weighted matrix product for alpha in
@@ -99,9 +99,10 @@ def dense_snapshot() -> Snapshot:
 def delta_snapshot(sparse_snapshot) -> Snapshot:
     """The sparse graph again, materialised by the delta engine.
 
-    Its CN/AA/RA scores come from the engine's warm tables, so scoring
+    Its CN scores come from the engine's maintained counts, so scoring
     anything but the snapshot's own candidate array goes through the
-    table's key lookup (and back to the expansion for pairs it lacks).
+    table's key lookup (and back to the expansion for pairs it lacks);
+    AA and RA score through the expansion.
     """
     events = list(sparse_snapshot.trace.edges())
     delta = DeltaGraph(TemporalGraph.from_stream(events[:-5]))
@@ -241,7 +242,7 @@ class TestEnumerationStrategies:
 
 
 class TestDeltaRoute:
-    """Expansion-based seeding / dirty rescoring == from-scratch rebuild."""
+    """Delta-materialised scores after a batch == from-scratch rebuild."""
 
     @settings(max_examples=10, deadline=None)
     @given(

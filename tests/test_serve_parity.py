@@ -107,8 +107,8 @@ class TestServeBatchParity:
     def test_parity_survives_online_ingest(self, small_facebook):
         """Serving a prefix then POSTing the rest == batch on the full trace.
 
-        The store's engine keeps no AA/RA float tables, so after the write
-        those two score through the expansion on the served snapshot.
+        The store's engine keeps only CN counts, so after the write AA and
+        RA score through the expansion on the served snapshot.
         """
         trace = small_facebook
         cutoff = trace.num_edges // 2
@@ -127,7 +127,7 @@ class TestServeBatchParity:
             assert response.status == 200, response.body
             assert response.json()["applied"] == trace.num_edges - cutoff
             table = harness.store.snapshot.cache[DELTA_SCORES_KEY]
-            assert "CN" in table and "AA" not in table and "RA" not in table
+            assert set(table) == {"keys", "CN"}
             compared = assert_parity(
                 harness, trace, trace.num_edges, nodes
             )

@@ -2,8 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.utils.pairs import canonical_pair, pair_array, pair_set
+from repro.utils.pairs import (
+    PAIR_POSITION_SHIFT,
+    canonical_pair,
+    decode_position_pairs,
+    pair_array,
+    pair_set,
+)
+
+INT64 = np.iinfo(np.int64)
 
 
 class TestCanonicalPair:
@@ -43,3 +53,29 @@ class TestPairArray:
         arr = pair_array([])
         assert arr.shape == (0, 2)
         assert arr.dtype == np.int64
+
+
+class TestPositionKeys:
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(INT64.min, INT64.max),
+                st.sampled_from(
+                    [INT64.min, INT64.min + 1, -PAIR_POSITION_SHIFT - 1,
+                     -PAIR_POSITION_SHIFT, -1, 0, PAIR_POSITION_SHIFT - 1,
+                     PAIR_POSITION_SHIFT, INT64.max - 1, INT64.max]
+                ),
+            ),
+            max_size=50,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_decode_equals_divmod_over_all_int64(self, keys):
+        """Shift-and-mask decoding is bitwise ``np.divmod`` by the shift,
+        negative keys included."""
+        keys = np.asarray(keys, dtype=np.int64)
+        rows, cols = decode_position_pairs(keys)
+        want_rows, want_cols = np.divmod(keys, PAIR_POSITION_SHIFT)
+        assert rows.dtype == cols.dtype == np.int64
+        assert rows.tobytes() == want_rows.tobytes()
+        assert cols.tobytes() == want_cols.tobytes()
