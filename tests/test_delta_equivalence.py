@@ -122,8 +122,6 @@ class TestByteIdentity:
     @given(chunked_traces())
     @settings(max_examples=60, deadline=None)
     def test_identical_after_every_batch(self, stream_and_chunks):
-        """The engine keeps only CN counts; AA/RA/JC score through the
-        expansion on the materialised snapshot and still match."""
         _, chunks = stream_and_chunks
         delta = DeltaGraph()
         for chunk in chunks:
@@ -132,6 +130,29 @@ class TestByteIdentity:
             assert report.ok, report.summary()
             if delta.num_edges:
                 assert_byte_identical(delta)
+
+    @given(chunked_traces())
+    @settings(max_examples=40, deadline=None)
+    def test_cn_only_engine_identical_after_every_batch(self, stream_and_chunks):
+        """The engine keeps only CN counts: no float score tables.
+
+        The seeded score cache carries the candidate keys and CN alone;
+        AA/RA/JC score through the expansion on the materialised
+        snapshot and still match the rebuild byte for byte.
+        """
+        from repro.metrics.local import DELTA_SCORES_KEY
+
+        _, chunks = stream_and_chunks
+        delta = DeltaGraph()
+        for chunk in chunks:
+            delta.apply(chunk)
+            assert delta.audit().ok
+            if delta.num_edges:
+                assert_byte_identical(delta)
+                seeded = delta.materialize().cache[DELTA_SCORES_KEY]
+                assert set(seeded) == {"keys", "CN"}
+                assert delta._cand_cn.dtype == np.int64
+                assert len(delta._cand_cn) == len(delta._cand_keys)
 
     @given(traces())
     @settings(max_examples=40, deadline=None)
