@@ -237,7 +237,8 @@ def audit_delta(delta) -> AuditReport:
     ``first_seen`` fires ``first_seen_consistent``), then cross-checks
     every delta-owned structure against a from-scratch recompute off the
     event columns: cache installation, CSR adjacency keys, degrees,
-    last-activity column, and the candidate set with its CN counts.
+    last-activity column, the candidate set with its CN counts, and the
+    per-node triangle counts.
     """
     import scipy.sparse as sp
 
@@ -322,7 +323,8 @@ def audit_delta(delta) -> AuditReport:
             ),
             shape=(n, n),
         )
-        product = sp.triu(matrix @ matrix, k=1).tocoo()
+        square = matrix @ matrix
+        product = sp.triu(square, k=1).tocoo()
         rows, cs, vals = product.row, product.col, product.data
         if len(rows):
             connected = np.asarray(matrix[rows, cs]).ravel() > 0
@@ -345,6 +347,20 @@ def audit_delta(delta) -> AuditReport:
                 f"({len(delta._cand_keys)} pairs, expected {len(expected_cand)})"
             ),
         )
+
+        # -- per-node triangle counts: diag(A^3) / 2 --------------------
+        expected_tri = (
+            np.asarray(square.multiply(matrix).sum(axis=1)).ravel().astype(np.int64)
+            // 2
+        )
+        _check(
+            report, "delta_triangle_counts",
+            not (
+                len(delta._tri) == n
+                and np.array_equal(delta._tri, expected_tri)
+            ),
+            lambda _i: "maintained triangle counts diverge from the stream",
+        )
     else:
         report.checks_run.extend(
             [
@@ -352,6 +368,7 @@ def audit_delta(delta) -> AuditReport:
                 "delta_degrees",
                 "delta_last_active",
                 "delta_candidates",
+                "delta_triangle_counts",
             ]
         )
     return report

@@ -14,14 +14,18 @@ updates every derived columnar structure in place instead of rebuilding:
 - CSR adjacency, degree, and last-activity columns, repaired only for the
   touched rows;
 - the unconnected 2-hop candidate set with exact common-neighbour counts,
-  maintained in ``O(deg(u) + deg(v))`` bump work per inserted edge.
+  maintained in ``O(deg(u) + deg(v))`` bump work per inserted edge;
+- the number of triangles through each node: an inserted edge ``(a, b)``
+  closes one triangle per common neighbour ``z``, found by the same walk
+  that collects the candidate bumps.
 
 ``materialize()`` returns a snapshot **byte-identical** to a full rebuild
 at the same cutoff — columns, CSR structure, candidate enumeration order,
-and metric scores.  CN is served from the maintained counts, which are
-exact integers (every float64 in ``A @ A`` is an integer below 2^53);
-every other metric, AA and RA included, scores on the materialised
-snapshot through the same kernels as the batch path
+and metric scores.  CN is served from the maintained counts and the
+BCN/BAA/BRA role function reads the maintained triangle counts; both are
+exact integers (every float64 in ``A @ A`` or ``diag(A^3) / 2`` is an
+integer below 2^53).  Every other metric, AA and RA included, scores on
+the materialised snapshot through the same kernels as the batch path
 (:mod:`repro.metrics.kernels`).  ``tests/test_delta_equivalence.py``
 enforces this on randomized streams.
 
@@ -78,8 +82,9 @@ class DeltaGraph:
     ``_node_ids`` table; ``_adj_keys`` holds the *doubled* adjacency as
     sorted packed keys (one ``row*S+col`` per direction — exactly the CSR
     ``indices`` column with its ``indptr`` implied by ``cumsum(_deg)``),
-    and ``_cand_keys``/``_cand_cn`` the sorted unconnected 2-hop pairs
-    with exact common-neighbour counts.  The graph-integrity auditor
+    ``_cand_keys``/``_cand_cn`` the sorted unconnected 2-hop pairs
+    with exact common-neighbour counts, and ``_tri`` the triangles through
+    each node.  The graph-integrity auditor
     (:func:`repro.graph.audit.audit_delta`) recomputes every one of these
     structures from the event columns and cross-checks them.
     """
@@ -108,6 +113,7 @@ class DeltaGraph:
             self._ev = empty_i
             self._first_seen = empty_i
             self._deg = np.zeros(0, dtype=np.int64)
+            self._tri = np.zeros(0, dtype=np.int64)
             self._last_active = np.zeros(0, dtype=np.float64)
             self._adj_keys = np.zeros(0, dtype=np.int64)
             self._cand_keys = np.zeros(0, dtype=np.int64)
@@ -140,9 +146,11 @@ class DeltaGraph:
             block_pair_limit,
             common_neighbor_expansion,
             intersection_counts,
+            node_triangle_counts,
         )
 
         snap = Snapshot(trace, num_edges)
+        self._tri = node_triangle_counts(snap).astype(np.int64)
         pairs = two_hop_pairs(snap)
         rows, cols = pairs_to_indices(snap, pairs)
         self._cand_keys = encode_position_pairs(rows, cols)
@@ -228,12 +236,15 @@ class DeltaGraph:
                 )
             last = t
 
-        # -- phase 1: sequential stream insertion + CN bump collection ----
+        # -- phase 1: stream insertion + CN and triangle bump collection --
         # Bumps are gathered against the *live* dict adjacency before each
         # insertion (a new edge (u, v) creates a 2-path u-v-x per existing
-        # neighbour x of v, and v-u-x per neighbour x of u).
+        # neighbour x of v, and v-u-x per neighbour x of u).  A neighbour
+        # x of b whose pair (a, x) is already an edge is a common neighbour
+        # z: the new edge closes the triangle (a, b, z).
         start_edges = trace.num_edges
         pending: dict[Pair, int] = {}
+        closed: dict[int, int] = {}
         removed: list[Pair] = []
         duplicates = self_loops = 0
         adj = trace._adj
@@ -247,11 +258,18 @@ class DeltaGraph:
                 duplicates += 1
                 continue
             a, b = pair
+            common = 0
             for x in adj.get(b, ()):
                 if x != a:
                     p = canonical_pair(a, x)
                     if p not in edge_times:
                         pending[p] = pending.get(p, 0) + 1
+                    else:
+                        closed[x] = closed.get(x, 0) + 1
+                        common += 1
+            if common:
+                closed[a] = closed.get(a, 0) + common
+                closed[b] = closed.get(b, 0) + common
             for x in adj.get(a, ()):
                 if x != b:
                     p = canonical_pair(b, x)
@@ -306,12 +324,13 @@ class DeltaGraph:
                 r, c = decode_position_pairs(cand_keys)
                 cand_keys = encode_position_pairs(old_to_new[r], old_to_new[c])
             deg = np.insert(self._deg, insert_at, 0)
+            tri = np.insert(self._tri, insert_at, 0)
             last_active = np.insert(self._last_active, insert_at, -np.inf)
             old_positions = old_to_new
         else:
             node_ids = self._node_ids
             eu, ev = self._eu, self._ev
-            deg, last_active = self._deg, self._last_active
+            deg, tri, last_active = self._deg, self._tri, self._last_active
             old_positions = None
 
         count = len(node_ids)
@@ -336,6 +355,11 @@ class DeltaGraph:
         np.add.at(deg, batch_ev, 1)
         np.maximum.at(last_active, batch_eu, new_t)
         np.maximum.at(last_active, batch_ev, new_t)
+        if closed:
+            tri_ids = np.fromiter(closed.keys(), dtype=np.int64, count=len(closed))
+            tri[np.searchsorted(node_ids, tri_ids)] += np.fromiter(
+                closed.values(), dtype=np.int64, count=len(closed)
+            )
 
         # CSR repair: splice both directions of each new edge into the
         # sorted key array — only the touched rows move.
@@ -396,7 +420,7 @@ class DeltaGraph:
         # built on this trace sees the incrementally maintained columns.
         self._node_ids = _frozen(node_ids) if len(fresh) else node_ids
         self._eu, self._ev, self._first_seen = eu, ev, first_seen
-        self._deg, self._last_active = deg, last_active
+        self._deg, self._tri, self._last_active = deg, tri, last_active
         self._adj_keys = adj_keys
         self._cand_keys, self._cand_cn = cand_keys, cand_cn
         self.trace._install_stream_caches(
@@ -427,7 +451,9 @@ class DeltaGraph:
         Byte-identical to ``Snapshot(rebuilt_trace, num_edges)`` plus its
         lazily built structure and metric caches: node table, position
         columns, CSR adjacency, candidate enumeration (``pairs_two_hop``),
-        the CN counts, and the vectorised idle-time column.  The
+        the CN counts, the per-node triangle counts (``triangles``, as
+        :func:`~repro.metrics.kernels.node_triangle_counts` returns them),
+        and the vectorised idle-time column.  The
         candidates go over as the engine's packed keys, validated (a
         corrupted array raises here) and decoded once by
         :func:`~repro.metrics.candidates.seed_candidate_cache`.
@@ -461,6 +487,7 @@ class DeltaGraph:
             "keys": self._cand_keys.copy(),
             "CN": self._cand_cn.astype(np.float64),
         }
+        snapshot.cache["triangles"] = _frozen(self._tri.astype(np.float64))
         # now - last is exactly the activity kernel's subtraction; every
         # stream node has an edge at or before the snapshot time, so the
         # never-active fallback cannot trigger at full cutoff.

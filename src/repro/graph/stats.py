@@ -13,8 +13,9 @@ Everything is implemented from first principles on the snapshot's columnar
 structure (degree array, CSR adjacency, edge columns).  Triangle counts and
 clustering coefficients are array reads of the per-node triangle counts of
 :func:`repro.metrics.kernels.node_triangle_counts`, which come from the
-same common-neighbour expansion the link-prediction metrics score with;
-networkx is only used in the test suite to cross-validate results.
+same common-neighbour expansion the link-prediction metrics score with
+(or, on a snapshot the delta engine materialised, from its maintained
+counts); networkx is only used in the test suite to cross-validate results.
 """
 
 from __future__ import annotations

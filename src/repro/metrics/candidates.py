@@ -78,7 +78,12 @@ def seed_candidate_cache(snapshot: Snapshot, keys: np.ndarray) -> None:
     if len(keys) and (keys[0] < 0 or cols.max() >= snapshot.num_nodes):
         raise ValueError("seeded candidate key is outside the node table")
     ids = snapshot.node_ids
-    snapshot.cache["pairs_two_hop"] = np.column_stack((ids[rows], ids[cols]))
+    # Filling a preallocated C-ordered array skips column_stack's
+    # intermediate copies; the bytes, dtype and flags are the same.
+    pairs = np.empty((len(keys), 2), dtype=ids.dtype)
+    pairs[:, 0] = ids[rows]
+    pairs[:, 1] = ids[cols]
+    snapshot.cache["pairs_two_hop"] = pairs
     snapshot.cache[ENUM_STRATEGY_KEY] = "seeded"
 
 

@@ -301,7 +301,9 @@ def node_triangle_counts(snapshot: Snapshot) -> np.ndarray:
     count is half the sum of :func:`edge_common_neighbors` over the edges
     incident to ``w``.  The counts are exact integers held as float64
     (any summation order of integers below 2^53 is exact), so they equal
-    ``diag(A^3) / 2`` bit for bit.
+    ``diag(A^3) / 2`` bit for bit.  A snapshot from
+    :meth:`~repro.graph.delta.DeltaGraph.materialize` arrives with them
+    cached: the delta engine keeps them up to date per inserted edge.
     """
     def compute() -> np.ndarray:
         iu, iv = snapshot.edge_indices()

@@ -17,9 +17,11 @@ prior constant ``s = |V|(|V|-1) / (2|E|) - 1`` the three scores are
 
 each a weighted 2-hop path count, so they share the common-neighbour
 expansion kernel of :mod:`repro.metrics.kernels` with CN/AA/RA.  The
-triangle counts come from the same kernel:
-:func:`~repro.metrics.kernels.node_triangle_counts` sums each node's
-per-edge common-neighbour counts.
+triangle counts come from
+:func:`~repro.metrics.kernels.node_triangle_counts`: on a snapshot the
+delta engine materialised they are its maintained counts, already in the
+cache, and otherwise the same kernel sums each node's per-edge
+common-neighbour counts.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 ``DeltaGraph.materialize()`` promises a snapshot *byte-identical* to a
 full ``TemporalGraph`` rebuild at the same cutoff.  This suite enforces
 that on hypothesis-generated streams after every random batch — columns,
-stream index, CSR structure, degrees, candidate enumeration order, CN /
-AA / RA / JC scores, idle times — plus chunking invariance (the same
+stream index, CSR structure, degrees, candidate enumeration order,
+per-node triangle counts, CN / AA / RA / JC / BCN / BAA / BRA scores,
+idle times — plus chunking invariance (the same
 stream applied in different batch splits yields identical state), pickle
 round-trips, batch hygiene (duplicates / self-loops / bad timestamps),
 and a dict-of-sets reference triangulation so the delta engine and the
@@ -23,10 +24,14 @@ from repro.graph.dyngraph import TemporalGraph
 from repro.graph.snapshots import Snapshot
 from repro.metrics.base import get_metric
 from repro.metrics.candidates import two_hop_pairs
+from repro.metrics.kernels import node_triangle_counts
 from repro.temporal.activity import node_idle_times
 from tests.matrix_oracle import oracle_scores
 
-SCORED = ("CN", "AA", "RA", "JC")
+SCORED = ("CN", "AA", "RA", "JC", "BCN", "BAA", "BRA")
+#: Their prior odds log(s) are undefined on a complete graph (s = 0),
+#: which has no candidate pair to score.
+BAYES = ("BCN", "BAA", "BRA")
 
 
 # ---------------------------------------------------------------------------
@@ -101,10 +106,22 @@ def assert_byte_identical(delta: DeltaGraph) -> None:
     assert got_ptr.tobytes() == want_ptr.tobytes()
     assert got_idx.tobytes() == want_idx.tobytes()
     assert snap.degree_array().tobytes() == ref.degree_array().tobytes()
+    # The seeded counts are read before any metric runs, so they are the
+    # engine's, not a recount on the materialised snapshot.
+    seeded_triangles = snap.cache["triangles"]
+    assert not seeded_triangles.flags.writeable
+    assert (
+        seeded_triangles.tobytes() == node_triangle_counts(ref).tobytes()
+    )
     got_pairs, want_pairs = two_hop_pairs(snap), two_hop_pairs(ref)
     assert got_pairs.dtype == want_pairs.dtype
-    assert np.array_equal(got_pairs, want_pairs)
+    assert got_pairs.shape == want_pairs.shape
+    assert got_pairs.tobytes() == want_pairs.tobytes()
+    for flag in ("C_CONTIGUOUS", "OWNDATA", "WRITEABLE"):
+        assert got_pairs.flags[flag] == want_pairs.flags[flag], flag
     for name in SCORED:
+        if name in BAYES and not len(got_pairs):
+            continue
         got_scores = get_metric(name).fit(snap).score(got_pairs)
         want_scores = get_metric(name).fit(ref).score(want_pairs)
         # tobytes comparison is deliberately stricter than array_equal:
@@ -134,11 +151,13 @@ class TestByteIdentity:
     @given(chunked_traces())
     @settings(max_examples=40, deadline=None)
     def test_cn_only_engine_identical_after_every_batch(self, stream_and_chunks):
-        """The engine keeps only CN counts: no float score tables.
+        """The engine keeps CN counts and per-node triangles, no float tables.
 
         The seeded score cache carries the candidate keys and CN alone;
-        AA/RA/JC score through the expansion on the materialised
-        snapshot and still match the rebuild byte for byte.
+        the triangle counts are one int64 column. AA/RA/JC and
+        BCN/BAA/BRA score through the expansion on the materialised
+        snapshot and still match the rebuild byte for byte, and no BCN
+        read recounts the triangles.
         """
         from repro.metrics.local import DELTA_SCORES_KEY
 
@@ -149,10 +168,16 @@ class TestByteIdentity:
             assert delta.audit().ok
             if delta.num_edges:
                 assert_byte_identical(delta)
-                seeded = delta.materialize().cache[DELTA_SCORES_KEY]
-                assert set(seeded) == {"keys", "CN"}
+                snap = delta.materialize()
+                assert set(snap.cache[DELTA_SCORES_KEY]) == {"keys", "CN"}
                 assert delta._cand_cn.dtype == np.int64
                 assert len(delta._cand_cn) == len(delta._cand_keys)
+                assert delta._tri.dtype == np.int64
+                assert len(delta._tri) == delta.num_nodes
+                pairs = two_hop_pairs(snap)
+                if len(pairs):
+                    get_metric("BCN").fit(snap).score(pairs)
+                assert "edge_common_neighbors" not in snap.cache
 
     @given(traces())
     @settings(max_examples=40, deadline=None)
@@ -209,6 +234,7 @@ class TestChunkingInvariance:
             assert np.array_equal(other._deg, one_shot._deg)
             assert np.array_equal(other._cand_keys, one_shot._cand_keys)
             assert np.array_equal(other._cand_cn, one_shot._cand_cn)
+            assert np.array_equal(other._tri, one_shot._tri)
             assert other._last_active.tobytes() == one_shot._last_active.tobytes()
         if one_shot.num_edges:
             for engine in (one_shot, single, random_chunks):
@@ -234,6 +260,9 @@ class TestReferenceTriangulation:
         assert list(delta._node_ids) == sorted(adj)
         for pos, node in enumerate(delta._node_ids.tolist()):
             assert delta._deg[pos] == len(adj[node])
+            # Each triangle through node is one linked pair of neighbours.
+            linked = sum(len(adj[node] & adj[w]) for w in adj[node])
+            assert delta._tri[pos] == linked // 2
         expected = set()
         cn: dict[tuple[int, int], int] = {}
         for u in adj:
@@ -267,6 +296,7 @@ class TestPickle:
         assert clone.audit().ok
         assert np.array_equal(clone._cand_keys, delta._cand_keys)
         assert np.array_equal(clone._cand_cn, delta._cand_cn)
+        assert np.array_equal(clone._tri, delta._tri)
         for chunk in chunks[len(chunks) // 2 + 1 :]:
             delta.apply(chunk)
             clone.apply(chunk)

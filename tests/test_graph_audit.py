@@ -184,15 +184,15 @@ class TestDeltaAudit:
 
         report = audit_delta(delta)
         assert report.ok, report.summary()
-        # the 12 core invariants plus the 5 delta-structure checks.
-        assert len(report.checks_run) == 17
+        # the 12 core invariants plus the 6 delta-structure checks.
+        assert len(report.checks_run) == 18
 
     def test_empty_delta_is_clean(self):
         from repro.graph import DeltaGraph, audit_delta
 
         report = audit_delta(DeltaGraph())
         assert report.ok
-        assert len(report.checks_run) == 17
+        assert len(report.checks_run) == 18
 
     def test_stale_csr_row(self, delta):
         delta._adj_keys = delta._adj_keys.copy()
@@ -211,6 +211,11 @@ class TestDeltaAudit:
         delta._cand_cn = delta._cand_cn.copy()
         delta._cand_cn[0] += 1
         assert "delta_candidates" in violated(delta.audit())
+
+    def test_wrong_triangle_count(self, delta):
+        delta._tri = delta._tri.copy()
+        delta._tri[int(np.argmax(delta._tri))] -= 1
+        assert violated(delta.audit()) == {"delta_triangle_counts"}
 
     def test_wrong_degree(self, delta):
         delta._deg = delta._deg.copy()

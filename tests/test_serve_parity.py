@@ -26,8 +26,8 @@ from repro.metrics.local import DELTA_SCORES_KEY
 from repro.serve import ServeConfig, ServerHarness
 
 METRICS = [
-    "CN", "AA", "RA", "PA", "JC", "SP", "LP", "Katz_sc", "PPR", "LRW", "Katz_lr",
-    "Rescal",
+    "CN", "AA", "RA", "PA", "JC", "BCN", "BAA", "BRA", "SP", "LP", "Katz_sc",
+    "PPR", "LRW", "Katz_lr", "Rescal",
 ]
 
 
@@ -132,6 +132,35 @@ class TestServeBatchParity:
                 harness, trace, trace.num_edges, nodes
             )
         assert compared > 50
+
+    def test_bayes_read_after_ingest_reuses_seeded_triangles(
+        self, small_facebook
+    ):
+        """The written snapshot carries the engine's triangle counts, so a
+        BCN read never runs the per-edge common-neighbour expansion."""
+        trace = small_facebook
+        cutoff = trace.num_edges // 2
+        u_col, v_col, t_col = trace.columns()
+        lines = "".join(
+            f"{int(u_col[i])} {int(v_col[i])} {float(t_col[i])!r}\n"
+            for i in range(cutoff, trace.num_edges)
+        )
+        (u,) = probe_nodes(trace, trace.num_edges, count=1)
+        with ServerHarness(
+            trace.prefix(cutoff), ServeConfig(port=0, workers=2)
+        ) as harness:
+            response = harness.request(
+                "POST", "/ingest", body=lines.encode("utf-8")
+            )
+            assert response.status == 200, response.body
+            snapshot = harness.store.snapshot
+            assert snapshot.num_edges == trace.num_edges
+            response = harness.request("GET", f"/predict?u={u}&k=5&metric=BCN")
+            assert response.status == 200, response.body
+            assert response.json()["predictions"]
+            assert harness.store.snapshot is snapshot
+            assert "role_function" in snapshot.cache
+            assert "edge_common_neighbors" not in snapshot.cache
 
     @pytest.mark.parametrize("with_telemetry", [False, True])
     def test_parity_with_and_without_telemetry(
