@@ -19,6 +19,11 @@ updates every derived columnar structure in place instead of rebuilding:
   closes one triangle per common neighbour ``z``, found by the same walk
   that collects the candidate bumps.
 
+``DeltaGraph(trace)`` (and unpickling, which rebuilds) derives all of
+this from one 2-hop enumeration: the ``A^2`` it forms gives each
+candidate's CN count, and counting 2-paths gives the triangles, so the
+build runs no common-neighbour expansion.
+
 ``materialize()`` returns a snapshot **byte-identical** to a full rebuild
 at the same cutoff — columns, CSR structure, candidate enumeration order,
 and metric scores.  CN is served from the maintained counts and the
@@ -99,9 +104,12 @@ class DeltaGraph:
     def _rebuild_from_trace(self) -> None:
         """Derive every maintained structure from the wrapped trace.
 
-        Runs the proven batch kernels (stream index, common-neighbour expansion)
-        exactly once; from here on :meth:`apply` keeps the state current
-        without ever rebuilding.
+        Builds the stream index and enumerates the 2-hop candidates once
+        (:func:`~repro.metrics.candidates.two_hop_positions`, whose
+        ``A^2`` counts are the candidates' CN column and, with the
+        degrees, give the triangle counts); no common-neighbour expansion
+        runs.  From here on :meth:`apply` keeps the state current without
+        ever rebuilding.
         """
         trace = self.trace
         num_edges = trace.num_edges
@@ -138,33 +146,23 @@ class DeltaGraph:
         np.maximum.at(last, index.eu, self._ct)
         np.maximum.at(last, index.ev, self._ct)
         self._last_active = last
-        # Candidate set + exact CN counts via the kernel expansion, in
-        # chunks that bound its working set; no A^2 is materialised.
-        from repro.metrics.base import pairs_to_indices
-        from repro.metrics.candidates import two_hop_pairs
-        from repro.metrics.kernels import (
-            block_pair_limit,
-            common_neighbor_expansion,
-            intersection_counts,
-            node_triangle_counts,
-        )
+        # Candidate set + exact CN counts from one 2-hop enumeration: its
+        # counts are the A^2 entries of the pairs it returns.
+        from repro.metrics.candidates import two_hop_positions
 
-        snap = Snapshot(trace, num_edges)
-        self._tri = node_triangle_counts(snap).astype(np.int64)
-        pairs = two_hop_pairs(snap)
-        rows, cols = pairs_to_indices(snap, pairs)
+        rows, cols, cand_cn = two_hop_positions(Snapshot(trace, num_edges))
         self._cand_keys = encode_position_pairs(rows, cols)
-        indptr, indices = snap.csr_structure()
-        limit = block_pair_limit()
-        cn_parts = [np.zeros(0, dtype=np.int64)]
-        for start in range(0, len(rows), limit):
-            r = rows[start : start + limit]
-            c = cols[start : start + limit]
-            pair_ids, _, _, _ = common_neighbor_expansion(
-                indptr, indices, r, c, adj_keys=self._adj_keys
-            )
-            cn_parts.append(intersection_counts(pair_ids, len(r)).astype(np.int64))
-        self._cand_cn = np.concatenate(cn_parts)
+        self._cand_cn = cand_cn
+        # Triangles by counting 2-paths: the sum_y (deg(y) - 1) 2-paths
+        # out of w end either at a neighbour (two per triangle through w)
+        # or at a candidate partner x (CN(w, x) of them).  Every float64
+        # here is an integer below 2^53, so the arithmetic is exact.
+        paths = np.bincount(
+            doubled_rows, weights=self._deg[doubled_cols] - 1, minlength=n
+        )
+        paths -= np.bincount(rows, weights=cand_cn, minlength=n)
+        paths -= np.bincount(cols, weights=cand_cn, minlength=n)
+        self._tri = (paths / 2).astype(np.int64)
 
     # ------------------------------------------------------------------
     # Basic queries

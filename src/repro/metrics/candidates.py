@@ -15,9 +15,10 @@ the snapshot's CSR statistics (:meth:`~repro.graph.snapshots.Snapshot.csr_stats`
   density) BLAS wins decisively over sparse products whose ``A^2`` is
   nearly full anyway.  Counts stay exact: they are integers below 2^24.
 
-Both produce the *identical* row-major candidate array (the differential
-suite asserts array equality), so the choice is purely a performance
-decision.
+Both produce the *identical* row-major candidate array and the same
+common-neighbour count per pair, read off the ``A^2`` each already forms
+(the differential suite asserts array equality), so the choice is purely
+a performance decision.
 The all-pairs set is generated from triangular-index arithmetic with a
 byte-per-pair knockout mask — no dense float adjacency on that path.
 A one-node query (``candidate_pairs(..., node=u)``, the serving read)
@@ -44,6 +45,9 @@ DENSE_MIN_DENSITY = 0.01
 
 #: snapshot-cache key recording which strategy enumerated ``pairs_two_hop``.
 ENUM_STRATEGY_KEY = "enum_strategy"
+
+#: ``(rows, cols, counts)``: row-major candidate positions and their ``A^2`` entries.
+TwoHop = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _empty_pairs() -> np.ndarray:
@@ -98,22 +102,22 @@ def choose_enumeration_strategy(snapshot: Snapshot) -> str:
     return "sparse"
 
 
-def _sparse_two_hop_positions(snapshot: Snapshot) -> tuple[np.ndarray, np.ndarray]:
+def _sparse_two_hop_positions(snapshot: Snapshot) -> TwoHop:
     """Upper triangle of sparse ``A^2``, existing edges knocked out."""
     a = adjacency(snapshot)
     a2 = two_hop_matrix(snapshot)
     upper = sp.triu(a2, k=1).tocoo()
     if upper.nnz == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return (np.zeros(0, dtype=np.int64),) * 3
     connected = np.asarray(a[upper.row, upper.col]).ravel() > 0
     reachable = upper.data > 0  # guard explicit zeros
     keep = reachable & ~connected
-    rows, cols = upper.row[keep], upper.col[keep]
+    rows, cols, counts = upper.row[keep], upper.col[keep], upper.data[keep]
     order = np.lexsort((cols, rows))
-    return rows[order].astype(np.int64), cols[order].astype(np.int64)
+    return tuple(x[order].astype(np.int64) for x in (rows, cols, counts))
 
 
-def _dense_two_hop_positions(snapshot: Snapshot) -> tuple[np.ndarray, np.ndarray]:
+def _dense_two_hop_positions(snapshot: Snapshot) -> TwoHop:
     """One float32 GEMM; counts are exact integers below 2^24."""
     indptr, indices = snapshot.csr_structure()
     n = snapshot.num_nodes
@@ -124,7 +128,8 @@ def _dense_two_hop_positions(snapshot: Snapshot) -> tuple[np.ndarray, np.ndarray
     cand = (counts > 0) & (adj == 0.0)
     cand &= ~np.tri(n, dtype=bool)  # strict upper triangle
     rows, cols = np.nonzero(cand)  # C-order scan = row-major pair order
-    return rows.astype(np.int64), cols.astype(np.int64)
+    # the boolean gather scans in the same C order as nonzero
+    return tuple(x.astype(np.int64) for x in (rows, cols, counts[cand]))
 
 
 _ENUM_IMPLS = {
@@ -133,26 +138,31 @@ _ENUM_IMPLS = {
 }
 
 
+def two_hop_positions(snapshot: Snapshot) -> TwoHop:
+    """The unconnected 2-hop pairs with their ``A^2`` entries, uncached.
+
+    The strategy is chosen by :func:`choose_enumeration_strategy` (both
+    return the same arrays), recorded under :data:`ENUM_STRATEGY_KEY`
+    and counted in telemetry.
+    """
+    strategy = choose_enumeration_strategy(snapshot)
+    snapshot.cache[ENUM_STRATEGY_KEY] = strategy
+    if telemetry.metrics.enabled:
+        telemetry.metrics.counter("candidates.enum_strategy", strategy=strategy).inc()
+    return _ENUM_IMPLS[strategy](snapshot)
+
+
 def two_hop_pairs(snapshot: Snapshot) -> np.ndarray:
     """All unconnected pairs at distance exactly 2, as node-id pairs.
 
     These are the pairs "most algorithms' predictions are dominated by"
     (Section 4.2); the 2-hop edge ratio lambda_2 is measured against them.
 
-    The enumeration strategy is chosen per snapshot by
-    :func:`choose_enumeration_strategy`; all strategies return the same
-    row-major (node_list-ordered) array.  The chosen strategy is recorded
-    in the snapshot cache under :data:`ENUM_STRATEGY_KEY` and counted in
-    telemetry.
+    The row-major (node_list-ordered) id pairs of
+    :func:`two_hop_positions`, cached per snapshot; its counts are not kept.
     """
     def compute() -> np.ndarray:
-        strategy = choose_enumeration_strategy(snapshot)
-        snapshot.cache[ENUM_STRATEGY_KEY] = strategy
-        if telemetry.metrics.enabled:
-            telemetry.metrics.counter(
-                "candidates.enum_strategy", strategy=strategy
-            ).inc()
-        rows, cols = _ENUM_IMPLS[strategy](snapshot)
+        rows, cols, _ = two_hop_positions(snapshot)
         if len(rows) == 0:
             return _empty_pairs()
         ids = snapshot.node_ids

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import expit, log1p
 
 from repro.ml.base import BinaryClassifier, check_xy
@@ -33,6 +32,10 @@ class LogisticRegression(BinaryClassifier):
         self.intercept_: float = 0.0
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "LogisticRegression":
+        # Imported on first fit: scipy.optimize takes ~0.17 s to import,
+        # and `import repro` (the server's start-up) never fits.
+        from scipy.optimize import minimize
+
         x, y = check_xy(x, y)
         signs = self._encode_labels(y)
         n, d = x.shape

@@ -17,7 +17,6 @@ normalised absolute coefficients against the similarity-metric ranking
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.ml.base import BinaryClassifier, check_xy
 
@@ -54,6 +53,9 @@ class LinearSVM(BinaryClassifier):
         self.intercept_: float = 0.0
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "LinearSVM":
+        # Imported on first fit, as in LogisticRegression.fit.
+        from scipy.optimize import minimize
+
         x, y = check_xy(x, y)
         signs = self._encode_labels(y)
         n, d = x.shape

@@ -6,10 +6,12 @@ that on hypothesis-generated streams after every random batch — columns,
 stream index, CSR structure, degrees, candidate enumeration order,
 per-node triangle counts, CN / AA / RA / JC / BCN / BAA / BRA scores,
 idle times — plus chunking invariance (the same
-stream applied in different batch splits yields identical state), pickle
-round-trips, batch hygiene (duplicates / self-loops / bad timestamps),
-and a dict-of-sets reference triangulation so the delta engine and the
-columnar core cannot drift together.
+stream applied in different batch splits yields identical state), the
+engine build against the chunked-expansion build it replaced (one
+enumeration, no expansion), pickle round-trips, batch hygiene
+(duplicates / self-loops / bad timestamps), and a dict-of-sets
+reference triangulation so the delta engine and the columnar core cannot
+drift together.
 """
 
 import pickle
@@ -22,9 +24,11 @@ from hypothesis import strategies as st
 from repro.graph.delta import DeltaGraph
 from repro.graph.dyngraph import TemporalGraph
 from repro.graph.snapshots import Snapshot
-from repro.metrics.base import get_metric
+from repro.metrics import candidates, kernels
+from repro.metrics.base import get_metric, pairs_to_indices
 from repro.metrics.candidates import two_hop_pairs
 from repro.metrics.kernels import node_triangle_counts
+from repro.utils.pairs import encode_position_pairs
 from repro.temporal.activity import node_idle_times
 from tests.matrix_oracle import oracle_scores
 
@@ -130,6 +134,46 @@ def assert_byte_identical(delta: DeltaGraph) -> None:
     assert (
         node_idle_times(snap).tobytes() == node_idle_times(ref).tobytes()
     )
+
+
+def chunked_expansion_build(
+    trace: TemporalGraph,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(_cand_keys, _cand_cn, _tri)`` as the engine once built them.
+
+    The id pairs of :func:`two_hop_pairs` mapped back to positions, each
+    pair's common neighbours counted by a chunked expansion probing the
+    sorted adjacency keys, and the triangles from
+    :func:`node_triangle_counts`: an independent route to the state
+    ``DeltaGraph(trace)`` now takes from one enumeration.
+    """
+    snap = Snapshot(trace, trace.num_edges)
+    rows, cols = pairs_to_indices(snap, two_hop_pairs(snap))
+    indptr, indices = snap.csr_structure()
+    adj_keys = kernels.adjacency_keys(snap)
+    limit = kernels.block_pair_limit()
+    cn_parts = [np.zeros(0, dtype=np.int64)]
+    for start in range(0, len(rows), limit):
+        r, c = rows[start : start + limit], cols[start : start + limit]
+        pair_ids = kernels.common_neighbor_expansion(
+            indptr, indices, r, c, adj_keys=adj_keys
+        )[0]
+        cn_parts.append(kernels.intersection_counts(pair_ids, len(r)).astype(np.int64))
+    return (
+        encode_position_pairs(rows, cols),
+        np.concatenate(cn_parts),
+        node_triangle_counts(snap).astype(np.int64),
+    )
+
+
+def assert_build_matches_oracle(delta: DeltaGraph) -> None:
+    """The engine's candidate keys, CN and triangle columns, bitwise."""
+    keys, cn, tri = chunked_expansion_build(delta.trace)
+    pairs = ((delta._cand_keys, keys), (delta._cand_cn, cn), (delta._tri, tri))
+    for got, want in pairs:
+        assert got.dtype == want.dtype == np.int64
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +283,103 @@ class TestChunkingInvariance:
         if one_shot.num_edges:
             for engine in (one_shot, single, random_chunks):
                 assert_byte_identical(engine)
+
+
+# ---------------------------------------------------------------------------
+# The engine build: one enumeration, no expansion
+# ---------------------------------------------------------------------------
+def _complete_stream(n: int) -> list:
+    return [
+        (3 * a + 7, 3 * b + 7, float(a * n + b))
+        for a in range(n)
+        for b in range(a + 1, n)
+    ]
+
+
+def _two_component_stream() -> list:
+    """Two disjoint triangles-with-tails; no candidate crosses them."""
+    left = [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5)]
+    right = [(10, 11), (11, 12), (12, 13), (13, 10), (10, 12), (13, 14)]
+    return [(u, v, float(t)) for t, (u, v) in enumerate(left + right)]
+
+
+BUILD_SHAPES = {
+    "random": [
+        (int(u), int(v), float(t))
+        for t, (u, v) in enumerate(
+            np.random.default_rng(11).integers(0, 40, size=(150, 2)).tolist()
+        )
+        if u != v
+    ],
+    "two_components": _two_component_stream(),
+    "complete": _complete_stream(7),
+    "single_edge": [(5, 9, 1.0)],
+}
+
+
+class TestEngineBuild:
+    """``DeltaGraph(trace)`` takes its candidates, CN and triangle counts
+    from one 2-hop enumeration, bitwise equal to the chunked-expansion
+    build it replaced."""
+
+    @given(traces(max_nodes=14, max_edges=40))
+    @settings(max_examples=60, deadline=None)
+    def test_build_matches_chunked_expansion(self, stream):
+        clean = [(u, v, t) for u, v, t in stream if u != v]
+        delta = DeltaGraph(TemporalGraph.from_stream(clean))
+        assert_build_matches_oracle(delta)
+
+    @pytest.mark.parametrize("strategy", ["dense", "sparse"])
+    @pytest.mark.parametrize("shape", sorted(BUILD_SHAPES))
+    def test_forced_strategy_matches_chunked_expansion(
+        self, monkeypatch, strategy, shape
+    ):
+        trace = TemporalGraph.from_stream(BUILD_SHAPES[shape])
+        used = []
+        real = candidates._ENUM_IMPLS[strategy]
+
+        def recorded(snapshot):
+            used.append(strategy)
+            return real(snapshot)
+
+        monkeypatch.setattr(
+            candidates, "choose_enumeration_strategy", lambda snapshot: strategy
+        )
+        monkeypatch.setitem(candidates._ENUM_IMPLS, strategy, recorded)
+        delta = DeltaGraph(trace)
+        assert used == [strategy]
+        assert_build_matches_oracle(delta)
+        assert delta.audit().ok
+        if shape == "complete":
+            assert delta.num_candidates == 0
+            assert delta._tri.tolist() == [15] * 7  # C(6, 2) per node
+        if shape == "single_edge":
+            assert delta.num_candidates == 0
+            assert delta._tri.tolist() == [0, 0]
+
+    def test_build_runs_one_enumeration_and_no_expansion(self, monkeypatch):
+        calls = {"enumerate": 0, "expand": 0}
+        for strategy, real in list(candidates._ENUM_IMPLS.items()):
+
+            def counted_enumeration(snapshot, real=real):
+                calls["enumerate"] += 1
+                return real(snapshot)
+
+            monkeypatch.setitem(candidates._ENUM_IMPLS, strategy, counted_enumeration)
+        real_expansion = kernels.common_neighbor_expansion
+
+        def counted_expansion(*args, **kwargs):
+            calls["expand"] += 1
+            return real_expansion(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "common_neighbor_expansion", counted_expansion)
+        trace = TemporalGraph.from_stream(BUILD_SHAPES["random"])
+        delta = DeltaGraph(trace)
+        assert calls == {"enumerate": 1, "expand": 0}
+        assert delta.num_candidates > 0 and delta._tri.sum() > 0
+        # The counters are live: the old build's expansions register.
+        assert_build_matches_oracle(delta)
+        assert calls["expand"] > 0
 
 
 # ---------------------------------------------------------------------------

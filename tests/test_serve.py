@@ -609,15 +609,21 @@ class TestServerRobustness:
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _spawn_server(tmp_path, *extra_args, env_extra=None):
-    trace_path = tmp_path / "serve.txt"
-    write_trace(serve_trace(), trace_path)
+def _src_env() -> dict:
+    """This environment with the checkout's ``src`` first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p
         for p in (os.path.join(REPO_ROOT, "src"), env.get("PYTHONPATH", ""))
         if p
     )
+    return env
+
+
+def _spawn_server(tmp_path, *extra_args, env_extra=None):
+    trace_path = tmp_path / "serve.txt"
+    write_trace(serve_trace(), trace_path)
+    env = _src_env()
     env.update(env_extra or {})
     proc = subprocess.Popen(
         [
@@ -685,6 +691,24 @@ class TestServeProcess:
             if proc.poll() is None:
                 proc.kill()
         assert proc.returncode == 0, err
+
+
+class TestServeStartupImports:
+    def test_serving_modules_do_not_import_scipy_optimize(self):
+        """Only the LR/SVM fits use scipy.optimize; they import it on
+        first fit, so a server start does not pay for it."""
+        probe = (
+            "import repro.__main__, repro.serve, repro.ingest, repro.graph.delta, sys; "
+            "assert 'scipy.optimize' not in sys.modules"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=_src_env(),
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestServeCLIValidation:
