@@ -14,10 +14,11 @@ updates every derived columnar structure in place instead of rebuilding:
 - CSR adjacency, degree, and last-activity columns, repaired only for the
   touched rows;
 - the unconnected 2-hop candidate set with exact common-neighbour counts,
-  maintained in ``O(deg(u) + deg(v))`` bump work per inserted edge;
-- the number of triangles through each node: an inserted edge ``(a, b)``
-  closes one triangle per common neighbour ``z``, found by the same walk
-  that collects the candidate bumps.
+  maintained in ``O(deg(u) + deg(v))`` bump work per inserted edge: one
+  array pass per batch walks the 2-paths its edges create and yields the
+  growth of ``A^2`` on every pair it touches;
+- the number of triangles through each node, from the same growth:
+  ``2 tri(v) = sum_w A(v, w) A^2(v, w)``.
 
 ``DeltaGraph(trace)`` (and unpickling, which rebuilds) derives all of
 this from one 2-hop enumeration: the ``A^2`` it forms gives each
@@ -43,6 +44,7 @@ nodes arrive is a decode / gather / re-encode — never a re-sort.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -51,10 +53,9 @@ import numpy as np
 from repro import telemetry
 from repro.graph.dyngraph import StreamIndex, TemporalGraph
 from repro.graph.snapshots import Snapshot, _isin_sorted
+from repro.metrics.kernels import block_pair_limit
 from repro.utils.pairs import (
     PAIR_POSITION_SHIFT,
-    Pair,
-    canonical_pair,
     decode_position_pairs,
     encode_position_pairs,
 )
@@ -78,6 +79,60 @@ class DeltaReport:
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _two_path_growth(
+    adj_keys: np.ndarray,
+    key_order: np.ndarray,
+    deg: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs whose ``A^2`` entry the new edges ``(a[i], b[i])`` raise.
+
+    The array form of inserting the edges one at a time: new edge ``i``,
+    walked from each end ``c`` to the other end ``o``, extends every edge
+    ``(c, x)`` that precedes it in the stream (old, or earlier in the
+    batch) into the 2-path ``x-c-o``, so each new 2-path is counted once,
+    at its later edge.  ``adj_keys`` and ``deg`` already include the
+    batch; ``key_order`` gives each key's index in the batch, -1 for an
+    older edge.  Returns the sorted packed keys of the pairs ``(x, o)``
+    and the new 2-paths between each.  The walk runs in blocks of
+    :func:`~repro.metrics.kernels.block_pair_limit` 2-paths.
+    """
+    m = len(a)
+    centres = np.concatenate((b, a))
+    others = np.concatenate((a, b))
+    order = np.tile(np.arange(m), 2)
+    lens = deg[centres]
+    starts = np.cumsum(lens) - lens
+    # walk step j of centre k reads adj_keys[indptr[centres[k]] + j - starts[k]]
+    shift = (np.cumsum(deg) - deg)[centres] - starts
+    parts = []
+    limit = block_pair_limit()
+    lo = 0
+    while lo < 2 * m:
+        hi = max(int(np.searchsorted(starts, starts[lo] + limit, side="right")), lo + 1)
+        owner = np.repeat(np.arange(lo, hi), lens[lo:hi])
+        slot = np.arange(starts[lo], starts[lo] + len(owner)) + shift[owner]
+        walk = key_order[slot] < order[owner]
+        x = adj_keys[slot[walk]] & (PAIR_POSITION_SHIFT - 1)
+        o = others[owner[walk]]
+        parts.append(encode_position_pairs(np.minimum(o, x), np.maximum(o, x)))
+        lo = hi
+    keys = np.sort(np.concatenate(parts))
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    first = np.flatnonzero(first)
+    return keys[first], np.diff(first, append=len(keys))
+
+
+def _locate(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Insertion points of ``keys`` in the sorted ``table``, and membership."""
+    pos = np.searchsorted(table, keys)
+    if len(table) == 0:
+        return pos, np.zeros(len(keys), dtype=bool)
+    return pos, table[np.minimum(pos, len(table) - 1)] == keys
 
 
 class DeltaGraph:
@@ -224,7 +279,7 @@ class DeltaGraph:
         # All-or-nothing validation before the first mutation.
         last = trace.end_time if trace.num_edges else None
         for u, v, t in events:
-            if not np.isfinite(t) or t < 0:
+            if not math.isfinite(t) or t < 0:
                 raise ValueError(f"timestamp {t!r} is not finite and non-negative")
             if u == v:
                 continue
@@ -234,49 +289,14 @@ class DeltaGraph:
                 )
             last = t
 
-        # -- phase 1: stream insertion + CN and triangle bump collection --
-        # Bumps are gathered against the *live* dict adjacency before each
-        # insertion (a new edge (u, v) creates a 2-path u-v-x per existing
-        # neighbour x of v, and v-u-x per neighbour x of u).  A neighbour
-        # x of b whose pair (a, x) is already an edge is a common neighbour
-        # z: the new edge closes the triangle (a, b, z).
+        # -- phase 1: stream insertion ----------------------------------
         start_edges = trace.num_edges
-        pending: dict[Pair, int] = {}
-        closed: dict[int, int] = {}
-        removed: list[Pair] = []
         duplicates = self_loops = 0
-        adj = trace._adj
-        edge_times = trace._edge_times
         for u, v, t in events:
             if u == v:
                 self_loops += 1
-                continue
-            pair = canonical_pair(u, v)
-            if pair in edge_times:
+            elif not trace.add_edge(u, v, t):
                 duplicates += 1
-                continue
-            a, b = pair
-            common = 0
-            for x in adj.get(b, ()):
-                if x != a:
-                    p = canonical_pair(a, x)
-                    if p not in edge_times:
-                        pending[p] = pending.get(p, 0) + 1
-                    else:
-                        closed[x] = closed.get(x, 0) + 1
-                        common += 1
-            if common:
-                closed[a] = closed.get(a, 0) + common
-                closed[b] = closed.get(b, 0) + common
-            for x in adj.get(a, ()):
-                if x != b:
-                    p = canonical_pair(b, x)
-                    if p not in edge_times:
-                        pending[p] = pending.get(p, 0) + 1
-            # The pair stops being a candidate the moment it becomes an edge.
-            pending.pop(pair, None)
-            removed.append(pair)
-            trace.add_edge(u, v, t)
 
         end_edges = trace.num_edges
         if end_edges == start_edges:
@@ -309,27 +329,26 @@ class DeltaGraph:
                     f"node table too large for packed pair keys "
                     f"({len(node_ids)} >= 2^31)"
                 )
-            # Positions shift monotonically, so gathering through the
-            # old->new map patches dense columns and packed keys while
-            # preserving their sort order — no re-sort anywhere.
-            old_to_new = np.searchsorted(node_ids, self._node_ids)
-            eu = old_to_new[self._eu]
-            ev = old_to_new[self._ev]
-            if len(adj_keys):
-                r, c = decode_position_pairs(adj_keys)
-                adj_keys = encode_position_pairs(old_to_new[r], old_to_new[c])
-            if len(cand_keys):
-                r, c = decode_position_pairs(cand_keys)
-                cand_keys = encode_position_pairs(old_to_new[r], old_to_new[c])
             deg = np.insert(self._deg, insert_at, 0)
             tri = np.insert(self._tri, insert_at, 0)
             last_active = np.insert(self._last_active, insert_at, -np.inf)
-            old_positions = old_to_new
         else:
             node_ids = self._node_ids
-            eu, ev = self._eu, self._ev
             deg, tri, last_active = self._deg, self._tri, self._last_active
-            old_positions = None
+        # A new id below the old maximum shifts the positions after it.
+        # They shift monotonically, so gathering through the old->new map
+        # patches dense columns and packed keys while preserving their
+        # sort order — no re-sort anywhere.  Ids past the old maximum (the
+        # usual case) move nothing.
+        old_positions = None
+        eu, ev = self._eu, self._ev
+        if len(fresh) and insert_at[0] < old_count:
+            old_positions = np.searchsorted(node_ids, self._node_ids)
+            eu, ev = old_positions[eu], old_positions[ev]
+            r, c = decode_position_pairs(adj_keys)
+            adj_keys = encode_position_pairs(old_positions[r], old_positions[c])
+            r, c = decode_position_pairs(cand_keys)
+            cand_keys = encode_position_pairs(old_positions[r], old_positions[c])
 
         count = len(node_ids)
         batch_eu = np.searchsorted(node_ids, new_u)
@@ -353,66 +372,50 @@ class DeltaGraph:
         np.add.at(deg, batch_ev, 1)
         np.maximum.at(last_active, batch_eu, new_t)
         np.maximum.at(last_active, batch_ev, new_t)
-        if closed:
-            tri_ids = np.fromiter(closed.keys(), dtype=np.int64, count=len(closed))
-            tri[np.searchsorted(node_ids, tri_ids)] += np.fromiter(
-                closed.values(), dtype=np.int64, count=len(closed)
-            )
 
         # CSR repair: splice both directions of each new edge into the
-        # sorted key array — only the touched rows move.
-        added = np.concatenate(
-            (
-                encode_position_pairs(batch_eu, batch_ev),
-                encode_position_pairs(batch_ev, batch_eu),
-            )
-        )
-        added.sort()
-        adj_keys = np.insert(adj_keys, np.searchsorted(adj_keys, added), added)
-
-        # Candidate set: drop pairs that just became edges, then apply the
-        # collected CN bumps.
+        # sorted key array — only the touched rows move.  The event columns
+        # hold canonical pairs and positions follow id order, so
+        # batch_eu < batch_ev.
+        new_keys = encode_position_pairs(batch_eu, batch_ev)
+        added = np.concatenate((new_keys, encode_position_pairs(batch_ev, batch_eu)))
+        added_order = np.argsort(added)
+        added = added[added_order]
+        at = np.searchsorted(adj_keys, added)
+        adj_keys = np.insert(adj_keys, at, added)
+        key_order = np.full(len(adj_keys), -1)
+        key_order[at + np.arange(len(added))] = added_order % len(new_keys)
+        grown, growth = _two_path_growth(adj_keys, key_order, deg, batch_eu, batch_ev)
+        on_edge = _isin_sorted(grown, adj_keys)
         cand_cn = self._cand_cn
-        if removed:
-            removed_arr = np.asarray(removed, dtype=np.int64)
-            removed_keys = encode_position_pairs(
-                np.searchsorted(node_ids, removed_arr[:, 0]),
-                np.searchsorted(node_ids, removed_arr[:, 1]),
-            )
-            pos = np.searchsorted(cand_keys, removed_keys)
-            safe = np.minimum(pos, max(len(cand_keys) - 1, 0))
-            member = (
-                (pos < len(cand_keys)) & (cand_keys[safe] == removed_keys)
-                if len(cand_keys)
-                else np.zeros(len(removed_keys), dtype=bool)
-            )
-            drop = pos[member]
-            if len(drop):
-                cand_keys = np.delete(cand_keys, drop)
-                cand_cn = np.delete(cand_cn, drop)
-        if pending:
-            pend_arr = np.asarray(list(pending.keys()), dtype=np.int64)
-            pend_delta = np.asarray(list(pending.values()), dtype=np.int64)
-            pend_keys = encode_position_pairs(
-                np.searchsorted(node_ids, pend_arr[:, 0]),
-                np.searchsorted(node_ids, pend_arr[:, 1]),
-            )
-            order = np.argsort(pend_keys)
-            pend_keys, pend_delta = pend_keys[order], pend_delta[order]
-            pos = np.searchsorted(cand_keys, pend_keys)
-            safe = np.minimum(pos, max(len(cand_keys) - 1, 0))
-            member = (
-                (pos < len(cand_keys)) & (cand_keys[safe] == pend_keys)
-                if len(cand_keys)
-                else np.zeros(len(pend_keys), dtype=bool)
-            )
-            bump_at = pos[member]
-            cand_cn[bump_at] += pend_delta[member]
-            enter_keys = pend_keys[~member]
-            if len(enter_keys):
-                enter_at = np.searchsorted(cand_keys, enter_keys)
-                cand_keys = np.insert(cand_keys, enter_at, enter_keys)
-                cand_cn = np.insert(cand_cn, enter_at, pend_delta[~member])
+        drop_at, dropped = _locate(cand_keys, new_keys)
+        drop_at = drop_at[dropped]
+
+        # Triangles: 2 tri(v) = sum_w A(v, w) A^2(v, w), so v gains the
+        # A^2 growth on its edges plus the old A^2 entry of each new edge,
+        # which is its CN if the pair was a candidate.
+        r, c = decode_position_pairs(grown[on_edge])
+        gained = np.bincount(
+            np.concatenate((r, c, batch_eu[dropped], batch_ev[dropped])),
+            weights=np.concatenate(
+                (growth[on_edge], growth[on_edge], cand_cn[drop_at], cand_cn[drop_at])
+            ),
+            minlength=count,
+        )
+        tri += (gained / 2).astype(np.int64)
+
+        # Candidate set: drop the pairs that just became edges, then bump
+        # the other grown pairs, inserting those new to it.
+        if len(drop_at):
+            cand_keys = np.delete(cand_keys, drop_at)
+            cand_cn = np.delete(cand_cn, drop_at)
+        bump_keys, bump_cn = grown[~on_edge], growth[~on_edge]
+        bump_at, member = _locate(cand_keys, bump_keys)
+        cand_cn[bump_at[member]] += bump_cn[member]
+        if not member.all():
+            enter_at = bump_at[~member]
+            cand_keys = np.insert(cand_keys, enter_at, bump_keys[~member])
+            cand_cn = np.insert(cand_cn, enter_at, bump_cn[~member])
 
         # Commit and re-install the trace-level caches so every Snapshot
         # built on this trace sees the incrementally maintained columns.

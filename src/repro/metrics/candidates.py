@@ -46,9 +46,6 @@ DENSE_MIN_DENSITY = 0.01
 #: snapshot-cache key recording which strategy enumerated ``pairs_two_hop``.
 ENUM_STRATEGY_KEY = "enum_strategy"
 
-#: ``(rows, cols, counts)``: row-major candidate positions and their ``A^2`` entries.
-TwoHop = tuple[np.ndarray, np.ndarray, np.ndarray]
-
 
 def _empty_pairs() -> np.ndarray:
     return np.zeros((0, 2), dtype=np.int64)
@@ -102,7 +99,7 @@ def choose_enumeration_strategy(snapshot: Snapshot) -> str:
     return "sparse"
 
 
-def _sparse_two_hop_positions(snapshot: Snapshot) -> TwoHop:
+def _sparse_two_hop_positions(snapshot: Snapshot) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Upper triangle of sparse ``A^2``, existing edges knocked out."""
     a = adjacency(snapshot)
     a2 = two_hop_matrix(snapshot)
@@ -117,7 +114,7 @@ def _sparse_two_hop_positions(snapshot: Snapshot) -> TwoHop:
     return tuple(x[order].astype(np.int64) for x in (rows, cols, counts))
 
 
-def _dense_two_hop_positions(snapshot: Snapshot) -> TwoHop:
+def _dense_two_hop_positions(snapshot: Snapshot) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One float32 GEMM; counts are exact integers below 2^24."""
     indptr, indices = snapshot.csr_structure()
     n = snapshot.num_nodes
@@ -138,7 +135,7 @@ _ENUM_IMPLS = {
 }
 
 
-def two_hop_positions(snapshot: Snapshot) -> TwoHop:
+def two_hop_positions(snapshot: Snapshot) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The unconnected 2-hop pairs with their ``A^2`` entries, uncached.
 
     The strategy is chosen by :func:`choose_enumeration_strategy` (both

@@ -53,7 +53,6 @@ class LinearSVM(BinaryClassifier):
         self.intercept_: float = 0.0
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "LinearSVM":
-        # Imported on first fit, as in LogisticRegression.fit.
         from scipy.optimize import minimize
 
         x, y = check_xy(x, y)

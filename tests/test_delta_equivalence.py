@@ -284,6 +284,26 @@ class TestChunkingInvariance:
             for engine in (one_shot, single, random_chunks):
                 assert_byte_identical(engine)
 
+    @given(chunked_traces(), st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_walk_blocks_give_identical_state(self, stream_and_chunks, block):
+        """The batch's 2-path walk split into blocks of a few 2-paths
+        leaves the same state as one block."""
+        _, chunks = stream_and_chunks
+        whole = DeltaGraph()
+        for chunk in chunks:
+            whole.apply(chunk)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("REPRO_KERNEL_BLOCK_PAIRS", str(block))
+            blocked = DeltaGraph()
+            for chunk in chunks:
+                blocked.apply(chunk)
+        for name in ("_adj_keys", "_deg", "_cand_keys", "_cand_cn", "_tri"):
+            got, want = getattr(blocked, name), getattr(whole, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        if blocked.num_edges:
+            assert_byte_identical(blocked)
+
 
 # ---------------------------------------------------------------------------
 # The engine build: one enumeration, no expansion
