@@ -82,11 +82,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _two_path_growth(
-    adj_keys: np.ndarray,
-    key_order: np.ndarray,
-    deg: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
+    adj_keys: np.ndarray, key_order: np.ndarray, deg: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The pairs whose ``A^2`` entry the new edges ``(a[i], b[i])`` raise.
 
@@ -374,8 +370,9 @@ class DeltaGraph:
         np.maximum.at(last_active, batch_ev, new_t)
 
         # CSR repair: splice both directions of each new edge into the
-        # sorted key array — only the touched rows move.  The event columns
-        # hold canonical pairs and positions follow id order, so
+        # sorted key array — only the touched rows move — and note each
+        # new key's index in the batch (-1 for older edges).  The event
+        # columns hold canonical pairs and positions follow id order, so
         # batch_eu < batch_ev.
         new_keys = encode_position_pairs(batch_eu, batch_ev)
         added = np.concatenate((new_keys, encode_position_pairs(batch_ev, batch_eu)))
@@ -385,6 +382,8 @@ class DeltaGraph:
         adj_keys = np.insert(adj_keys, at, added)
         key_order = np.full(len(adj_keys), -1)
         key_order[at + np.arange(len(added))] = added_order % len(new_keys)
+
+        # The growth of A^2 on every pair the batch's new 2-paths join.
         grown, growth = _two_path_growth(adj_keys, key_order, deg, batch_eu, batch_ev)
         on_edge = _isin_sorted(grown, adj_keys)
         cand_cn = self._cand_cn

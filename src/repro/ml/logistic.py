@@ -32,8 +32,8 @@ class LogisticRegression(BinaryClassifier):
         self.intercept_: float = 0.0
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "LogisticRegression":
-        # Imported on first fit: scipy.optimize takes ~0.17 s to import,
-        # and `import repro` (the server's start-up) never fits.
+        # Imported here: scipy.optimize costs ~0.17 s to import and the server
+        # never trains a classifier.
         from scipy.optimize import minimize
 
         x, y = check_xy(x, y)
