@@ -38,7 +38,8 @@ Both sides are checked pair-for-pair and score-for-score identical before
 any timing is trusted.  Each side is timed as the fastest of ``REPEATS``
 runs, with any cache it would find warm rebuilt or dropped before each run
 outside the timed region, so one run disturbed by other load cannot fail a
-floor.  Results go to ``BENCH_core.json`` at the repo root
+floor.  The bench runs with one BLAS thread, recorded as ``blas_threads``.
+Results go to ``BENCH_core.json`` at the repo root
 (the perf trajectory file) and ``benchmarks/results/core_scaling.txt``.
 Full (non-smoke) runs additionally enforce the acceptance floors: 2-hop
 enumeration speedup >= 1.0 on the dense facebook sizes and >= 5.0 on the
@@ -62,10 +63,18 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 import tracemalloc
 from pathlib import Path
+
+#: One BLAS thread, as perfbench runs: on a shared machine a second BLAS
+#: thread makes the dense products' times depend on the neighbours' load.
+#: Set before anything imports numpy, and recorded in BENCH_core.json.
+BLAS_THREADS = 1
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = str(BLAS_THREADS)
 
 import numpy as np
 import scipy.sparse as sp
@@ -515,6 +524,7 @@ def run(scales, write_json: bool) -> dict:
         # floors the PR acceptance criteria pin.
         _check_floors(sizes)
     report = build_report("core_scaling", sizes)
+    report["blas_threads"] = BLAS_THREADS
     if write_json:
         write_report(report, line_formatter=_summary_line, json_stem="core")
     return report

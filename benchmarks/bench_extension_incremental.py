@@ -14,6 +14,7 @@ from benchmarks.conftest import write_result
 from repro.graph.delta import DeltaGraph
 from repro.graph.snapshots import Snapshot
 from repro.metrics.candidates import two_hop_pairs
+from repro.utils.pairs import decode_position_pairs
 
 
 def test_incremental_matches_batch_on_preset(networks, benchmark):
@@ -26,7 +27,10 @@ def test_incremental_matches_batch_on_preset(networks, benchmark):
 
     delta = benchmark.pedantic(stream_everything, rounds=1, iterations=1)
     batch = {tuple(p) for p in two_hop_pairs(Snapshot(trace, trace.num_edges))}
-    streaming = {tuple(p) for p in two_hop_pairs(delta.materialize())}
+    # The engine's own maintained keys, decoded to id pairs.
+    rows, cols = decode_position_pairs(delta._cand_keys)
+    ids = delta._node_ids
+    streaming = set(zip(ids[rows].tolist(), ids[cols].tolist()))
     assert streaming == batch
     assert delta.num_candidates == len(batch)
     write_result(

@@ -13,7 +13,9 @@ Three questions an operator of ``repro serve --wal`` needs answered:
   how much of that the ``never`` cadence buys back?
 
 Every replayed state is column-checked byte-identical against the
-ingesting store before any number is trusted.  Results go to
+ingesting store before any number is trusted.  Each recovery is timed
+``RECOVERY_REPEATS`` times from the same WAL directory; the median is
+reported with the min–max range.  Results go to
 ``BENCH_recovery.json`` at the repo root and
 ``benchmarks/results/recovery.txt``.
 
@@ -50,6 +52,9 @@ SMOKE_SIZES = (("smoke", 100),)
 
 BASE_EVENTS = 2_000
 EVENTS_PER_BATCH = 8
+
+#: timed runs of each cold and checkpointed recovery.
+RECOVERY_REPEATS = 5
 
 
 def synthesize(n_base: int, n_batches: int, seed: int = 11):
@@ -89,6 +94,18 @@ def synthesize(n_base: int, n_batches: int, seed: int = 11):
 
 def percentile(samples: "list[float]", q: float) -> float:
     return float(np.percentile(np.asarray(samples), q))
+
+
+def timed_recoveries(wal_dir: Path, fresh_base, policy):
+    """The last recovery's result and the wall time of each of
+    ``RECOVERY_REPEATS`` recoveries from ``wal_dir``, in seconds."""
+    times = []
+    for _ in range(RECOVERY_REPEATS):
+        gc.collect()
+        started = time.perf_counter()
+        result = recover_state(wal_dir, fresh_base(), policy)
+        times.append(time.perf_counter() - started)
+    return result, times
 
 
 def ingest_all(store: ScoreStore, batches: "list[str]") -> "list[float]":
@@ -134,10 +151,8 @@ def bench_size(label: str, n_batches: int, workdir: Path) -> dict:
             durable_store, durable_dir = store, wal_dir
 
     # -- cold recovery: full WAL replay, audit included ------------------
-    gc.collect()
-    started = time.perf_counter()
-    result = recover_state(durable_dir, fresh_base(), policy)
-    recovery_s = time.perf_counter() - started
+    result, cold = timed_recoveries(durable_dir, fresh_base, policy)
+    recovery_s = float(np.median(cold))
     assert result.clean and result.records_replayed == n_batches
 
     # parity before any number is trusted
@@ -152,10 +167,8 @@ def bench_size(label: str, n_batches: int, workdir: Path) -> dict:
     )[0]
     manager.maybe_checkpoint(durable_store._engine.trace, force=True)
     manager.close()
-    gc.collect()
-    started = time.perf_counter()
-    warm = recover_state(durable_dir, fresh_base(), policy)
-    warm_s = time.perf_counter() - started
+    warm, checkpointed = timed_recoveries(durable_dir, fresh_base, policy)
+    warm_s = float(np.median(checkpointed))
     assert warm.clean and warm.records_replayed == 0
 
     events = n_batches * EVENTS_PER_BATCH
@@ -164,10 +177,15 @@ def bench_size(label: str, n_batches: int, workdir: Path) -> dict:
         "wal_records": n_batches,
         "wal_events": events,
         "base_events": BASE_EVENTS,
+        "recovery_repeats": RECOVERY_REPEATS,
         "recovery_s": round(recovery_s, 4),
+        "recovery_s_range": [round(min(cold), 4), round(max(cold), 4)],
         "replay_records_per_s": round(n_batches / recovery_s, 1),
         "replay_events_per_s": round(events / recovery_s, 1),
         "checkpoint_recovery_s": round(warm_s, 4),
+        "checkpoint_recovery_s_range": [
+            round(min(checkpointed), 4), round(max(checkpointed), 4)
+        ],
         "rto_collapse": round(recovery_s / warm_s, 2),
         "ingest_p50_ms": round(percentile(plain, 50), 4),
         "ingest_p99_ms": round(percentile(plain, 99), 4),
@@ -180,11 +198,17 @@ def bench_size(label: str, n_batches: int, workdir: Path) -> dict:
     }
 
 
+def _span(bounds: "list[float]") -> str:
+    return f"{bounds[0]}–{bounds[1]}s"
+
+
 def _summary_line(e: dict) -> str:
     return (
         f"{e['label']:>6} (R={e['wal_records']}): replay "
         f"{e['replay_records_per_s']} rec/s, cold RTO {e['recovery_s']}s "
-        f"vs checkpoint {e['checkpoint_recovery_s']}s; durable ack p99 "
+        f"({_span(e['recovery_s_range'])}) vs checkpoint "
+        f"{e['checkpoint_recovery_s']}s "
+        f"({_span(e['checkpoint_recovery_s_range'])}); durable ack p99 "
         f"{e['durable_p99_ms']}ms ({e['durable_p99_overhead']}x plain)"
     )
 
@@ -197,9 +221,11 @@ def run(sizes, write_json: bool) -> dict:
             entries.append(entry)
             print(
                 f"[{label}] R={entry['wal_records']}: cold recovery "
-                f"{entry['recovery_s']}s ({entry['replay_records_per_s']} rec/s, "
+                f"{entry['recovery_s']}s ({_span(entry['recovery_s_range'])}; "
+                f"{entry['replay_records_per_s']} rec/s, "
                 f"{entry['replay_events_per_s']} ev/s), checkpointed "
-                f"{entry['checkpoint_recovery_s']}s; ingest p99 "
+                f"{entry['checkpoint_recovery_s']}s "
+                f"({_span(entry['checkpoint_recovery_s_range'])}); ingest p99 "
                 f"{entry['ingest_p50_ms']}/{entry['ingest_p99_ms']}ms plain vs "
                 f"{entry['durable_p50_ms']}/{entry['durable_p99_ms']}ms durable "
                 f"({entry['durable_p99_overhead']}x)"

@@ -236,9 +236,8 @@ def audit_delta(delta) -> AuditReport:
     vets the incrementally maintained :class:`StreamIndex` — e.g. a forged
     ``first_seen`` fires ``first_seen_consistent``), then cross-checks
     every delta-owned structure against a from-scratch recompute off the
-    event columns: cache installation, CSR adjacency keys, degrees,
-    last-activity column, the candidate set with its CN counts, and the
-    per-node triangle counts.
+    event columns: cache installation, CSR adjacency keys, degrees, the
+    candidate set with its CN counts, and the per-node triangle counts.
     """
     import scipy.sparse as sp
 
@@ -302,19 +301,6 @@ def audit_delta(delta) -> AuditReport:
             lambda _i: "maintained degree column diverges from the stream",
         )
 
-        # -- last-activity column ---------------------------------------
-        expected_last = np.full(n, -np.inf)
-        np.maximum.at(expected_last, eu, cols[2])
-        np.maximum.at(expected_last, ev, cols[2])
-        _check(
-            report, "delta_last_active",
-            not (
-                len(delta._last_active) == n
-                and np.array_equal(delta._last_active, expected_last)
-            ),
-            lambda _i: "maintained last-activity column diverges from the stream",
-        )
-
         # -- candidate set + CN counts ----------------------------------
         matrix = sp.csr_matrix(
             (
@@ -366,7 +352,6 @@ def audit_delta(delta) -> AuditReport:
             [
                 "delta_csr_adjacency",
                 "delta_degrees",
-                "delta_last_active",
                 "delta_candidates",
                 "delta_triangle_counts",
             ]

@@ -11,8 +11,7 @@ updates every derived columnar structure in place instead of rebuilding:
   (``node_ids``, dense endpoint columns, ``first_seen``), re-installed into
   the trace's caches so plain :class:`~repro.graph.snapshots.Snapshot`
   construction never re-derives them;
-- CSR adjacency, degree, and last-activity columns, repaired only for the
-  touched rows;
+- CSR adjacency and degree columns, repaired only for the touched rows;
 - the unconnected 2-hop candidate set with exact common-neighbour counts,
   maintained in ``O(deg(u) + deg(v))`` bump work per inserted edge: one
   array pass per batch walks the 2-paths its edges create and yields the
@@ -27,13 +26,14 @@ build runs no common-neighbour expansion.
 
 ``materialize()`` returns a snapshot **byte-identical** to a full rebuild
 at the same cutoff — columns, CSR structure, candidate enumeration order,
-and metric scores.  CN is served from the maintained counts and the
-BCN/BAA/BRA role function reads the maintained triangle counts; both are
-exact integers (every float64 in ``A @ A`` or ``diag(A^3) / 2`` is an
-integer below 2^53).  Every other metric, AA and RA included, scores on
-the materialised snapshot through the same kernels as the batch path
-(:mod:`repro.metrics.kernels`).  ``tests/test_delta_equivalence.py``
-enforces this on randomized streams.
+and metric scores.  It installs only what a served read uses: the
+structure columns and the triangle counts the BCN/BAA/BRA role function
+reads (exact integers: every float64 in ``diag(A^3) / 2`` is an integer
+below 2^53).  Every metric, CN included, scores on the materialised
+snapshot through the same kernels as the batch path
+(:mod:`repro.metrics.kernels`); the maintained candidate keys and CN
+counts stay inside the engine, where :meth:`apply` reads them.
+``tests/test_delta_equivalence.py`` enforces this on randomized streams.
 
 Candidate pairs are keyed by packed ``row * S + col``
 position keys (:data:`~repro.utils.pairs.PAIR_POSITION_SHIFT`): integer
@@ -173,7 +173,6 @@ class DeltaGraph:
             self._first_seen = empty_i
             self._deg = np.zeros(0, dtype=np.int64)
             self._tri = np.zeros(0, dtype=np.int64)
-            self._last_active = np.zeros(0, dtype=np.float64)
             self._adj_keys = np.zeros(0, dtype=np.int64)
             self._cand_keys = np.zeros(0, dtype=np.int64)
             self._cand_cn = np.zeros(0, dtype=np.int64)
@@ -193,10 +192,6 @@ class DeltaGraph:
         doubled_cols = np.concatenate((index.ev, index.eu))
         self._adj_keys = np.sort(encode_position_pairs(doubled_rows, doubled_cols))
         self._deg = np.bincount(doubled_rows, minlength=n).astype(np.int64)
-        last = np.full(n, -np.inf)
-        np.maximum.at(last, index.eu, self._ct)
-        np.maximum.at(last, index.ev, self._ct)
-        self._last_active = last
         # Candidate set + exact CN counts from one 2-hop enumeration: its
         # counts are the A^2 entries of the pairs it returns.
         from repro.metrics.candidates import two_hop_positions
@@ -327,10 +322,9 @@ class DeltaGraph:
                 )
             deg = np.insert(self._deg, insert_at, 0)
             tri = np.insert(self._tri, insert_at, 0)
-            last_active = np.insert(self._last_active, insert_at, -np.inf)
         else:
             node_ids = self._node_ids
-            deg, tri, last_active = self._deg, self._tri, self._last_active
+            deg, tri = self._deg, self._tri
         # A new id below the old maximum shifts the positions after it.
         # They shift monotonically, so gathering through the old->new map
         # patches dense columns and packed keys while preserving their
@@ -366,8 +360,6 @@ class DeltaGraph:
 
         np.add.at(deg, batch_eu, 1)
         np.add.at(deg, batch_ev, 1)
-        np.maximum.at(last_active, batch_eu, new_t)
-        np.maximum.at(last_active, batch_ev, new_t)
 
         # CSR repair: splice both directions of each new edge into the
         # sorted key array — only the touched rows move — and note each
@@ -420,7 +412,7 @@ class DeltaGraph:
         # built on this trace sees the incrementally maintained columns.
         self._node_ids = _frozen(node_ids) if len(fresh) else node_ids
         self._eu, self._ev, self._first_seen = eu, ev, first_seen
-        self._deg, self._tri, self._last_active = deg, tri, last_active
+        self._deg, self._tri = deg, tri
         self._adj_keys = adj_keys
         self._cand_keys, self._cand_cn = cand_keys, cand_cn
         self.trace._install_stream_caches(
@@ -446,17 +438,16 @@ class DeltaGraph:
     # materialize()
     # ------------------------------------------------------------------
     def materialize(self) -> Snapshot:
-        """A full-cutoff snapshot seeded entirely from maintained state.
+        """A full-cutoff snapshot carrying what a served read uses.
 
-        Byte-identical to ``Snapshot(rebuilt_trace, num_edges)`` plus its
-        lazily built structure and metric caches: node table, position
-        columns, CSR adjacency, candidate enumeration (``pairs_two_hop``),
-        the CN counts, the per-node triangle counts (``triangles``, as
-        :func:`~repro.metrics.kernels.node_triangle_counts` returns them),
-        and the vectorised idle-time column.  The
-        candidates go over as the engine's packed keys, validated (a
-        corrupted array raises here) and decoded once by
-        :func:`~repro.metrics.candidates.seed_candidate_cache`.
+        Byte-identical to ``Snapshot(rebuilt_trace, num_edges)`` plus the
+        lazily built caches it installs: node table, position columns,
+        CSR adjacency, degrees, and the per-node triangle counts
+        (``triangles``, as
+        :func:`~repro.metrics.kernels.node_triangle_counts` returns them).
+        Everything else, the candidate arrays included, the snapshot
+        builds on first use exactly as a rebuilt one would; a read
+        enumerates only its node's neighbourhood.
         """
         self._check_in_sync()
         if self.num_edges == 0:
@@ -479,19 +470,7 @@ class DeltaGraph:
         snapshot._indptr = indptr
         snapshot._indices = indices
         snapshot._deg = self._deg.copy()
-        from repro.metrics.candidates import seed_candidate_cache
-        from repro.metrics.local import DELTA_SCORES_KEY
-
-        seed_candidate_cache(snapshot, self._cand_keys)
-        snapshot.cache[DELTA_SCORES_KEY] = {
-            "keys": self._cand_keys.copy(),
-            "CN": self._cand_cn.astype(np.float64),
-        }
         snapshot.cache["triangles"] = _frozen(self._tri.astype(np.float64))
-        # now - last is exactly the activity kernel's subtraction; every
-        # stream node has an edge at or before the snapshot time, so the
-        # never-active fallback cannot trigger at full cutoff.
-        snapshot.cache["node_idle_times"] = snapshot.time - self._last_active
         return snapshot
 
     # ------------------------------------------------------------------

@@ -35,7 +35,6 @@ from repro import telemetry
 from repro.graph.snapshots import Snapshot
 from repro.metrics.base import adjacency, cached, two_hop_matrix
 from repro.telemetry.metrics import SIZE_BUCKETS
-from repro.utils.pairs import decode_position_pairs
 from repro.utils.rng import ensure_rng
 
 #: strategy-selection thresholds (see DESIGN.md "Batched kernels &
@@ -43,49 +42,12 @@ from repro.utils.rng import ensure_rng
 DENSE_MAX_NODES = 4096
 DENSE_MIN_DENSITY = 0.01
 
-#: snapshot-cache key recording which strategy enumerated ``pairs_two_hop``.
+#: snapshot-cache key recording which strategy enumerated the 2-hop pairs.
 ENUM_STRATEGY_KEY = "enum_strategy"
 
 
 def _empty_pairs() -> np.ndarray:
     return np.zeros((0, 2), dtype=np.int64)
-
-
-def seed_candidate_cache(snapshot: Snapshot, keys: np.ndarray) -> None:
-    """Install a precomputed 2-hop candidate set into the snapshot cache.
-
-    The delta engine maintains the candidate set incrementally as packed
-    position keys (:func:`~repro.utils.pairs.encode_position_pairs`) and
-    seeds materialised snapshots through this hook, so
-    :func:`two_hop_pairs` serves the maintained set instead of building
-    ``A^2``.  The keys are validated, not trusted, in one pass with no
-    search: a 1-D integer array, strictly increasing (the row-major order
-    ranking tie-breaks, delta score tables and the block splitter rely
-    on), with ``0 <= row < col < n``.  Anything else raises
-    ``ValueError``; valid keys are decoded once into node-id pairs.
-    """
-    keys = np.asarray(keys)
-    if keys.ndim != 1 or not np.issubdtype(keys.dtype, np.integer):
-        raise ValueError(
-            f"candidate keys must be a 1-D integer array, got {keys.dtype} "
-            f"of shape {keys.shape}"
-        )
-    keys = keys.astype(np.int64, copy=False)
-    rows, cols = decode_position_pairs(keys)
-    if np.any(np.diff(keys) <= 0):
-        raise ValueError("seeded candidate keys are not strictly increasing")
-    if np.any(rows >= cols):
-        raise ValueError("seeded candidate key is not a (row < col) pair")
-    if len(keys) and (keys[0] < 0 or cols.max() >= snapshot.num_nodes):
-        raise ValueError("seeded candidate key is outside the node table")
-    ids = snapshot.node_ids
-    # Filling a preallocated C-ordered array skips column_stack's
-    # intermediate copies; the bytes, dtype and flags are the same.
-    pairs = np.empty((len(keys), 2), dtype=ids.dtype)
-    pairs[:, 0] = ids[rows]
-    pairs[:, 1] = ids[cols]
-    snapshot.cache["pairs_two_hop"] = pairs
-    snapshot.cache[ENUM_STRATEGY_KEY] = "seeded"
 
 
 # ---------------------------------------------------------------------------

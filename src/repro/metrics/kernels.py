@@ -49,7 +49,7 @@ one CN count and one weighted sum per weight key for each candidate set.
 
 :func:`score_pairs` emits ``kernels.block`` spans plus block-size/latency
 histograms for every caller: the experiment runner, the classifier
-features, the delta engine's rescoring, the serving hot path and
+features, the serving hot path and
 ``SimilarityMetric.score``.
 """
 
@@ -496,9 +496,8 @@ def blocks_for(snapshot: Snapshot, pairs: np.ndarray) -> "list[CandidateBlock]":
     sweep scores the same enumeration, filtered or not) the block list is
     cached on the snapshot, so expansions computed while scoring the first
     metric are reused by all later ones.  A candidate set at or below the
-    block limit stays a single block wrapping the original array object —
-    preserving identity fast paths downstream (e.g. CN reading the delta
-    engine's counts for the snapshot's own candidate array).
+    block limit stays a single block wrapping the original array object,
+    so identity-keyed caches downstream still recognise it.
     """
     limit = block_pair_limit()
 

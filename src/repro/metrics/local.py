@@ -22,7 +22,6 @@ from repro.graph.snapshots import Snapshot
 from repro.metrics.base import (
     SimilarityMetric,
     degrees,
-    pairs_to_indices,
     register,
 )
 
@@ -47,48 +46,6 @@ def inv_degree_weights(deg: np.ndarray) -> np.ndarray:
     return out
 
 
-#: snapshot-cache key under which the delta engine seeds its CN counts:
-#: ``{"keys": sorted packed position keys, "CN": float64 counts}``.
-DELTA_SCORES_KEY = "delta_scores"
-
-
-def delta_backed_scores(
-    snapshot: Snapshot, pairs: np.ndarray
-) -> "np.ndarray | None":
-    """Serve CN scores from the delta engine's maintained counts, if possible.
-
-    Returns None — and the caller counts from the block's common-neighbour
-    expansion — when the snapshot was not materialised by the delta
-    engine, a pair's endpoint is unknown, or a pair is missing from the
-    table (the table covers exactly the 2-hop candidate set; anything
-    outside it scores 0, but the expansion handles arbitrary pairs
-    uniformly, so it keeps that job).
-    """
-    table = snapshot.cache.get(DELTA_SCORES_KEY)
-    if table is None:
-        return None
-    # Fast path: scoring the snapshot's own candidate enumeration — the
-    # overwhelmingly common call — needs no key lookup at all, because the
-    # table rows are maintained in exactly that (row-major) order.
-    if pairs is snapshot.cache.get("pairs_two_hop") and len(pairs) == len(
-        table["keys"]
-    ):
-        return table["CN"].copy()
-    from repro.utils.pairs import encode_position_pairs
-
-    try:
-        rows, cols = pairs_to_indices(snapshot, pairs)
-    except KeyError:
-        return None
-    wanted = encode_position_pairs(rows, cols)
-    keys = table["keys"]
-    pos = np.searchsorted(keys, wanted)
-    safe = np.minimum(pos, max(len(keys) - 1, 0))
-    if len(keys) == 0 or not np.all(keys[safe] == wanted):
-        return None
-    return np.ascontiguousarray(table["CN"][safe])
-
-
 @register
 class CommonNeighbors(SimilarityMetric):
     """CN [32]: ``|Γ(u) ∩ Γ(v)|``."""
@@ -101,10 +58,7 @@ class CommonNeighbors(SimilarityMetric):
         return self
 
     def score_block(self, block) -> np.ndarray:
-        snapshot = self._require_fit()
-        warm = delta_backed_scores(snapshot, block.pairs)
-        if warm is not None:
-            return warm
+        self._require_fit()
         return block.counts().copy()
 
 

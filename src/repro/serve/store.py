@@ -23,9 +23,10 @@ A read costs what its node's neighbourhood costs: its candidates come
 from the node's CSR rows, never from the snapshot's full candidate
 array; SP, LP and Katz_sc compute the node's row of their path matrix,
 and LRW the node's row and column of ``P^m``, instead of the whole
-matrix.  The engine keeps only the exact CN counts warm; AA and RA
-score a read's few hundred pairs through the common-neighbour
-expansion, so a write refreshes no float score table.
+matrix.  CN, AA and RA score a read's few hundred pairs through the
+common-neighbour expansion, and BCN/BAA/BRA read the triangle counts
+the engine keeps, so a written snapshot carries no candidate array or
+score table: a write installs the structure and those counts only.
 """
 
 from __future__ import annotations
@@ -141,9 +142,10 @@ class ScoreStore:
         ``u``'s neighbourhood (``candidate_pairs(..., node=u)``) without
         building the snapshot's full candidate array.  Scores route
         through the batched kernel layer
-        (:func:`repro.metrics.kernels.score_pairs`: the engine's warm CN
-        table, the common-neighbour expansion for AA/RA and the other
-        neighbourhood metrics, one matrix row for SP/LP/Katz_sc, one row
+        (:func:`repro.metrics.kernels.score_pairs`: the common-neighbour
+        expansion for CN/AA/RA and the other neighbourhood metrics, the
+        engine's triangle counts for BCN/BAA/BRA, one matrix row for
+        SP/LP/Katz_sc, one row
         and one column of ``P^m`` for LRW), so each value is
         bit-identical to the batch pipeline's score for the same pair on
         the same prefix.  Ranking is deterministic:

@@ -61,10 +61,8 @@ def _global_positions(snapshot: Snapshot) -> np.ndarray:
 def node_idle_times(snapshot: Snapshot) -> np.ndarray:
     """Idle time of every node (aligned with ``node_list``).
 
-    Memoised on the snapshot cache: the delta engine seeds the column from
-    its incrementally maintained last-activity table (bitwise what this
-    kernel computes — a running ``maximum.at`` is exact for float64), and
-    repeat calls within one snapshot reuse the first pass.
+    Memoised on the snapshot cache, so repeat calls within one snapshot
+    reuse the first pass.
     """
     cached = snapshot.cache.get("node_idle_times")
     if cached is not None:
@@ -108,7 +106,7 @@ def csr_edge_times(snapshot: Snapshot) -> np.ndarray:
     """Creation time of every CSR adjacency entry (aligned with ``indices``).
 
     Built once per snapshot from its own edge columns — not inside the CSR
-    build, which the delta engine seeds directly — by
+    build, which the delta engine installs directly — by
     :func:`~repro.metrics.kernels.csr_edge_column`.
     """
     return cached(

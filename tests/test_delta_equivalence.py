@@ -5,7 +5,8 @@ full ``TemporalGraph`` rebuild at the same cutoff.  This suite enforces
 that on hypothesis-generated streams after every random batch — columns,
 stream index, CSR structure, degrees, candidate enumeration order,
 per-node triangle counts, CN / AA / RA / JC / BCN / BAA / BRA scores,
-idle times — plus chunking invariance (the same
+idle times, and the engine's own candidate keys and CN counts against
+the rebuild's enumeration — plus chunking invariance (the same
 stream applied in different batch splits yields identical state), the
 engine build against the chunked-expansion build it replaced (one
 enumeration, no expansion), pickle round-trips, batch hygiene
@@ -26,7 +27,7 @@ from repro.graph.dyngraph import TemporalGraph
 from repro.graph.snapshots import Snapshot
 from repro.metrics import candidates, kernels
 from repro.metrics.base import get_metric, pairs_to_indices
-from repro.metrics.candidates import two_hop_pairs
+from repro.metrics.candidates import two_hop_pairs, two_hop_positions
 from repro.metrics.kernels import node_triangle_counts
 from repro.utils.pairs import encode_position_pairs
 from repro.temporal.activity import node_idle_times
@@ -100,6 +101,15 @@ def assert_byte_identical(delta: DeltaGraph) -> None:
     """Materialized snapshot == full rebuild, down to the bytes."""
     snap = delta.materialize()
     ref = rebuilt_snapshot(delta.trace)
+    # The engine's candidate keys and CN counts stay inside it; they
+    # must be the rebuild's enumeration, positions and A^2 entries.
+    rows, cols, counts = two_hop_positions(ref)
+    for got, want in (
+        (delta._cand_keys, encode_position_pairs(rows, cols)),
+        (delta._cand_cn, counts),
+    ):
+        assert got.dtype == want.dtype == np.int64
+        assert got.tobytes() == want.tobytes()
     for got, want in zip(snap.trace.columns(), ref.trace.columns()):
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
@@ -110,12 +120,12 @@ def assert_byte_identical(delta: DeltaGraph) -> None:
     assert got_ptr.tobytes() == want_ptr.tobytes()
     assert got_idx.tobytes() == want_idx.tobytes()
     assert snap.degree_array().tobytes() == ref.degree_array().tobytes()
-    # The seeded counts are read before any metric runs, so they are the
-    # engine's, not a recount on the materialised snapshot.
-    seeded_triangles = snap.cache["triangles"]
-    assert not seeded_triangles.flags.writeable
+    # The installed counts are read before any metric runs, so they are
+    # the engine's, not a recount on the materialised snapshot.
+    triangles = snap.cache["triangles"]
+    assert not triangles.flags.writeable
     assert (
-        seeded_triangles.tobytes() == node_triangle_counts(ref).tobytes()
+        triangles.tobytes() == node_triangle_counts(ref).tobytes()
     )
     got_pairs, want_pairs = two_hop_pairs(snap), two_hop_pairs(ref)
     assert got_pairs.dtype == want_pairs.dtype
@@ -197,14 +207,12 @@ class TestByteIdentity:
     def test_cn_only_engine_identical_after_every_batch(self, stream_and_chunks):
         """The engine keeps CN counts and per-node triangles, no float tables.
 
-        The seeded score cache carries the candidate keys and CN alone;
-        the triangle counts are one int64 column. AA/RA/JC and
-        BCN/BAA/BRA score through the expansion on the materialised
-        snapshot and still match the rebuild byte for byte, and no BCN
-        read recounts the triangles.
+        The materialised snapshot carries the triangle counts, one int64
+        column in the engine, and no candidate array, score table or
+        idle-time column. CN/AA/RA/JC and BCN/BAA/BRA score through the
+        expansion on the materialised snapshot and still match the
+        rebuild byte for byte, and no BCN read recounts the triangles.
         """
-        from repro.metrics.local import DELTA_SCORES_KEY
-
         _, chunks = stream_and_chunks
         delta = DeltaGraph()
         for chunk in chunks:
@@ -213,7 +221,9 @@ class TestByteIdentity:
             if delta.num_edges:
                 assert_byte_identical(delta)
                 snap = delta.materialize()
-                assert set(snap.cache[DELTA_SCORES_KEY]) == {"keys", "CN"}
+                assert "triangles" in snap.cache
+                for key in ("pairs_two_hop", "pairs_all", "delta_scores", "node_idle_times"):
+                    assert key not in snap.cache, key
                 assert delta._cand_cn.dtype == np.int64
                 assert len(delta._cand_cn) == len(delta._cand_keys)
                 assert delta._tri.dtype == np.int64
@@ -237,9 +247,9 @@ class TestByteIdentity:
 
     @given(traces())
     @settings(max_examples=40, deadline=None)
-    def test_delta_backed_scores_match_matrix_path(self, stream):
-        """Scores on the materialised snapshot == the matrix oracle, per
-        pair: CN from the seeded counts, AA/RA through the expansion."""
+    def test_materialized_scores_match_matrix_oracle(self, stream):
+        """CN/AA/RA scores on the materialised snapshot == the matrix
+        oracle on a rebuild, per pair."""
         delta = DeltaGraph()
         delta.apply(stream)
         if not delta.num_edges:
@@ -247,8 +257,8 @@ class TestByteIdentity:
         snap = delta.materialize()
         ref = rebuilt_snapshot(delta.trace)
         pairs = two_hop_pairs(snap)
-        # Also score a shuffled subset: table lookup must not depend on
-        # the query order matching the maintained key order.
+        # Score in reversed order: nothing may depend on the query order
+        # matching the enumeration order.
         subset = pairs[::-1]
         for name in ("CN", "AA", "RA"):
             want = oracle_scores(get_metric(name).fit(ref), subset)
@@ -279,7 +289,6 @@ class TestChunkingInvariance:
             assert np.array_equal(other._cand_keys, one_shot._cand_keys)
             assert np.array_equal(other._cand_cn, one_shot._cand_cn)
             assert np.array_equal(other._tri, one_shot._tri)
-            assert other._last_active.tobytes() == one_shot._last_active.tobytes()
         if one_shot.num_edges:
             for engine in (one_shot, single, random_chunks):
                 assert_byte_identical(engine)

@@ -184,15 +184,15 @@ class TestDeltaAudit:
 
         report = audit_delta(delta)
         assert report.ok, report.summary()
-        # the 12 core invariants plus the 6 delta-structure checks.
-        assert len(report.checks_run) == 18
+        # the 12 core invariants plus the 5 delta-structure checks.
+        assert len(report.checks_run) == 17
 
     def test_empty_delta_is_clean(self):
         from repro.graph import DeltaGraph, audit_delta
 
         report = audit_delta(DeltaGraph())
         assert report.ok
-        assert len(report.checks_run) == 18
+        assert len(report.checks_run) == 17
 
     def test_stale_csr_row(self, delta):
         delta._adj_keys = delta._adj_keys.copy()
@@ -222,10 +222,13 @@ class TestDeltaAudit:
         delta._deg[0] += 1
         assert "delta_degrees" in violated(delta.audit())
 
-    def test_wrong_last_active(self, delta):
-        delta._last_active = delta._last_active.copy()
-        delta._last_active[0] -= 1.0
-        assert "delta_last_active" in violated(delta.audit())
+    def test_swapped_candidate_keys(self, delta):
+        # Two candidates out of row-major order: the set and counts are
+        # right, the order every enumeration reader relies on is not.
+        assert delta.num_candidates >= 2
+        delta._cand_keys = delta._cand_keys.copy()
+        delta._cand_keys[[0, 1]] = delta._cand_keys[[1, 0]]
+        assert violated(delta.audit()) == {"delta_candidates"}
 
     def test_wrong_first_seen(self, delta):
         forged = delta._first_seen.copy()

@@ -22,7 +22,6 @@ from repro import telemetry
 from repro.graph.snapshots import Snapshot
 from repro.metrics.base import get_metric
 from repro.metrics.candidates import candidate_pairs
-from repro.metrics.local import DELTA_SCORES_KEY
 from repro.serve import ServeConfig, ServerHarness
 
 METRICS = [
@@ -107,8 +106,9 @@ class TestServeBatchParity:
     def test_parity_survives_online_ingest(self, small_facebook):
         """Serving a prefix then POSTing the rest == batch on the full trace.
 
-        The store's engine keeps only CN counts, so after the write AA and
-        RA score through the expansion on the served snapshot.
+        The written snapshot is served without a candidate array, a score
+        table or an idle-time column, and the reads of all 15 metrics on
+        a few nodes build none of them: each enumerates its node only.
         """
         trace = small_facebook
         cutoff = trace.num_edges // 2
@@ -126,11 +126,14 @@ class TestServeBatchParity:
             )
             assert response.status == 200, response.body
             assert response.json()["applied"] == trace.num_edges - cutoff
-            table = harness.store.snapshot.cache[DELTA_SCORES_KEY]
-            assert set(table) == {"keys", "CN"}
+            snapshot = harness.store.snapshot
+            assert "triangles" in snapshot.cache
             compared = assert_parity(
                 harness, trace, trace.num_edges, nodes
             )
+            assert harness.store.snapshot is snapshot
+            for key in ("pairs_two_hop", "pairs_all", "delta_scores", "node_idle_times"):
+                assert key not in snapshot.cache, key
         assert compared > 50
 
     def test_bayes_read_after_ingest_reuses_seeded_triangles(
