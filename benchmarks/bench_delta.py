@@ -9,13 +9,16 @@ scored by CN, AA and RA, each metric fitted per read as
 ``ScoreStore.predict`` does.  They get there differently:
 
 - **delta** — ``DeltaGraph.apply(batch)`` + ``materialize()`` (incremental
-  column/index/CSR patching, exact CN-count and triangle bumps);
+  column/index/CSR patching and triangle bumps);
 - **rebuild** — ``TemporalGraph.from_columns(validated=True)`` over the
   whole prefix and a fresh ``Snapshot`` whose structure the reads build
   cold, exactly what a non-incremental server pays per arriving batch.
 
-Every measured batch is parity-checked byte-for-byte (each read's pairs
-and scores via ``tobytes``) before its timing is trusted, and the full
+Each batch's write and rebuild are timed ``REPEATS`` times, interleaved,
+on the same pre-batch state (every write but the last goes to an untimed
+copy of the engine), and each side sums the per-batch medians.  Every
+timed run is parity-checked byte-for-byte (each read's pairs and scores
+via ``tobytes``) before its timing is trusted, and the full
 (non ``--smoke``) run asserts the acceptance floor: delta beats rebuild
 by >= 5x for small batches on the largest size, asserted at the smallest
 measured fraction (0.1% of the stream).  The sweep extends to 1% and 5%
@@ -31,6 +34,8 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import copy
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -73,6 +78,9 @@ WARM_FRACTION = 0.9
 #: doesn't loop hundreds of times on the large trace.
 MAX_BATCHES = 20
 
+#: timings of each batch per side; the side's total sums their medians.
+REPEATS = 5
+
 SCORED = ("CN", "AA", "RA")
 
 
@@ -102,29 +110,40 @@ def bench_fraction(events: list, fraction: float) -> dict:
         position += len(batch)
         batches += 1
         initiators = list(dict.fromkeys(u for u, v, _t in batch if u != v))
-
-        started = time.perf_counter()
-        delta.apply(batch)
-        delta_result = _reads(delta.materialize(), initiators)
-        delta_s += time.perf_counter() - started
-
         prefix = events[:position]
-        started = time.perf_counter()
-        u = np.asarray([e[0] for e in prefix], dtype=np.int64)
-        v = np.asarray([e[1] for e in prefix], dtype=np.int64)
-        t = np.asarray([e[2] for e in prefix], dtype=np.float64)
-        rebuilt = TemporalGraph.from_columns(u, v, t, validated=True)
-        rebuild_result = _reads(Snapshot(rebuilt, rebuilt.num_edges), initiators)
-        rebuild_s += time.perf_counter() - started
 
-        assert delta_result == rebuild_result, (
-            f"delta/rebuild parity broke at batch {batches} "
-            f"(fraction={fraction})"
-        )
+        def write(engine: DeltaGraph) -> list[bytes]:
+            engine.apply(batch)
+            return _reads(engine.materialize(), initiators)
+
+        def rebuild() -> list[bytes]:
+            u = np.asarray([e[0] for e in prefix], dtype=np.int64)
+            v = np.asarray([e[1] for e in prefix], dtype=np.int64)
+            t = np.asarray([e[2] for e in prefix], dtype=np.float64)
+            rebuilt = TemporalGraph.from_columns(u, v, t, validated=True)
+            return _reads(Snapshot(rebuilt, rebuilt.num_edges), initiators)
+
+        delta_times, rebuild_times = [], []
+        for repeat in range(REPEATS):
+            # The last write advances the engine; the others go to copies.
+            engine = delta if repeat == REPEATS - 1 else copy.deepcopy(delta)
+            started = time.perf_counter()
+            delta_result = write(engine)
+            delta_times.append(time.perf_counter() - started)
+            started = time.perf_counter()
+            rebuild_result = rebuild()
+            rebuild_times.append(time.perf_counter() - started)
+            assert delta_result == rebuild_result, (
+                f"delta/rebuild parity broke at batch {batches} "
+                f"(fraction={fraction})"
+            )
+        delta_s += statistics.median(delta_times)
+        rebuild_s += statistics.median(rebuild_times)
     return {
         "fraction": fraction,
         "batch_events": batch_size,
         "batches": batches,
+        "repeats": REPEATS,
         "delta_s": round(delta_s, 4),
         "rebuild_s": round(rebuild_s, 4),
         "speedup": round(rebuild_s / delta_s, 2),

@@ -236,8 +236,8 @@ def audit_delta(delta) -> AuditReport:
     vets the incrementally maintained :class:`StreamIndex` — e.g. a forged
     ``first_seen`` fires ``first_seen_consistent``), then cross-checks
     every delta-owned structure against a from-scratch recompute off the
-    event columns: cache installation, CSR adjacency keys, degrees, the
-    candidate set with its CN counts, and the per-node triangle counts.
+    event columns in 4 checks: cache installation, CSR adjacency keys,
+    degrees, and the per-node triangle counts.
     """
     import scipy.sparse as sp
 
@@ -301,7 +301,7 @@ def audit_delta(delta) -> AuditReport:
             lambda _i: "maintained degree column diverges from the stream",
         )
 
-        # -- candidate set + CN counts ----------------------------------
+        # -- per-node triangle counts: diag(A^3) / 2 --------------------
         matrix = sp.csr_matrix(
             (
                 np.ones(2 * n_events, dtype=np.float64),
@@ -310,31 +310,6 @@ def audit_delta(delta) -> AuditReport:
             shape=(n, n),
         )
         square = matrix @ matrix
-        product = sp.triu(square, k=1).tocoo()
-        rows, cs, vals = product.row, product.col, product.data
-        if len(rows):
-            connected = np.asarray(matrix[rows, cs]).ravel() > 0
-            keep = (~connected) & (vals != 0)
-            rows, cs, vals = rows[keep], cs[keep], vals[keep]
-        order = np.lexsort((cs, rows))
-        expected_cand = (
-            rows[order].astype(np.int64) * PAIR_POSITION_SHIFT
-            + cs[order].astype(np.int64)
-        )
-        expected_cn = vals[order].astype(np.int64)
-        _check(
-            report, "delta_candidates",
-            not (
-                np.array_equal(delta._cand_keys, expected_cand)
-                and np.array_equal(delta._cand_cn, expected_cn)
-            ),
-            lambda _i: (
-                f"maintained candidate set / CN counts diverge "
-                f"({len(delta._cand_keys)} pairs, expected {len(expected_cand)})"
-            ),
-        )
-
-        # -- per-node triangle counts: diag(A^3) / 2 --------------------
         expected_tri = (
             np.asarray(square.multiply(matrix).sum(axis=1)).ravel().astype(np.int64)
             // 2
@@ -352,7 +327,6 @@ def audit_delta(delta) -> AuditReport:
             [
                 "delta_csr_adjacency",
                 "delta_degrees",
-                "delta_candidates",
                 "delta_triangle_counts",
             ]
         )

@@ -12,17 +12,16 @@ updates every derived columnar structure in place instead of rebuilding:
   the trace's caches so plain :class:`~repro.graph.snapshots.Snapshot`
   construction never re-derives them;
 - CSR adjacency and degree columns, repaired only for the touched rows;
-- the unconnected 2-hop candidate set with exact common-neighbour counts,
-  maintained in ``O(deg(u) + deg(v))`` bump work per inserted edge: one
-  array pass per batch walks the 2-paths its edges create and yields the
-  growth of ``A^2`` on every pair it touches;
-- the number of triangles through each node, from the same growth:
-  ``2 tri(v) = sum_w A(v, w) A^2(v, w)``.
+- the number of triangles through each node, from
+  ``2 tri(v) = sum_w A(v, w) A^2(v, w)``: one array pass per batch walks
+  the 2-paths its edges create and yields the growth of ``A^2`` on every
+  edge they close, and each new edge adds its common-neighbour count
+  before the batch, read off the CSR keys of its lower-degree end.
 
-``DeltaGraph(trace)`` (and unpickling, which rebuilds) derives all of
-this from one 2-hop enumeration: the ``A^2`` it forms gives each
-candidate's CN count, and counting 2-paths gives the triangles, so the
-build runs no common-neighbour expansion.
+That is all the engine keeps: ``O(nodes + edges)`` state, so a write
+costs what it touches.  ``DeltaGraph(trace)`` (and unpickling, which
+rebuilds) takes the triangles from one 2-hop enumeration by counting
+2-paths, so the build runs no common-neighbour expansion.
 
 ``materialize()`` returns a snapshot **byte-identical** to a full rebuild
 at the same cutoff — columns, CSR structure, candidate enumeration order,
@@ -31,15 +30,14 @@ structure columns and the triangle counts the BCN/BAA/BRA role function
 reads (exact integers: every float64 in ``diag(A^3) / 2`` is an integer
 below 2^53).  Every metric, CN included, scores on the materialised
 snapshot through the same kernels as the batch path
-(:mod:`repro.metrics.kernels`); the maintained candidate keys and CN
-counts stay inside the engine, where :meth:`apply` reads them.
+(:mod:`repro.metrics.kernels`), on candidates it enumerates itself.
 ``tests/test_delta_equivalence.py`` enforces this on randomized streams.
 
-Candidate pairs are keyed by packed ``row * S + col``
+The adjacency is keyed by packed ``row * S + col``
 position keys (:data:`~repro.utils.pairs.PAIR_POSITION_SHIFT`): integer
 keys sort exactly like row-major ``(row, col)`` tuples, and because node
-insertion remaps positions *monotonically*, patching a key array after new
-nodes arrive is a decode / gather / re-encode — never a re-sort.
+insertion remaps positions *monotonically*, patching the key array after
+new nodes arrive is a decode / gather / re-encode — never a re-sort.
 """
 
 from __future__ import annotations
@@ -72,8 +70,6 @@ class DeltaReport:
     self_loops: int
     #: node ids first seen in this batch.
     new_nodes: int
-    #: size of the maintained unconnected 2-hop candidate set.
-    candidates: int
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -123,12 +119,27 @@ def _two_path_growth(
     return keys[first], np.diff(first, append=len(keys))
 
 
-def _locate(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Insertion points of ``keys`` in the sorted ``table``, and membership."""
-    pos = np.searchsorted(table, keys)
-    if len(table) == 0:
-        return pos, np.zeros(len(keys), dtype=bool)
-    return pos, table[np.minimum(pos, len(table) - 1)] == keys
+def _common_neighbor_counts(
+    adj_keys: np.ndarray, deg: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """``|N(a[i]) & N(b[i])|`` for each pair, read off the CSR keys.
+
+    Walks the row of each pair's lower-degree end and probes every
+    neighbour ``x`` of it as the key ``(other end, x)`` with one
+    ``searchsorted`` over ``adj_keys`` (as
+    :func:`~repro.graph.snapshots._isin_sorted` does), so the work is
+    ``O(sum_i min(deg a[i], deg b[i]) log E)``.
+    """
+    swap = deg[a] > deg[b]
+    low, high = np.where(swap, b, a), np.where(swap, a, b)
+    lens = deg[low]
+    owner = np.repeat(np.arange(len(a)), lens)
+    # step j of pair i reads adj_keys[row start of low[i] + j]
+    row_start = np.searchsorted(adj_keys, encode_position_pairs(low, 0))
+    offset = np.arange(len(owner)) - (np.cumsum(lens) - lens)[owner]
+    x = adj_keys[row_start[owner] + offset] & (PAIR_POSITION_SHIFT - 1)
+    shared = _isin_sorted(encode_position_pairs(high[owner], x), adj_keys)
+    return np.bincount(owner[shared], minlength=len(a))
 
 
 class DeltaGraph:
@@ -138,9 +149,8 @@ class DeltaGraph:
     ``_node_ids`` table; ``_adj_keys`` holds the *doubled* adjacency as
     sorted packed keys (one ``row*S+col`` per direction — exactly the CSR
     ``indices`` column with its ``indptr`` implied by ``cumsum(_deg)``),
-    ``_cand_keys``/``_cand_cn`` the sorted unconnected 2-hop pairs
-    with exact common-neighbour counts, and ``_tri`` the triangles through
-    each node.  The graph-integrity auditor
+    ``_deg`` the degrees and ``_tri`` the triangles through each node;
+    no array is sized by the candidate set.  The graph-integrity auditor
     (:func:`repro.graph.audit.audit_delta`) recomputes every one of these
     structures from the event columns and cross-checks them.
     """
@@ -157,10 +167,10 @@ class DeltaGraph:
 
         Builds the stream index and enumerates the 2-hop candidates once
         (:func:`~repro.metrics.candidates.two_hop_positions`, whose
-        ``A^2`` counts are the candidates' CN column and, with the
-        degrees, give the triangle counts); no common-neighbour expansion
-        runs.  From here on :meth:`apply` keeps the state current without
-        ever rebuilding.
+        ``A^2`` counts, with the degrees, give the triangle counts); no
+        common-neighbour expansion runs and the candidates are not kept.
+        From here on :meth:`apply` keeps the state current without ever
+        rebuilding.
         """
         trace = self.trace
         num_edges = trace.num_edges
@@ -174,8 +184,6 @@ class DeltaGraph:
             self._deg = np.zeros(0, dtype=np.int64)
             self._tri = np.zeros(0, dtype=np.int64)
             self._adj_keys = np.zeros(0, dtype=np.int64)
-            self._cand_keys = np.zeros(0, dtype=np.int64)
-            self._cand_cn = np.zeros(0, dtype=np.int64)
             return
         index = trace.stream_index()
         if len(index.node_ids) >= PAIR_POSITION_SHIFT:
@@ -192,13 +200,11 @@ class DeltaGraph:
         doubled_cols = np.concatenate((index.ev, index.eu))
         self._adj_keys = np.sort(encode_position_pairs(doubled_rows, doubled_cols))
         self._deg = np.bincount(doubled_rows, minlength=n).astype(np.int64)
-        # Candidate set + exact CN counts from one 2-hop enumeration: its
-        # counts are the A^2 entries of the pairs it returns.
+        # One 2-hop enumeration: its counts are the A^2 entries (the CN
+        # counts) of the unconnected pairs it returns.
         from repro.metrics.candidates import two_hop_positions
 
-        rows, cols, cand_cn = two_hop_positions(Snapshot(trace, num_edges))
-        self._cand_keys = encode_position_pairs(rows, cols)
-        self._cand_cn = cand_cn
+        rows, cols, cn = two_hop_positions(Snapshot(trace, num_edges))
         # Triangles by counting 2-paths: the sum_y (deg(y) - 1) 2-paths
         # out of w end either at a neighbour (two per triangle through w)
         # or at a candidate partner x (CN(w, x) of them).  Every float64
@@ -206,8 +212,8 @@ class DeltaGraph:
         paths = np.bincount(
             doubled_rows, weights=self._deg[doubled_cols] - 1, minlength=n
         )
-        paths -= np.bincount(rows, weights=cand_cn, minlength=n)
-        paths -= np.bincount(cols, weights=cand_cn, minlength=n)
+        paths -= np.bincount(rows, weights=cn, minlength=n)
+        paths -= np.bincount(cols, weights=cn, minlength=n)
         self._tri = (paths / 2).astype(np.int64)
 
     # ------------------------------------------------------------------
@@ -221,15 +227,8 @@ class DeltaGraph:
     def num_edges(self) -> int:
         return len(self._ct)
 
-    @property
-    def num_candidates(self) -> int:
-        return len(self._cand_keys)
-
     def __repr__(self) -> str:
-        return (
-            f"DeltaGraph(nodes={self.num_nodes}, edges={self.num_edges}, "
-            f"candidates={self.num_candidates})"
-        )
+        return f"DeltaGraph(nodes={self.num_nodes}, edges={self.num_edges})"
 
     def _check_in_sync(self) -> None:
         if len(self._ct) != self.trace.num_edges:
@@ -296,7 +295,6 @@ class DeltaGraph:
                 duplicates=duplicates,
                 self_loops=self_loops,
                 new_nodes=0,
-                candidates=len(self._cand_keys),
             )
 
         # -- phase 2: vectorised column / index / structure patching ------
@@ -311,7 +309,6 @@ class DeltaGraph:
         fresh = batch_ids[~_isin_sorted(batch_ids, self._node_ids)]
         old_count = len(self._node_ids)
         adj_keys = self._adj_keys
-        cand_keys = self._cand_keys
         if len(fresh):
             insert_at = np.searchsorted(self._node_ids, fresh)
             node_ids = np.insert(self._node_ids, insert_at, fresh)
@@ -337,8 +334,6 @@ class DeltaGraph:
             eu, ev = old_positions[eu], old_positions[ev]
             r, c = decode_position_pairs(adj_keys)
             adj_keys = encode_position_pairs(old_positions[r], old_positions[c])
-            r, c = decode_position_pairs(cand_keys)
-            cand_keys = encode_position_pairs(old_positions[r], old_positions[c])
 
         count = len(node_ids)
         batch_eu = np.searchsorted(node_ids, new_u)
@@ -358,6 +353,8 @@ class DeltaGraph:
         np.minimum.at(first_seen, batch_ev, batch_order)
         first_seen = _frozen(first_seen)
 
+        # Each new edge's A^2 entry before the batch: its CN count.
+        old_cn = _common_neighbor_counts(adj_keys, deg, batch_eu, batch_ev)
         np.add.at(deg, batch_eu, 1)
         np.add.at(deg, batch_ev, 1)
 
@@ -378,35 +375,16 @@ class DeltaGraph:
         # The growth of A^2 on every pair the batch's new 2-paths join.
         grown, growth = _two_path_growth(adj_keys, key_order, deg, batch_eu, batch_ev)
         on_edge = _isin_sorted(grown, adj_keys)
-        cand_cn = self._cand_cn
-        drop_at, dropped = _locate(cand_keys, new_keys)
-        drop_at = drop_at[dropped]
 
         # Triangles: 2 tri(v) = sum_w A(v, w) A^2(v, w), so v gains the
-        # A^2 growth on its edges plus the old A^2 entry of each new edge,
-        # which is its CN if the pair was a candidate.
+        # A^2 growth on its edges plus the old A^2 entry of each new edge.
         r, c = decode_position_pairs(grown[on_edge])
         gained = np.bincount(
-            np.concatenate((r, c, batch_eu[dropped], batch_ev[dropped])),
-            weights=np.concatenate(
-                (growth[on_edge], growth[on_edge], cand_cn[drop_at], cand_cn[drop_at])
-            ),
+            np.concatenate((r, c, batch_eu, batch_ev)),
+            weights=np.concatenate((growth[on_edge], growth[on_edge], old_cn, old_cn)),
             minlength=count,
         )
         tri += (gained / 2).astype(np.int64)
-
-        # Candidate set: drop the pairs that just became edges, then bump
-        # the other grown pairs, inserting those new to it.
-        if len(drop_at):
-            cand_keys = np.delete(cand_keys, drop_at)
-            cand_cn = np.delete(cand_cn, drop_at)
-        bump_keys, bump_cn = grown[~on_edge], growth[~on_edge]
-        bump_at, member = _locate(cand_keys, bump_keys)
-        cand_cn[bump_at[member]] += bump_cn[member]
-        if not member.all():
-            enter_at = bump_at[~member]
-            cand_keys = np.insert(cand_keys, enter_at, bump_keys[~member])
-            cand_cn = np.insert(cand_cn, enter_at, bump_cn[~member])
 
         # Commit and re-install the trace-level caches so every Snapshot
         # built on this trace sees the incrementally maintained columns.
@@ -414,7 +392,6 @@ class DeltaGraph:
         self._eu, self._ev, self._first_seen = eu, ev, first_seen
         self._deg, self._tri = deg, tri
         self._adj_keys = adj_keys
-        self._cand_keys, self._cand_cn = cand_keys, cand_cn
         self.trace._install_stream_caches(
             (self._cu, self._cv, self._ct),
             StreamIndex(self._node_ids, eu, ev, first_seen),
@@ -424,7 +401,6 @@ class DeltaGraph:
             duplicates=duplicates,
             self_loops=self_loops,
             new_nodes=len(fresh),
-            candidates=len(cand_keys),
         )
 
     def _csr_parts(self) -> tuple[np.ndarray, np.ndarray]:

@@ -15,8 +15,8 @@ import numpy as np
 Pair = tuple[int, int]
 
 #: Packing base for position-pair keys: ``key = row * SHIFT + col``.  The
-#: delta engine (:mod:`repro.graph.delta`) keys its adjacency and candidate
-#: table this way because, with both positions below the shift, integer
+#: delta engine (:mod:`repro.graph.delta`) keys its adjacency this way
+#: because, with both positions below the shift, integer
 #: keys sort exactly like ``(row, col)`` tuples — the row-major order
 #: candidate enumeration guarantees — while staying safely inside int64.
 PAIR_POSITION_BITS = 31

@@ -5,28 +5,30 @@ full ``TemporalGraph`` rebuild at the same cutoff.  This suite enforces
 that on hypothesis-generated streams after every random batch — columns,
 stream index, CSR structure, degrees, candidate enumeration order,
 per-node triangle counts, CN / AA / RA / JC / BCN / BAA / BRA scores,
-idle times, and the engine's own candidate keys and CN counts against
-the rebuild's enumeration — plus chunking invariance (the same
-stream applied in different batch splits yields identical state), the
-engine build against the chunked-expansion build it replaced (one
-enumeration, no expansion), pickle round-trips, batch hygiene
-(duplicates / self-loops / bad timestamps), and a dict-of-sets
-reference triangulation so the delta engine and the columnar core cannot
-drift together.
+idle times, and the materialised snapshot's own enumeration (positions
+and ``A^2`` counts) against the rebuild's — plus chunking invariance (the
+same stream applied in different batch splits yields identical state),
+the engine build's triangles against an expansion count (one
+enumeration, no expansion), each new edge's pre-batch common-neighbour
+count against a set-intersection oracle, the engine's state staying
+``O(nodes + edges)``, pickle round-trips, batch hygiene (duplicates /
+self-loops / bad timestamps), and a dict-of-sets reference triangulation
+so the delta engine and the columnar core cannot drift together.
 """
 
 import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.graph.delta import DeltaGraph
+from repro.graph import delta as delta_module
+from repro.graph.delta import DeltaGraph, _common_neighbor_counts
 from repro.graph.dyngraph import TemporalGraph
 from repro.graph.snapshots import Snapshot
 from repro.metrics import candidates, kernels
-from repro.metrics.base import get_metric, pairs_to_indices
+from repro.metrics.base import get_metric
 from repro.metrics.candidates import two_hop_pairs, two_hop_positions
 from repro.metrics.kernels import node_triangle_counts
 from repro.utils.pairs import encode_position_pairs
@@ -101,13 +103,9 @@ def assert_byte_identical(delta: DeltaGraph) -> None:
     """Materialized snapshot == full rebuild, down to the bytes."""
     snap = delta.materialize()
     ref = rebuilt_snapshot(delta.trace)
-    # The engine's candidate keys and CN counts stay inside it; they
-    # must be the rebuild's enumeration, positions and A^2 entries.
-    rows, cols, counts = two_hop_positions(ref)
-    for got, want in (
-        (delta._cand_keys, encode_position_pairs(rows, cols)),
-        (delta._cand_cn, counts),
-    ):
+    # The snapshot's own enumeration: the rebuild's positions and A^2
+    # entries, bitwise.
+    for got, want in zip(two_hop_positions(snap), two_hop_positions(ref)):
         assert got.dtype == want.dtype == np.int64
         assert got.tobytes() == want.tobytes()
     for got, want in zip(snap.trace.columns(), ref.trace.columns()):
@@ -146,44 +144,15 @@ def assert_byte_identical(delta: DeltaGraph) -> None:
     )
 
 
-def chunked_expansion_build(
-    trace: TemporalGraph,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(_cand_keys, _cand_cn, _tri)`` as the engine once built them.
-
-    The id pairs of :func:`two_hop_pairs` mapped back to positions, each
-    pair's common neighbours counted by a chunked expansion probing the
-    sorted adjacency keys, and the triangles from
-    :func:`node_triangle_counts`: an independent route to the state
-    ``DeltaGraph(trace)`` now takes from one enumeration.
-    """
-    snap = Snapshot(trace, trace.num_edges)
-    rows, cols = pairs_to_indices(snap, two_hop_pairs(snap))
-    indptr, indices = snap.csr_structure()
-    adj_keys = kernels.adjacency_keys(snap)
-    limit = kernels.block_pair_limit()
-    cn_parts = [np.zeros(0, dtype=np.int64)]
-    for start in range(0, len(rows), limit):
-        r, c = rows[start : start + limit], cols[start : start + limit]
-        pair_ids = kernels.common_neighbor_expansion(
-            indptr, indices, r, c, adj_keys=adj_keys
-        )[0]
-        cn_parts.append(kernels.intersection_counts(pair_ids, len(r)).astype(np.int64))
-    return (
-        encode_position_pairs(rows, cols),
-        np.concatenate(cn_parts),
-        node_triangle_counts(snap).astype(np.int64),
-    )
-
-
 def assert_build_matches_oracle(delta: DeltaGraph) -> None:
-    """The engine's candidate keys, CN and triangle columns, bitwise."""
-    keys, cn, tri = chunked_expansion_build(delta.trace)
-    pairs = ((delta._cand_keys, keys), (delta._cand_cn, cn), (delta._tri, tri))
-    for got, want in pairs:
-        assert got.dtype == want.dtype == np.int64
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    """The engine's triangle column, bitwise, against an independent
+    route: :func:`node_triangle_counts`, half the common-neighbour
+    expansion counts of each node's edges."""
+    snap = Snapshot(delta.trace, delta.trace.num_edges)
+    want = node_triangle_counts(snap).astype(np.int64)
+    assert delta._tri.dtype == np.int64
+    assert delta._tri.shape == want.shape
+    assert delta._tri.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +174,7 @@ class TestByteIdentity:
     @given(chunked_traces())
     @settings(max_examples=40, deadline=None)
     def test_cn_only_engine_identical_after_every_batch(self, stream_and_chunks):
-        """The engine keeps CN counts and per-node triangles, no float tables.
+        """The engine keeps per-node triangles, no candidate or float tables.
 
         The materialised snapshot carries the triangle counts, one int64
         column in the engine, and no candidate array, score table or
@@ -224,8 +193,6 @@ class TestByteIdentity:
                 assert "triangles" in snap.cache
                 for key in ("pairs_two_hop", "pairs_all", "delta_scores", "node_idle_times"):
                     assert key not in snap.cache, key
-                assert delta._cand_cn.dtype == np.int64
-                assert len(delta._cand_cn) == len(delta._cand_keys)
                 assert delta._tri.dtype == np.int64
                 assert len(delta._tri) == delta.num_nodes
                 pairs = two_hop_pairs(snap)
@@ -286,8 +253,6 @@ class TestChunkingInvariance:
             assert other._ct.tobytes() == one_shot._ct.tobytes()
             assert np.array_equal(other._adj_keys, one_shot._adj_keys)
             assert np.array_equal(other._deg, one_shot._deg)
-            assert np.array_equal(other._cand_keys, one_shot._cand_keys)
-            assert np.array_equal(other._cand_cn, one_shot._cand_cn)
             assert np.array_equal(other._tri, one_shot._tri)
         if one_shot.num_edges:
             for engine in (one_shot, single, random_chunks):
@@ -307,7 +272,7 @@ class TestChunkingInvariance:
             blocked = DeltaGraph()
             for chunk in chunks:
                 blocked.apply(chunk)
-        for name in ("_adj_keys", "_deg", "_cand_keys", "_cand_cn", "_tri"):
+        for name in ("_adj_keys", "_deg", "_tri"):
             got, want = getattr(blocked, name), getattr(whole, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
         if blocked.num_edges:
@@ -347,9 +312,8 @@ BUILD_SHAPES = {
 
 
 class TestEngineBuild:
-    """``DeltaGraph(trace)`` takes its candidates, CN and triangle counts
-    from one 2-hop enumeration, bitwise equal to the chunked-expansion
-    build it replaced."""
+    """``DeltaGraph(trace)`` takes its triangle counts from one 2-hop
+    enumeration, bitwise equal to the expansion count."""
 
     @given(traces(max_nodes=14, max_edges=40))
     @settings(max_examples=60, deadline=None)
@@ -380,10 +344,8 @@ class TestEngineBuild:
         assert_build_matches_oracle(delta)
         assert delta.audit().ok
         if shape == "complete":
-            assert delta.num_candidates == 0
             assert delta._tri.tolist() == [15] * 7  # C(6, 2) per node
         if shape == "single_edge":
-            assert delta.num_candidates == 0
             assert delta._tri.tolist() == [0, 0]
 
     def test_build_runs_one_enumeration_and_no_expansion(self, monkeypatch):
@@ -405,10 +367,123 @@ class TestEngineBuild:
         trace = TemporalGraph.from_stream(BUILD_SHAPES["random"])
         delta = DeltaGraph(trace)
         assert calls == {"enumerate": 1, "expand": 0}
-        assert delta.num_candidates > 0 and delta._tri.sum() > 0
-        # The counters are live: the old build's expansions register.
+        assert delta._tri.sum() > 0
+        # The counters are live: the oracle's expansions register.
         assert_build_matches_oracle(delta)
         assert calls["expand"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Each new edge's common-neighbour count before its batch
+# ---------------------------------------------------------------------------
+@st.composite
+def graphs_and_queries(draw):
+    """A small graph (isolated nodes allowed) and node pairs to probe."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    node = st.integers(0, n - 1)
+    pair = st.tuples(node, node).filter(lambda p: p[0] != p[1])
+    edges = draw(st.sets(pair.map(lambda p: (min(p), max(p))), max_size=30))
+    queries = draw(st.lists(pair, min_size=1, max_size=12))
+    return n, sorted(edges), queries
+
+
+def set_oracle_cn(adj: dict, a: int, b: int) -> int:
+    return len(adj.get(a, set()) & adj.get(b, set()))
+
+
+class TestPreBatchCommonNeighbors:
+    """``apply`` reads each new edge's A^2 entry before the batch off the
+    CSR keys of its lower-degree end; a set intersection must agree."""
+
+    @given(graphs_and_queries())
+    # A hub with 4 leaves, one leaf also joined to node 5, and node 6
+    # isolated (a new node): pairs with the hub on either side, the
+    # zero-degree node, and endpoints repeated across pairs.
+    @example((7, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5)], [(0, 5), (5, 0), (6, 0), (1, 2), (1, 6)]))
+    @settings(max_examples=150, deadline=None)
+    def test_counts_match_set_intersection(self, graph):
+        n, edges, queries = graph
+        a = np.array([q[0] for q in queries], dtype=np.int64)
+        b = np.array([q[1] for q in queries], dtype=np.int64)
+        rows = np.array([e[0] for e in edges] + [e[1] for e in edges], dtype=np.int64)
+        cols = np.array([e[1] for e in edges] + [e[0] for e in edges], dtype=np.int64)
+        adj_keys = np.sort(encode_position_pairs(rows, cols))
+        deg = np.bincount(rows, minlength=n).astype(np.int64)
+        adj: dict[int, set[int]] = {}
+        for u, v in edges:
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+        want = [set_oracle_cn(adj, x, y) for x, y in queries]
+        got = _common_neighbor_counts(adj_keys, deg, a, b)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+        # Either end may be the lower-degree one: the count is symmetric.
+        assert _common_neighbor_counts(adj_keys, deg, b, a).tolist() == want
+
+    @given(chunked_traces())
+    @settings(max_examples=80, deadline=None)
+    def test_apply_reads_pre_batch_counts(self, stream_and_chunks):
+        """Through ``apply``: new zero-degree nodes, ids below the old
+        maximum (the position remap) and endpoints repeated within one
+        batch all get the count of the graph before the batch."""
+        _, chunks = stream_and_chunks
+        delta = DeltaGraph()
+        adj: dict[int, set[int]] = {}
+        calls = []
+        real = delta_module._common_neighbor_counts
+
+        def recorded(adj_keys, deg, a, b):
+            got = real(adj_keys, deg, a, b)
+            calls.append((a.copy(), b.copy(), got.copy()))
+            return got
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(delta_module, "_common_neighbor_counts", recorded)
+            for chunk in chunks:
+                calls.clear()
+                report = delta.apply(chunk)
+                # Positions are in the post-batch node table.
+                ids = delta._node_ids
+                assert sum(len(a) for a, _, _ in calls) == report.applied
+                for a, b, got in calls:
+                    for x, y, count in zip(ids[a].tolist(), ids[b].tolist(), got.tolist()):
+                        assert count == set_oracle_cn(adj, x, y), (x, y)
+                for u, v, _ in chunk:
+                    if u != v and v not in adj.get(u, ()):
+                        adj.setdefault(u, set()).add(v)
+                        adj.setdefault(v, set()).add(u)
+
+
+# ---------------------------------------------------------------------------
+# The engine's state is O(nodes + edges)
+# ---------------------------------------------------------------------------
+def _star_stream(leaves: int) -> list:
+    return [(0, leaf, float(leaf)) for leaf in range(1, leaves + 1)]
+
+
+class TestStateSize:
+    """No array the engine holds is sized by the candidate set: a star of
+    k leaves has k(k-1)/2 candidates against k edges."""
+
+    @pytest.mark.parametrize("shape", ["star", "random", "complete"])
+    @pytest.mark.parametrize("route", ["build", "apply"])
+    def test_arrays_bounded_by_nodes_and_edges(self, shape, route):
+        stream = _star_stream(16) if shape == "star" else BUILD_SHAPES[shape]
+        if route == "build":
+            delta = DeltaGraph(TemporalGraph.from_stream(stream))
+        else:
+            delta = DeltaGraph()
+            for start in range(0, len(stream), 5):
+                delta.apply(stream[start : start + 5])
+        bound = 2 * delta.num_edges + delta.num_nodes + 1
+        arrays = {
+            name: value
+            for name, value in vars(delta).items()
+            if isinstance(value, np.ndarray)
+        }
+        assert {"_adj_keys", "_deg", "_tri"} <= set(arrays)
+        for name, value in arrays.items():
+            assert len(value) <= bound, (name, len(value), bound)
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +520,11 @@ class TestReferenceTriangulation:
             snap = delta.materialize()
             pairs = two_hop_pairs(snap).tolist()
             assert {tuple(p) for p in pairs} == expected
-            # _cand_keys is sorted row-major, exactly the enumeration
-            # order, so counts align positionally with the pairs.
-            for count, pair in zip(delta._cand_cn.tolist(), pairs):
+            # The enumeration's A^2 counts align positionally with the
+            # pairs, both in row-major order.
+            counts = two_hop_positions(snap)[2]
+            assert len(counts) == len(pairs)
+            for count, pair in zip(counts.tolist(), pairs):
                 assert count == cn[tuple(pair)]
 
 
@@ -464,8 +541,8 @@ class TestPickle:
             delta.apply(chunk)
         clone = pickle.loads(pickle.dumps(delta))
         assert clone.audit().ok
-        assert np.array_equal(clone._cand_keys, delta._cand_keys)
-        assert np.array_equal(clone._cand_cn, delta._cand_cn)
+        assert np.array_equal(clone._adj_keys, delta._adj_keys)
+        assert np.array_equal(clone._deg, delta._deg)
         assert np.array_equal(clone._tri, delta._tri)
         for chunk in chunks[len(chunks) // 2 + 1 :]:
             delta.apply(chunk)

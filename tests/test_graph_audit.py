@@ -184,33 +184,20 @@ class TestDeltaAudit:
 
         report = audit_delta(delta)
         assert report.ok, report.summary()
-        # the 12 core invariants plus the 5 delta-structure checks.
-        assert len(report.checks_run) == 17
+        # the 12 core invariants plus the 4 delta-structure checks.
+        assert len(report.checks_run) == 16
 
     def test_empty_delta_is_clean(self):
         from repro.graph import DeltaGraph, audit_delta
 
         report = audit_delta(DeltaGraph())
         assert report.ok
-        assert len(report.checks_run) == 17
+        assert len(report.checks_run) == 16
 
     def test_stale_csr_row(self, delta):
         delta._adj_keys = delta._adj_keys.copy()
         delta._adj_keys[0] += 1
         assert "delta_csr_adjacency" in violated(delta.audit())
-
-    def test_orphan_candidate_pair(self, delta):
-        # Forge a candidate entry for a pair that is actually an edge.
-        key = int(delta._adj_keys[0])
-        at = int(np.searchsorted(delta._cand_keys, key))
-        delta._cand_keys = np.insert(delta._cand_keys, at, key)
-        delta._cand_cn = np.insert(delta._cand_cn, at, 1)
-        assert "delta_candidates" in violated(delta.audit())
-
-    def test_wrong_cn_count(self, delta):
-        delta._cand_cn = delta._cand_cn.copy()
-        delta._cand_cn[0] += 1
-        assert "delta_candidates" in violated(delta.audit())
 
     def test_wrong_triangle_count(self, delta):
         delta._tri = delta._tri.copy()
@@ -221,14 +208,6 @@ class TestDeltaAudit:
         delta._deg = delta._deg.copy()
         delta._deg[0] += 1
         assert "delta_degrees" in violated(delta.audit())
-
-    def test_swapped_candidate_keys(self, delta):
-        # Two candidates out of row-major order: the set and counts are
-        # right, the order every enumeration reader relies on is not.
-        assert delta.num_candidates >= 2
-        delta._cand_keys = delta._cand_keys.copy()
-        delta._cand_keys[[0, 1]] = delta._cand_keys[[1, 0]]
-        assert violated(delta.audit()) == {"delta_candidates"}
 
     def test_wrong_first_seen(self, delta):
         forged = delta._first_seen.copy()
