@@ -367,7 +367,7 @@ def bench_enum_strategies(trace: TemporalGraph) -> dict:
         ("dense", _dense_two_hop_positions),
     ):
         def run(snap):
-            rows, cols, _ = enumerate_positions(snap)
+            rows, cols = enumerate_positions(snap)
             return np.column_stack((snap.node_ids[rows], snap.node_ids[cols]))
 
         pairs, elapsed = _best_time(run, cold)

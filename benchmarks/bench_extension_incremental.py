@@ -1,9 +1,9 @@
 """Extension bench: streaming vs batch graph maintenance.
 
 ``DeltaGraph()`` — the serving engine — keeps the CSR adjacency, degrees
-and per-node triangle counts current in ``O(deg(u) + deg(v))`` work per
-inserted edge; the batch pipeline rebuilds every snapshot from the
-stream.  This bench streams the same edges through both and checks that
+and per-node triangle counts current in ``O(min(deg u, deg v) log E)``
+work per inserted edge; the batch pipeline rebuilds every snapshot from
+the stream.  This bench streams the same edges through both and checks that
 the streamed snapshot enumerates exactly the batch 2-hop candidates —
 the point where streaming wins is the design argument for the delta
 engine.

@@ -12,16 +12,16 @@ updates every derived columnar structure in place instead of rebuilding:
   the trace's caches so plain :class:`~repro.graph.snapshots.Snapshot`
   construction never re-derives them;
 - CSR adjacency and degree columns, repaired only for the touched rows;
-- the number of triangles through each node, from
-  ``2 tri(v) = sum_w A(v, w) A^2(v, w)``: one array pass per batch walks
-  the 2-paths its edges create and yields the growth of ``A^2`` on every
-  edge they close, and each new edge adds its common-neighbour count
-  before the batch, read off the CSR keys of its lower-degree end.
+- the number of triangles through each node.  Every triangle belongs to
+  its latest edge in the stream, so one array pass per batch finds each
+  new triangle exactly once: from each new edge, walk the earlier edges
+  of its lower-degree end and probe the CSR keys for the closing edge.
 
 That is all the engine keeps: ``O(nodes + edges)`` state, so a write
 costs what it touches.  ``DeltaGraph(trace)`` (and unpickling, which
-rebuilds) takes the triangles from one 2-hop enumeration by counting
-2-paths, so the build runs no common-neighbour expansion.
+rebuilds) is the first write: the empty engine absorbs the whole stream
+as one batch through the same code :meth:`DeltaGraph.apply` runs, so the
+build runs no candidate enumeration.
 
 ``materialize()`` returns a snapshot **byte-identical** to a full rebuild
 at the same cutoff — columns, CSR structure, candidate enumeration order,
@@ -77,69 +77,48 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _two_path_growth(
+def _triangle_corners(
     adj_keys: np.ndarray, key_order: np.ndarray, deg: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs whose ``A^2`` entry the new edges ``(a[i], b[i])`` raise.
-
-    The array form of inserting the edges one at a time: new edge ``i``,
-    walked from each end ``c`` to the other end ``o``, extends every edge
-    ``(c, x)`` that precedes it in the stream (old, or earlier in the
-    batch) into the 2-path ``x-c-o``, so each new 2-path is counted once,
-    at its later edge.  ``adj_keys`` and ``deg`` already include the
-    batch; ``key_order`` gives each key's index in the batch, -1 for an
-    older edge.  Returns the sorted packed keys of the pairs ``(x, o)``
-    and the new 2-paths between each.  The walk runs in blocks of
-    :func:`~repro.metrics.kernels.block_pair_limit` 2-paths.
-    """
-    m = len(a)
-    centres = np.concatenate((b, a))
-    others = np.concatenate((a, b))
-    order = np.tile(np.arange(m), 2)
-    lens = deg[centres]
-    starts = np.cumsum(lens) - lens
-    # walk step j of centre k reads adj_keys[indptr[centres[k]] + j - starts[k]]
-    shift = (np.cumsum(deg) - deg)[centres] - starts
-    parts = []
-    limit = block_pair_limit()
-    lo = 0
-    while lo < 2 * m:
-        hi = max(int(np.searchsorted(starts, starts[lo] + limit, side="right")), lo + 1)
-        owner = np.repeat(np.arange(lo, hi), lens[lo:hi])
-        slot = np.arange(starts[lo], starts[lo] + len(owner)) + shift[owner]
-        walk = key_order[slot] < order[owner]
-        x = adj_keys[slot[walk]] & (PAIR_POSITION_SHIFT - 1)
-        o = others[owner[walk]]
-        parts.append(encode_position_pairs(np.minimum(o, x), np.maximum(o, x)))
-        lo = hi
-    keys = np.sort(np.concatenate(parts))
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    first = np.flatnonzero(first)
-    return keys[first], np.diff(first, append=len(keys))
-
-
-def _common_neighbor_counts(
-    adj_keys: np.ndarray, deg: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
-    """``|N(a[i]) & N(b[i])|`` for each pair, read off the CSR keys.
+    """The corners of every triangle the new edges ``(a[i], b[i])`` close.
 
-    Walks the row of each pair's lower-degree end and probes every
-    neighbour ``x`` of it as the key ``(other end, x)`` with one
-    ``searchsorted`` over ``adj_keys`` (as
-    :func:`~repro.graph.snapshots._isin_sorted` does), so the work is
-    ``O(sum_i min(deg a[i], deg b[i]) log E)``.
+    The array form of inserting the edges one at a time: a triangle
+    belongs to its latest edge, so new edge ``i`` closes the triangles
+    ``(a[i], b[i], w)`` whose other two edges both precede it in the
+    stream (old, or earlier in the batch).  It walks the row of its
+    lower-degree end, keeping the edges before ``i``, and probes each
+    neighbour ``w`` as the key ``(other end, w)`` with one
+    ``searchsorted`` over ``adj_keys``; each hit whose probed edge also
+    precedes ``i`` is one triangle, found once.  ``adj_keys`` and ``deg``
+    already include the batch; ``key_order`` gives each key's index in
+    the batch, -1 for an older edge.  Returns the three corners of each
+    triangle, concatenated.  The walk runs in blocks of
+    :func:`~repro.metrics.kernels.block_pair_limit` steps.
     """
     swap = deg[a] > deg[b]
     low, high = np.where(swap, b, a), np.where(swap, a, b)
     lens = deg[low]
-    owner = np.repeat(np.arange(len(a)), lens)
-    # step j of pair i reads adj_keys[row start of low[i] + j]
-    row_start = np.searchsorted(adj_keys, encode_position_pairs(low, 0))
-    offset = np.arange(len(owner)) - (np.cumsum(lens) - lens)[owner]
-    x = adj_keys[row_start[owner] + offset] & (PAIR_POSITION_SHIFT - 1)
-    shared = _isin_sorted(encode_position_pairs(high[owner], x), adj_keys)
-    return np.bincount(owner[shared], minlength=len(a))
+    starts = np.cumsum(lens) - lens
+    # walk step j of edge k reads adj_keys[row start of low[k] + j - starts[k]]
+    shift = np.searchsorted(adj_keys, encode_position_pairs(low, 0)) - starts
+    last = len(adj_keys) - 1
+    parts = [np.zeros(0, dtype=np.int64)]
+    limit = block_pair_limit()
+    lo = 0
+    while lo < len(a):
+        hi = max(int(np.searchsorted(starts, starts[lo] + limit, side="right")), lo + 1)
+        owner = np.repeat(np.arange(lo, hi), lens[lo:hi])
+        slot = np.arange(starts[lo], starts[lo] + len(owner)) + shift[owner]
+        earlier = key_order[slot] < owner
+        owner = owner[earlier]
+        w = adj_keys[slot[earlier]] & (PAIR_POSITION_SHIFT - 1)
+        probe = encode_position_pairs(high[owner], w)
+        at = np.minimum(np.searchsorted(adj_keys, probe), last)
+        closed = (adj_keys[at] == probe) & (key_order[at] < owner)
+        owner = owner[closed]
+        parts.append(np.concatenate((low[owner], high[owner], w[closed])))
+        lo = hi
+    return np.concatenate(parts)
 
 
 class DeltaGraph:
@@ -150,7 +129,9 @@ class DeltaGraph:
     sorted packed keys (one ``row*S+col`` per direction — exactly the CSR
     ``indices`` column with its ``indptr`` implied by ``cumsum(_deg)``),
     ``_deg`` the degrees and ``_tri`` the triangles through each node;
-    no array is sized by the candidate set.  The graph-integrity auditor
+    no array is sized by the candidate set.  One code path,
+    :meth:`_absorb`, builds and updates them all: the build is the empty
+    engine's first write.  The graph-integrity auditor
     (:func:`repro.graph.audit.audit_delta`) recomputes every one of these
     structures from the event columns and cross-checks them.
     """
@@ -159,62 +140,23 @@ class DeltaGraph:
         self.trace = trace if trace is not None else TemporalGraph()
         self._rebuild_from_trace()
 
-    # ------------------------------------------------------------------
-    # Initial build (vectorised, reuses the batch machinery once)
-    # ------------------------------------------------------------------
     def _rebuild_from_trace(self) -> None:
         """Derive every maintained structure from the wrapped trace.
 
-        Builds the stream index and enumerates the 2-hop candidates once
-        (:func:`~repro.metrics.candidates.two_hop_positions`, whose
-        ``A^2`` counts, with the degrees, give the triangle counts); no
-        common-neighbour expansion runs and the candidates are not kept.
-        From here on :meth:`apply` keeps the state current without ever
-        rebuilding.
+        Starts from the empty engine and absorbs the whole stream as one
+        batch (:meth:`_absorb`, the code every :meth:`apply` runs after
+        inserting its events), so no candidate enumeration or
+        common-neighbour expansion runs.  From here on :meth:`apply` keeps
+        the state current without ever rebuilding.
         """
-        trace = self.trace
-        num_edges = trace.num_edges
-        self._cu, self._cv, self._ct = trace.columns()
-        empty_i = _frozen(np.zeros(0, dtype=np.int64))
-        if num_edges == 0:
-            self._node_ids = empty_i
-            self._eu = empty_i
-            self._ev = empty_i
-            self._first_seen = empty_i
-            self._deg = np.zeros(0, dtype=np.int64)
-            self._tri = np.zeros(0, dtype=np.int64)
-            self._adj_keys = np.zeros(0, dtype=np.int64)
-            return
-        index = trace.stream_index()
-        if len(index.node_ids) >= PAIR_POSITION_SHIFT:
-            raise ValueError(
-                f"node table too large for packed pair keys "
-                f"({len(index.node_ids)} >= 2^31)"
-            )
-        self._node_ids = index.node_ids
-        self._eu = index.eu
-        self._ev = index.ev
-        self._first_seen = index.first_seen
-        n = len(index.node_ids)
-        doubled_rows = np.concatenate((index.eu, index.ev))
-        doubled_cols = np.concatenate((index.ev, index.eu))
-        self._adj_keys = np.sort(encode_position_pairs(doubled_rows, doubled_cols))
-        self._deg = np.bincount(doubled_rows, minlength=n).astype(np.int64)
-        # One 2-hop enumeration: its counts are the A^2 entries (the CN
-        # counts) of the unconnected pairs it returns.
-        from repro.metrics.candidates import two_hop_positions
-
-        rows, cols, cn = two_hop_positions(Snapshot(trace, num_edges))
-        # Triangles by counting 2-paths: the sum_y (deg(y) - 1) 2-paths
-        # out of w end either at a neighbour (two per triangle through w)
-        # or at a candidate partner x (CN(w, x) of them).  Every float64
-        # here is an integer below 2^53, so the arithmetic is exact.
-        paths = np.bincount(
-            doubled_rows, weights=self._deg[doubled_cols] - 1, minlength=n
-        )
-        paths -= np.bincount(rows, weights=cn, minlength=n)
-        paths -= np.bincount(cols, weights=cn, minlength=n)
-        self._tri = (paths / 2).astype(np.int64)
+        empty = _frozen(np.zeros(0, dtype=np.int64))
+        self._cu = self._cv = empty
+        self._ct = _frozen(np.zeros(0, dtype=np.float64))
+        self._node_ids = self._eu = self._ev = self._first_seen = empty
+        self._deg = np.zeros(0, dtype=np.int64)
+        self._tri = np.zeros(0, dtype=np.int64)
+        self._adj_keys = np.zeros(0, dtype=np.int64)
+        self._absorb(0)
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -279,7 +221,6 @@ class DeltaGraph:
                 )
             last = t
 
-        # -- phase 1: stream insertion ----------------------------------
         start_edges = trace.num_edges
         duplicates = self_loops = 0
         for u, v, t in events:
@@ -287,17 +228,26 @@ class DeltaGraph:
                 self_loops += 1
             elif not trace.add_edge(u, v, t):
                 duplicates += 1
+        applied = trace.num_edges - start_edges
+        new_nodes = self._absorb(start_edges) if applied else 0
+        return DeltaReport(
+            applied=applied,
+            duplicates=duplicates,
+            self_loops=self_loops,
+            new_nodes=new_nodes,
+        )
 
+    def _absorb(self, start_edges: int) -> int:
+        """Patch every maintained structure for the trace's events from
+        ``start_edges`` on, install the trace-level caches, and return
+        the number of node ids they introduce.
+
+        The one update path: :meth:`apply` runs it after inserting its
+        events, and the build runs it on the empty engine for the whole
+        stream.
+        """
+        trace = self.trace
         end_edges = trace.num_edges
-        if end_edges == start_edges:
-            return DeltaReport(
-                applied=0,
-                duplicates=duplicates,
-                self_loops=self_loops,
-                new_nodes=0,
-            )
-
-        # -- phase 2: vectorised column / index / structure patching ------
         new_u = np.asarray(trace._us[start_edges:end_edges], dtype=np.int64)
         new_v = np.asarray(trace._vs[start_edges:end_edges], dtype=np.int64)
         new_t = np.asarray(trace._ts[start_edges:end_edges], dtype=np.float64)
@@ -353,8 +303,6 @@ class DeltaGraph:
         np.minimum.at(first_seen, batch_ev, batch_order)
         first_seen = _frozen(first_seen)
 
-        # Each new edge's A^2 entry before the batch: its CN count.
-        old_cn = _common_neighbor_counts(adj_keys, deg, batch_eu, batch_ev)
         np.add.at(deg, batch_eu, 1)
         np.add.at(deg, batch_ev, 1)
 
@@ -372,19 +320,8 @@ class DeltaGraph:
         key_order = np.full(len(adj_keys), -1)
         key_order[at + np.arange(len(added))] = added_order % len(new_keys)
 
-        # The growth of A^2 on every pair the batch's new 2-paths join.
-        grown, growth = _two_path_growth(adj_keys, key_order, deg, batch_eu, batch_ev)
-        on_edge = _isin_sorted(grown, adj_keys)
-
-        # Triangles: 2 tri(v) = sum_w A(v, w) A^2(v, w), so v gains the
-        # A^2 growth on its edges plus the old A^2 entry of each new edge.
-        r, c = decode_position_pairs(grown[on_edge])
-        gained = np.bincount(
-            np.concatenate((r, c, batch_eu, batch_ev)),
-            weights=np.concatenate((growth[on_edge], growth[on_edge], old_cn, old_cn)),
-            minlength=count,
-        )
-        tri += (gained / 2).astype(np.int64)
+        corners = _triangle_corners(adj_keys, key_order, deg, batch_eu, batch_ev)
+        tri += np.bincount(corners, minlength=count)
 
         # Commit and re-install the trace-level caches so every Snapshot
         # built on this trace sees the incrementally maintained columns.
@@ -392,16 +329,11 @@ class DeltaGraph:
         self._eu, self._ev, self._first_seen = eu, ev, first_seen
         self._deg, self._tri = deg, tri
         self._adj_keys = adj_keys
-        self.trace._install_stream_caches(
+        trace._install_stream_caches(
             (self._cu, self._cv, self._ct),
             StreamIndex(self._node_ids, eu, ev, first_seen),
         )
-        return DeltaReport(
-            applied=end_edges - start_edges,
-            duplicates=duplicates,
-            self_loops=self_loops,
-            new_nodes=len(fresh),
-        )
+        return len(fresh)
 
     def _csr_parts(self) -> tuple[np.ndarray, np.ndarray]:
         """Maintained CSR ``(indptr, indices)`` over node positions."""

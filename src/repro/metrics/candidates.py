@@ -13,12 +13,11 @@ the snapshot's CSR statistics (:meth:`~repro.graph.snapshots.Snapshot.csr_stats`
 - **dense** — one float32 GEMM over a dense 0/1 adjacency plus boolean
   masks.  On small dense graphs (facebook-like: thousands of nodes, ≥ 1%
   density) BLAS wins decisively over sparse products whose ``A^2`` is
-  nearly full anyway.  Counts stay exact: they are integers below 2^24.
+  nearly full anyway.
 
-Both produce the *identical* row-major candidate array and the same
-common-neighbour count per pair, read off the ``A^2`` each already forms
-(the differential suite asserts array equality), so the choice is purely
-a performance decision.
+Both produce the *identical* row-major candidate array (the
+differential suite asserts array equality), so the choice is purely a
+performance decision.
 The all-pairs set is generated from triangular-index arithmetic with a
 byte-per-pair knockout mask — no dense float adjacency on that path.
 A one-node query (``candidate_pairs(..., node=u)``, the serving read)
@@ -61,23 +60,23 @@ def choose_enumeration_strategy(snapshot: Snapshot) -> str:
     return "sparse"
 
 
-def _sparse_two_hop_positions(snapshot: Snapshot) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sparse_two_hop_positions(snapshot: Snapshot) -> tuple[np.ndarray, np.ndarray]:
     """Upper triangle of sparse ``A^2``, existing edges knocked out."""
     a = adjacency(snapshot)
     a2 = two_hop_matrix(snapshot)
     upper = sp.triu(a2, k=1).tocoo()
     if upper.nnz == 0:
-        return (np.zeros(0, dtype=np.int64),) * 3
+        return (np.zeros(0, dtype=np.int64),) * 2
     connected = np.asarray(a[upper.row, upper.col]).ravel() > 0
     reachable = upper.data > 0  # guard explicit zeros
     keep = reachable & ~connected
-    rows, cols, counts = upper.row[keep], upper.col[keep], upper.data[keep]
+    rows, cols = upper.row[keep], upper.col[keep]
     order = np.lexsort((cols, rows))
-    return tuple(x[order].astype(np.int64) for x in (rows, cols, counts))
+    return rows[order].astype(np.int64), cols[order].astype(np.int64)
 
 
-def _dense_two_hop_positions(snapshot: Snapshot) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One float32 GEMM; counts are exact integers below 2^24."""
+def _dense_two_hop_positions(snapshot: Snapshot) -> tuple[np.ndarray, np.ndarray]:
+    """One float32 GEMM over the dense 0/1 adjacency."""
     indptr, indices = snapshot.csr_structure()
     n = snapshot.num_nodes
     adj = np.zeros((n, n), dtype=np.float32)
@@ -87,8 +86,7 @@ def _dense_two_hop_positions(snapshot: Snapshot) -> tuple[np.ndarray, np.ndarray
     cand = (counts > 0) & (adj == 0.0)
     cand &= ~np.tri(n, dtype=bool)  # strict upper triangle
     rows, cols = np.nonzero(cand)  # C-order scan = row-major pair order
-    # the boolean gather scans in the same C order as nonzero
-    return tuple(x.astype(np.int64) for x in (rows, cols, counts[cand]))
+    return rows.astype(np.int64), cols.astype(np.int64)
 
 
 _ENUM_IMPLS = {
@@ -97,8 +95,8 @@ _ENUM_IMPLS = {
 }
 
 
-def two_hop_positions(snapshot: Snapshot) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The unconnected 2-hop pairs with their ``A^2`` entries, uncached.
+def two_hop_positions(snapshot: Snapshot) -> tuple[np.ndarray, np.ndarray]:
+    """The unconnected 2-hop pairs as row-major ``(rows, cols)``, uncached.
 
     The strategy is chosen by :func:`choose_enumeration_strategy` (both
     return the same arrays), recorded under :data:`ENUM_STRATEGY_KEY`
@@ -118,10 +116,10 @@ def two_hop_pairs(snapshot: Snapshot) -> np.ndarray:
     (Section 4.2); the 2-hop edge ratio lambda_2 is measured against them.
 
     The row-major (node_list-ordered) id pairs of
-    :func:`two_hop_positions`, cached per snapshot; its counts are not kept.
+    :func:`two_hop_positions`, cached per snapshot.
     """
     def compute() -> np.ndarray:
-        rows, cols, _ = two_hop_positions(snapshot)
+        rows, cols = two_hop_positions(snapshot)
         if len(rows) == 0:
             return _empty_pairs()
         ids = snapshot.node_ids

@@ -5,15 +5,15 @@ full ``TemporalGraph`` rebuild at the same cutoff.  This suite enforces
 that on hypothesis-generated streams after every random batch — columns,
 stream index, CSR structure, degrees, candidate enumeration order,
 per-node triangle counts, CN / AA / RA / JC / BCN / BAA / BRA scores,
-idle times, and the materialised snapshot's own enumeration (positions
-and ``A^2`` counts) against the rebuild's — plus chunking invariance (the
-same stream applied in different batch splits yields identical state),
-the engine build's triangles against an expansion count (one
-enumeration, no expansion), each new edge's pre-batch common-neighbour
-count against a set-intersection oracle, the engine's state staying
-``O(nodes + edges)``, pickle round-trips, batch hygiene (duplicates /
-self-loops / bad timestamps), and a dict-of-sets reference triangulation
-so the delta engine and the columnar core cannot drift together.
+idle times, and the materialised snapshot's own enumeration against the
+rebuild's — plus chunking invariance (the same stream built, or applied
+in different batch splits, yields identical state), the engine build's
+triangles against an expansion count (no enumeration, no expansion), the
+triangle walk against a one-edge-at-a-time set replay, the engine's
+state staying ``O(nodes + edges)``, pickle round-trips, batch hygiene
+(duplicates / self-loops / bad timestamps), and a dict-of-sets
+reference triangulation so the delta engine and the columnar core
+cannot drift together.
 """
 
 import pickle
@@ -23,15 +23,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.graph import delta as delta_module
-from repro.graph.delta import DeltaGraph, _common_neighbor_counts
+from repro.graph.delta import DeltaGraph
 from repro.graph.dyngraph import TemporalGraph
 from repro.graph.snapshots import Snapshot
 from repro.metrics import candidates, kernels
 from repro.metrics.base import get_metric
 from repro.metrics.candidates import two_hop_pairs, two_hop_positions
 from repro.metrics.kernels import node_triangle_counts
-from repro.utils.pairs import encode_position_pairs
 from repro.temporal.activity import node_idle_times
 from tests.matrix_oracle import oracle_scores
 
@@ -87,6 +85,11 @@ def chunked_traces(draw):
     ]
 
 
+def clean_stream(stream: list) -> list:
+    """The stream without its self-loops, as a trace can hold it."""
+    return [(u, v, t) for u, v, t in stream if u != v]
+
+
 # ---------------------------------------------------------------------------
 # The byte-identity oracle
 # ---------------------------------------------------------------------------
@@ -103,8 +106,7 @@ def assert_byte_identical(delta: DeltaGraph) -> None:
     """Materialized snapshot == full rebuild, down to the bytes."""
     snap = delta.materialize()
     ref = rebuilt_snapshot(delta.trace)
-    # The snapshot's own enumeration: the rebuild's positions and A^2
-    # entries, bitwise.
+    # The snapshot's own enumeration: the rebuild's positions, bitwise.
     for got, want in zip(two_hop_positions(snap), two_hop_positions(ref)):
         assert got.dtype == want.dtype == np.int64
         assert got.tobytes() == want.tobytes()
@@ -205,7 +207,7 @@ class TestByteIdentity:
     def test_warm_start_from_existing_trace(self, stream):
         """Wrapping a pre-built trace then continuing incrementally."""
         half = len(stream) // 2
-        prefix = [(u, v, t) for u, v, t in stream[:half] if u != v]
+        prefix = clean_stream(stream[:half])
         delta = DeltaGraph(TemporalGraph.from_stream(prefix))
         delta.apply(stream[half:])
         assert delta.audit().ok
@@ -246,7 +248,8 @@ class TestChunkingInvariance:
         random_chunks = DeltaGraph()
         for chunk in chunks:
             random_chunks.apply(chunk)
-        for other in (single, random_chunks):
+        built = DeltaGraph(TemporalGraph.from_stream(clean_stream(stream)))
+        for other in (single, random_chunks, built):
             assert np.array_equal(other._node_ids, one_shot._node_ids)
             assert other._cu.tobytes() == one_shot._cu.tobytes()
             assert other._cv.tobytes() == one_shot._cv.tobytes()
@@ -255,15 +258,15 @@ class TestChunkingInvariance:
             assert np.array_equal(other._deg, one_shot._deg)
             assert np.array_equal(other._tri, one_shot._tri)
         if one_shot.num_edges:
-            for engine in (one_shot, single, random_chunks):
+            for engine in (one_shot, single, random_chunks, built):
                 assert_byte_identical(engine)
 
     @given(chunked_traces(), st.integers(1, 5))
     @settings(max_examples=40, deadline=None)
     def test_walk_blocks_give_identical_state(self, stream_and_chunks, block):
-        """The batch's 2-path walk split into blocks of a few 2-paths
-        leaves the same state as one block."""
-        _, chunks = stream_and_chunks
+        """The triangle walk split into blocks of a few steps, in the
+        batches and in the build, leaves the same state as one block."""
+        stream, chunks = stream_and_chunks
         whole = DeltaGraph()
         for chunk in chunks:
             whole.apply(chunk)
@@ -272,15 +275,17 @@ class TestChunkingInvariance:
             blocked = DeltaGraph()
             for chunk in chunks:
                 blocked.apply(chunk)
-        for name in ("_adj_keys", "_deg", "_tri"):
-            got, want = getattr(blocked, name), getattr(whole, name)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-        if blocked.num_edges:
-            assert_byte_identical(blocked)
+            built = DeltaGraph(TemporalGraph.from_stream(clean_stream(stream)))
+        for engine in (blocked, built):
+            for name in ("_adj_keys", "_deg", "_tri"):
+                got, want = getattr(engine, name), getattr(whole, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            if engine.num_edges:
+                assert_byte_identical(engine)
 
 
 # ---------------------------------------------------------------------------
-# The engine build: one enumeration, no expansion
+# The engine build: the empty engine's first write, no enumeration
 # ---------------------------------------------------------------------------
 def _complete_stream(n: int) -> list:
     return [
@@ -312,14 +317,14 @@ BUILD_SHAPES = {
 
 
 class TestEngineBuild:
-    """``DeltaGraph(trace)`` takes its triangle counts from one 2-hop
-    enumeration, bitwise equal to the expansion count."""
+    """``DeltaGraph(trace)`` absorbs the stream as one batch: its
+    triangle counts, bitwise equal to the expansion count, come from the
+    triangle walk, never from a 2-hop enumeration."""
 
     @given(traces(max_nodes=14, max_edges=40))
     @settings(max_examples=60, deadline=None)
     def test_build_matches_chunked_expansion(self, stream):
-        clean = [(u, v, t) for u, v, t in stream if u != v]
-        delta = DeltaGraph(TemporalGraph.from_stream(clean))
+        delta = DeltaGraph(TemporalGraph.from_stream(clean_stream(stream)))
         assert_build_matches_oracle(delta)
 
     @pytest.mark.parametrize("strategy", ["dense", "sparse"])
@@ -327,6 +332,8 @@ class TestEngineBuild:
     def test_forced_strategy_matches_chunked_expansion(
         self, monkeypatch, strategy, shape
     ):
+        """Whichever strategy the enumerator is forced to, the build
+        never calls it."""
         trace = TemporalGraph.from_stream(BUILD_SHAPES[shape])
         used = []
         real = candidates._ENUM_IMPLS[strategy]
@@ -340,7 +347,7 @@ class TestEngineBuild:
         )
         monkeypatch.setitem(candidates._ENUM_IMPLS, strategy, recorded)
         delta = DeltaGraph(trace)
-        assert used == [strategy]
+        assert used == []
         assert_build_matches_oracle(delta)
         assert delta.audit().ok
         if shape == "complete":
@@ -348,7 +355,7 @@ class TestEngineBuild:
         if shape == "single_edge":
             assert delta._tri.tolist() == [0, 0]
 
-    def test_build_runs_one_enumeration_and_no_expansion(self, monkeypatch):
+    def test_build_runs_no_enumeration_and_no_expansion(self, monkeypatch):
         calls = {"enumerate": 0, "expand": 0}
         for strategy, real in list(candidates._ENUM_IMPLS.items()):
 
@@ -366,92 +373,100 @@ class TestEngineBuild:
         monkeypatch.setattr(kernels, "common_neighbor_expansion", counted_expansion)
         trace = TemporalGraph.from_stream(BUILD_SHAPES["random"])
         delta = DeltaGraph(trace)
-        assert calls == {"enumerate": 1, "expand": 0}
+        assert calls == {"enumerate": 0, "expand": 0}
         assert delta._tri.sum() > 0
-        # The counters are live: the oracle's expansions register.
+        # The counters are live: the oracle's expansions and an
+        # enumeration on the materialised snapshot register.
         assert_build_matches_oracle(delta)
         assert calls["expand"] > 0
+        two_hop_pairs(delta.materialize())
+        assert calls["enumerate"] == 1
 
 
 # ---------------------------------------------------------------------------
-# Each new edge's common-neighbour count before its batch
+# The triangle walk against a one-edge-at-a-time replay
 # ---------------------------------------------------------------------------
-@st.composite
-def graphs_and_queries(draw):
-    """A small graph (isolated nodes allowed) and node pairs to probe."""
-    n = draw(st.integers(min_value=2, max_value=12))
-    node = st.integers(0, n - 1)
-    pair = st.tuples(node, node).filter(lambda p: p[0] != p[1])
-    edges = draw(st.sets(pair.map(lambda p: (min(p), max(p))), max_size=30))
-    queries = draw(st.lists(pair, min_size=1, max_size=12))
-    return n, sorted(edges), queries
+class SetReplay:
+    """Brute-force triangle counts: insert the edges one at a time into
+    dict-of-sets adjacency; each new edge closes one triangle per common
+    neighbour its ends already share."""
+
+    def __init__(self) -> None:
+        self.adj: dict[int, set[int]] = {}
+        self.tri: dict[int, int] = {}
+
+    def insert(self, events: list) -> None:
+        for u, v, _ in events:
+            if u == v or v in self.adj.get(u, ()):
+                continue
+            shared = self.adj.get(u, set()) & self.adj.get(v, set())
+            for node in (u, v, *shared):
+                gained = len(shared) if node in (u, v) else 1
+                self.tri[node] = self.tri.get(node, 0) + gained
+            self.adj.setdefault(u, set()).add(v)
+            self.adj.setdefault(v, set()).add(u)
+
+    def assert_matches(self, delta: DeltaGraph) -> None:
+        nodes = sorted(self.adj)
+        assert delta._node_ids.tolist() == nodes
+        assert delta._tri.tolist() == [self.tri.get(node, 0) for node in nodes]
 
 
-def set_oracle_cn(adj: dict, a: int, b: int) -> int:
-    return len(adj.get(a, set()) & adj.get(b, set()))
+class TestTriangleWalk:
+    """The build and every batch find each new triangle exactly once, at
+    its latest edge; a set replay of the same stream must agree."""
 
-
-class TestPreBatchCommonNeighbors:
-    """``apply`` reads each new edge's A^2 entry before the batch off the
-    CSR keys of its lower-degree end; a set intersection must agree."""
-
-    @given(graphs_and_queries())
-    # A hub with 4 leaves, one leaf also joined to node 5, and node 6
-    # isolated (a new node): pairs with the hub on either side, the
-    # zero-degree node, and endpoints repeated across pairs.
-    @example((7, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5)], [(0, 5), (5, 0), (6, 0), (1, 2), (1, 6)]))
+    @given(chunked_traces(), st.booleans())
+    # A triangle made only of batch edges, absorbed by the build.
+    @example(
+        ([(1, 2, 0.0), (2, 3, 1.0), (1, 3, 2.0)], [[(1, 2, 0.0), (2, 3, 1.0), (1, 3, 2.0)]]),
+        True,
+    )
+    # A triangle with two batch edges and one old edge.
+    @example(
+        ([(1, 2, 0.0), (2, 3, 1.0), (1, 3, 2.0)], [[(1, 2, 0.0)], [(2, 3, 1.0), (1, 3, 2.0)]]),
+        False,
+    )
+    # New zero-degree nodes 4 and 1 with ids below the old maximum 13,
+    # repeated within their batch: 4-10-13 closes on an old edge, 1-4-10
+    # on batch edges only.
+    @example(
+        (
+            [],
+            [
+                [(10, 13, 0.0)],
+                [(4, 10, 1.0), (4, 13, 2.0), (1, 4, 3.0), (1, 10, 4.0)],
+            ],
+        ),
+        True,
+    )
+    # A hub whose lower-degree partners walk their own rows, and a new
+    # node joining the hub.
+    @example(
+        (
+            [],
+            [
+                [(0, 1, 0.0), (0, 2, 1.0), (0, 3, 2.0), (0, 4, 3.0), (4, 5, 4.0)],
+                [(1, 2, 5.0), (5, 0, 6.0), (3, 6, 7.0), (6, 0, 8.0)],
+            ],
+        ),
+        False,
+    )
     @settings(max_examples=150, deadline=None)
-    def test_counts_match_set_intersection(self, graph):
-        n, edges, queries = graph
-        a = np.array([q[0] for q in queries], dtype=np.int64)
-        b = np.array([q[1] for q in queries], dtype=np.int64)
-        rows = np.array([e[0] for e in edges] + [e[1] for e in edges], dtype=np.int64)
-        cols = np.array([e[1] for e in edges] + [e[0] for e in edges], dtype=np.int64)
-        adj_keys = np.sort(encode_position_pairs(rows, cols))
-        deg = np.bincount(rows, minlength=n).astype(np.int64)
-        adj: dict[int, set[int]] = {}
-        for u, v in edges:
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-        want = [set_oracle_cn(adj, x, y) for x, y in queries]
-        got = _common_neighbor_counts(adj_keys, deg, a, b)
-        assert got.dtype == np.int64
-        assert got.tolist() == want
-        # Either end may be the lower-degree one: the count is symmetric.
-        assert _common_neighbor_counts(adj_keys, deg, b, a).tolist() == want
-
-    @given(chunked_traces())
-    @settings(max_examples=80, deadline=None)
-    def test_apply_reads_pre_batch_counts(self, stream_and_chunks):
-        """Through ``apply``: new zero-degree nodes, ids below the old
-        maximum (the position remap) and endpoints repeated within one
-        batch all get the count of the graph before the batch."""
+    def test_counts_match_one_edge_replay(self, stream_and_chunks, build_first):
         _, chunks = stream_and_chunks
-        delta = DeltaGraph()
-        adj: dict[int, set[int]] = {}
-        calls = []
-        real = delta_module._common_neighbor_counts
-
-        def recorded(adj_keys, deg, a, b):
-            got = real(adj_keys, deg, a, b)
-            calls.append((a.copy(), b.copy(), got.copy()))
-            return got
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(delta_module, "_common_neighbor_counts", recorded)
-            for chunk in chunks:
-                calls.clear()
-                report = delta.apply(chunk)
-                # Positions are in the post-batch node table.
-                ids = delta._node_ids
-                assert sum(len(a) for a, _, _ in calls) == report.applied
-                for a, b, got in calls:
-                    for x, y, count in zip(ids[a].tolist(), ids[b].tolist(), got.tolist()):
-                        assert count == set_oracle_cn(adj, x, y), (x, y)
-                for u, v, _ in chunk:
-                    if u != v and v not in adj.get(u, ()):
-                        adj.setdefault(u, set()).add(v)
-                        adj.setdefault(v, set()).add(u)
+        replay = SetReplay()
+        if build_first:
+            replay.insert(chunks[0])
+            delta = DeltaGraph(TemporalGraph.from_stream(clean_stream(chunks[0])))
+            chunks = chunks[1:]
+        else:
+            delta = DeltaGraph()
+        replay.assert_matches(delta)
+        for chunk in chunks:
+            delta.apply(chunk)
+            replay.insert(chunk)
+            replay.assert_matches(delta)
 
 
 # ---------------------------------------------------------------------------
@@ -509,23 +524,14 @@ class TestReferenceTriangulation:
             linked = sum(len(adj[node] & adj[w]) for w in adj[node])
             assert delta._tri[pos] == linked // 2
         expected = set()
-        cn: dict[tuple[int, int], int] = {}
         for u in adj:
             for w in adj[u]:
                 for v in adj[w]:
                     if v > u and v not in adj[u]:
                         expected.add((u, v))
-                        cn[(u, v)] = cn.get((u, v), 0) + 1
         if delta.num_edges:
-            snap = delta.materialize()
-            pairs = two_hop_pairs(snap).tolist()
+            pairs = two_hop_pairs(delta.materialize()).tolist()
             assert {tuple(p) for p in pairs} == expected
-            # The enumeration's A^2 counts align positionally with the
-            # pairs, both in row-major order.
-            counts = two_hop_positions(snap)[2]
-            assert len(counts) == len(pairs)
-            for count, pair in zip(counts.tolist(), pairs):
-                assert count == cn[tuple(pair)]
 
 
 # ---------------------------------------------------------------------------

@@ -210,12 +210,6 @@ class TestScoreBlockParity:
 class TestEnumerationStrategies:
     """The sparse and dense enumerations return identical arrays."""
 
-    @staticmethod
-    def expanded_counts(snapshot, rows, cols):
-        """The pairs' common-neighbour counts by expansion, as int64."""
-        pair_ids = kernels.expansion_of(snapshot, rows, cols)[0]
-        return kernels.intersection_counts(pair_ids, len(rows)).astype(np.int64)
-
     @settings(max_examples=25, deadline=None)
     @given(
         n=st.integers(min_value=3, max_value=60),
@@ -226,12 +220,10 @@ class TestEnumerationStrategies:
         snapshot = random_snapshot(n, p, seed)
         sparse = _sparse_two_hop_positions(snapshot)
         dense = _dense_two_hop_positions(snapshot)
-        assert np.array_equal(sparse[0], dense[0])
-        assert np.array_equal(sparse[1], dense[1])
-        assert sparse[2].dtype == dense[2].dtype == np.int64
-        assert np.array_equal(sparse[2], dense[2])
-        expected = self.expanded_counts(snapshot, sparse[0], sparse[1])
-        assert np.array_equal(sparse[2], expected)
+        assert len(sparse) == len(dense) == 2
+        for got, want in zip(sparse, dense):
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want)
 
     def test_forced_strategy_same_pairs(self):
         """Each strategy, called directly, yields two_hop_pairs' array."""
@@ -241,12 +233,9 @@ class TestEnumerationStrategies:
         for enumerate_positions in (
             _sparse_two_hop_positions, _dense_two_hop_positions
         ):
-            rows, cols, counts = enumerate_positions(snapshot)
+            rows, cols = enumerate_positions(snapshot)
             pairs = np.column_stack((ids[rows], ids[cols]))
             assert np.array_equal(pairs, baseline), enumerate_positions.__name__
-            expected = self.expanded_counts(snapshot, rows, cols)
-            assert np.array_equal(counts, expected), enumerate_positions.__name__
-            assert counts.min() >= 1
 
     def test_strategy_recorded_in_cache(self):
         snapshot = random_snapshot(30, 0.15, 5)
