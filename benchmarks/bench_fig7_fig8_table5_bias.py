@@ -17,6 +17,7 @@ from collections import Counter
 import numpy as np
 
 from benchmarks.conftest import write_result
+from repro.temporal.activity import node_idle_times
 
 METRICS = ("JC", "PPR", "BCN", "BAA", "BRA", "LRW", "LP", "Rescal")
 
@@ -28,9 +29,8 @@ def node_degrees_of_pairs(snapshot, pairs):
 
 
 def node_idles_of_pairs(snapshot, pairs):
-    return np.asarray(
-        [snapshot.idle_time(int(u)) for pair in pairs for u in pair], dtype=float
-    )
+    idle = node_idle_times(snapshot)
+    return idle[snapshot.positions_of(np.asarray(pairs, dtype=np.int64).ravel())]
 
 
 def last_friendship_step(networks, metric_sweep, network="renren"):

@@ -544,7 +544,7 @@ def run_experiment(
     spec.validate()
     policy = retry or RetryPolicy()
     policy.validate()
-    from repro.utils.pool import resolve_jobs
+    from repro.utils.jobs import resolve_jobs
 
     jobs = resolve_jobs(spec.n_jobs if n_jobs is None else n_jobs)
     started = time.perf_counter()

@@ -153,7 +153,13 @@ class GrowthEngine:
         self.rng = ensure_rng(seed)
         self.graph = TemporalGraph()
         self._states: dict[int, _NodeState] = {}
+        # Neighbour sets, filled in edge order: the triadic walk draws from
+        # a set's iteration order, so the order they are built in is part
+        # of the generated trace.
+        self._neighbors: dict[int, set[int]] = {}
         self._neighbor_order: dict[int, list[int]] = {}
+        # Time of each node's last edge (its arrival until it has one).
+        self._last_active: dict[int, float] = {}
         self._degree_urn: list[int] = []      # node appears once per incident edge
         self._creator_urn: list[int] = []     # creator endpoints only
         self._creators: list[int] = []
@@ -211,6 +217,8 @@ class GrowthEngine:
             arrival=t, is_creator=is_creator, fitness=fitness, community=community
         )
         self.graph.add_node(node, t)
+        self._neighbors[node] = set()
+        self._last_active[node] = t
         self._community_members.setdefault(community, []).append(node)
         if is_creator:
             self._creators.append(node)
@@ -222,6 +230,9 @@ class GrowthEngine:
         if not self.graph.add_edge(u, v, t):
             return False
         self.directions[(u, v) if u < v else (v, u)] = (u, v)
+        self._neighbors[u].add(v)
+        self._neighbors[v].add(u)
+        self._last_active[u] = self._last_active[v] = t
         self._degree_urn.extend((u, v))
         self._neighbor_order.setdefault(u, []).append(v)
         self._neighbor_order.setdefault(v, []).append(u)
@@ -275,7 +286,7 @@ class GrowthEngine:
         else:
             candidates = neigh_list
         w = candidates[int(self.rng.integers(len(candidates)))]
-        two_hop = list(self.graph.neighbors(w))
+        two_hop = list(self._neighbors[w])
         v = two_hop[int(self.rng.integers(len(two_hop)))]
         if v == u or self.graph.has_edge(u, v):
             return None
@@ -345,9 +356,9 @@ class GrowthEngine:
             return urn[int(self.rng.integers(len(urn)))]
         if cfg.assortative_matching > 0 and self.rng.random() < cfg.assortative_matching:
             # Degree-matched choice: closest of three candidates to deg(u).
-            du = self.graph.degree(u)
+            du = len(self._neighbors[u])
             candidates = [draw() for _ in range(3)]
-            return min(candidates, key=lambda v: abs(self.graph.degree(v) - du))
+            return min(candidates, key=lambda v: abs(len(self._neighbors[v]) - du))
         return draw()
 
     # ------------------------------------------------------------------
@@ -392,12 +403,12 @@ class GrowthEngine:
                     continue
                 if cfg.degree_saturation > 0:
                     accept = cfg.degree_saturation / (
-                        cfg.degree_saturation + self.graph.degree(v)
+                        cfg.degree_saturation + len(self._neighbors[v])
                     )
                     if self.rng.random() > accept:
                         continue
                 if cfg.target_recency_tau > 0 and not self._states[v].is_creator:
-                    idle = self.graph.idle_time(v, t)
+                    idle = t - self._last_active[v]
                     if self.rng.random() > math.exp(-idle / cfg.target_recency_tau):
                         continue
                 if self._record_edge(u, v, t):

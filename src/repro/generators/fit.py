@@ -24,6 +24,8 @@ likelihood estimate.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 from repro.generators.base import GrowthConfig
@@ -64,14 +66,25 @@ def _mechanisms(trace: TemporalGraph, snapshot: Snapshot) -> dict[str, float]:
     closures_second = int(np.count_nonzero(closes[half:]))
     newcomer_edges = 0
     idle_samples: list[float] = []
+    # Each node's edge times so far.  Just before t a node's idle time
+    # runs from its last edge at or before t - 1e-9, or from its arrival
+    # if there is none; this edge's own time is logged first because it
+    # counts when t - 1e-9 rounds to t.
+    logs: dict[int, list[float]] = {}
+
+    def idle(node: int, now: float) -> float:
+        times = logs[node]
+        i = bisect.bisect_right(times, now)
+        return now - (times[i - 1] if i else trace.node_arrival_time(node))
+
     for u, v, t in trace.edges():
+        logs.setdefault(u, []).append(t)
+        logs.setdefault(v, []).append(t)
         # Newcomer: an endpoint that arrived less than a day before t.
         if min(t - trace.node_arrival_time(u), t - trace.node_arrival_time(v)) < 1.0:
             newcomer_edges += 1
         else:
-            idle_samples.append(
-                min(trace.idle_time(u, t - 1e-9), trace.idle_time(v, t - 1e-9))
-            )
+            idle_samples.append(min(idle(u, t - 1e-9), idle(v, t - 1e-9)))
     return {
         "triadic_share": (closures_first + closures_second) / edges,
         "triadic_share_first_half": closures_first / max(1, half),

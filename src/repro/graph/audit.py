@@ -10,8 +10,7 @@ vectorised kernel in the columnar core silently assumes:
 - the :class:`~repro.graph.dyngraph.StreamIndex` remap is a bijection
   (``node_ids`` strictly sorted, ``node_ids[eu] == u`` et al.) and its
   ``first_seen`` really is each node's first stream appearance;
-- the dict-of-sets adjacency mirror and the per-pair time table agree
-  with the columns (degree total ``2E``, one entry per edge);
+- the per-pair time table holds one entry per event;
 - the full-cutoff snapshot's CSR structure sums to ``2E`` with in-range,
   per-row-sorted indices.
 
@@ -177,16 +176,7 @@ def audit_graph(trace: TemporalGraph, snapshot_check: bool = True) -> AuditRepor
             ["remap_ids_sorted", "remap_bijective", "first_seen_consistent"]
         )
 
-    # -- derived mirrors (dict-of-sets adjacency, per-pair times) --------
-    adjacency_degree_total = sum(len(nbrs) for nbrs in trace._adj.values())
-    _check(
-        report, "adjacency_degree_total",
-        adjacency_degree_total != 2 * n_events,
-        lambda _i: (
-            f"dict adjacency holds {adjacency_degree_total} directed entries, "
-            f"expected 2*E = {2 * n_events}"
-        ),
-    )
+    # -- pair -> creation-time index -------------------------------------
     _check(
         report, "edge_time_table",
         len(trace._edge_times) != n_events,
@@ -231,7 +221,7 @@ def audit_graph(trace: TemporalGraph, snapshot_check: bool = True) -> AuditRepor
 def audit_delta(delta) -> AuditReport:
     """Audit a :class:`~repro.graph.delta.DeltaGraph` after a batch.
 
-    Runs the full 12-check :func:`audit_graph` pass over the wrapped trace
+    Runs the full 11-check :func:`audit_graph` pass over the wrapped trace
     (which, because the delta engine installs its patched caches, also
     vets the incrementally maintained :class:`StreamIndex` — e.g. a forged
     ``first_seen`` fires ``first_seen_consistent``), then cross-checks

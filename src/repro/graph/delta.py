@@ -385,7 +385,7 @@ class DeltaGraph:
     # Audit / pickling
     # ------------------------------------------------------------------
     def audit(self):
-        """Run the 12 core invariants plus the delta-structure checks."""
+        """Run the 11 core invariants plus the 4 delta-structure checks."""
         from repro.graph.audit import audit_delta
 
         return audit_delta(self)

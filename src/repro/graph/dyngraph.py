@@ -13,17 +13,17 @@ The event stream is stored **columnar**: three parallel append-only columns
 prefix, and the slicing/temporal queries below are ``searchsorted`` / slice
 operations over the columns instead of per-event Python work.
 
-The class supports the two access patterns the paper's methodology needs:
-
-- *stream access* for slicing the trace into snapshots with a constant number
-  of new edges per snapshot (Section 3.2), and
-- *per-node creation-time logs* for the temporal analysis of Section 6
-  (idle times, recent-edge counts, common-neighbour arrival gaps).
+The stream is the graph: besides the columns a trace keeps only a
+pair -> creation-time index (duplicate rejection, :meth:`has_edge`,
+:meth:`edge_time`) and each node's arrival time (the node set, including
+nodes registered before their first edge).  Snapshots (Section 3.2) and the
+temporal analysis of Section 6 (idle times, recent-edge counts,
+common-neighbour arrival gaps, :mod:`repro.temporal.activity`) read the
+columns directly.
 """
 
 from __future__ import annotations
 
-import bisect
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -67,15 +67,13 @@ class TemporalGraph:
     ingest_report = None
 
     def __init__(self) -> None:
-        self._adj: dict[int, set[int]] = {}
         # Columnar event stream: parallel append buffers, canonical u < v.
         self._us: list[int] = []
         self._vs: list[int] = []
         self._ts: list[float] = []
         self._edge_times: dict[Pair, float] = {}
+        # Node -> arrival time, in arrival order: the node set.
         self._node_arrival: dict[int, float] = {}
-        # Per-node sorted list of times at which the node created an edge.
-        self._node_edge_times: dict[int, list[float]] = {}
         # Lazily materialised column arrays / remap table, keyed by the
         # stream length they were built at (append invalidates by length).
         self._cols: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
@@ -88,10 +86,7 @@ class TemporalGraph:
     # ------------------------------------------------------------------
     def add_node(self, node: int, t: float = 0.0) -> None:
         """Register ``node`` as existing from time ``t`` (idempotent)."""
-        if node not in self._adj:
-            self._adj[node] = set()
-            self._node_arrival[node] = t
-            self._node_edge_times[node] = []
+        self._node_arrival.setdefault(node, t)
 
     def add_edge(self, u: int, v: int, t: float) -> bool:
         """Append edge ``(u, v)`` created at time ``t``.
@@ -110,16 +105,12 @@ class TemporalGraph:
         pair = canonical_pair(u, v)
         if pair in self._edge_times:
             return False
-        self.add_node(u, t)
-        self.add_node(v, t)
-        self._adj[u].add(v)
-        self._adj[v].add(u)
+        self._node_arrival.setdefault(u, t)
+        self._node_arrival.setdefault(v, t)
         self._us.append(pair[0])
         self._vs.append(pair[1])
         self._ts.append(t)
         self._edge_times[pair] = t
-        self._node_edge_times[u].append(t)
-        self._node_edge_times[v].append(t)
         return True
 
     @classmethod
@@ -148,9 +139,9 @@ class TemporalGraph:
         times sorted non-decreasing, no self-loops, no duplicate pairs —
         and construction skips the per-event validation: endpoints are
         canonicalised vectorised, the column caches are seeded from the
-        input arrays, and one branch-free pass builds the derived node
-        structures.  Violating the contract corrupts invariants that
-        :func:`repro.graph.audit.audit_graph` exists to catch.
+        input arrays, and the pair index and arrivals are built without a
+        per-event Python loop.  Violating the contract corrupts invariants
+        that :func:`repro.graph.audit.audit_graph` exists to catch.
         """
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
@@ -159,49 +150,26 @@ class TemporalGraph:
             return cls.from_stream(zip(u.tolist(), v.tolist(), t.tolist()))
         graph = cls()
         graph._load_columns(u, v, t)
+        # Nodes arrive in first-appearance order (ties within one event
+        # resolve to the smaller endpoint first), so ``nodes()`` lists them
+        # in the order canonical ``add_edge`` calls would.
+        index = graph.stream_index()
+        first = index.first_seen
+        second = index.eu[first] != np.arange(len(first))
+        order = np.lexsort((second, first))
+        graph._node_arrival = dict(
+            zip(index.node_ids[order].tolist(), t[first[order]].tolist())
+        )
         return graph
 
     def _load_columns(self, u: np.ndarray, v: np.ndarray, t: np.ndarray) -> None:
-        """Populate a freshly-initialised graph from trusted columns.
-
-        The per-node structures are built by one grouped pass over the
-        doubled endpoint column instead of a per-event Python loop: sort
-        ``(endpoint, event)`` once, then each node's neighbours, arrival,
-        and edge-time log fall out of a contiguous slice.  Nodes are
-        inserted in first-appearance order (ties within one event resolve
-        to the smaller endpoint first), matching ``add_edge`` so dict
-        iteration order is identical however the graph was built.
-        """
+        """Load trusted columns and the pair index into a fresh graph;
+        the caller sets the node arrivals."""
         us = np.minimum(u, v)
         vs = np.maximum(u, v)
         pu, pv, pt = us.tolist(), vs.tolist(), t.tolist()
         self._us, self._vs, self._ts = pu, pv, pt
-        adj = self._adj
-        arrival = self._node_arrival
-        logs = self._node_edge_times
-        edge_times = self._edge_times
-        # One branch-light pass sharing the boxed ints/floats of pu/pv/pt
-        # across every derived structure — vectorised variants of this
-        # rebuild were measured with a *higher* tracemalloc peak (doubled
-        # index arrays plus re-boxed slice copies outweigh the loop).
-        for a, b, when in zip(pu, pv, pt):
-            edge_times[(a, b)] = when
-            nbrs = adj.get(a)
-            if nbrs is None:
-                adj[a] = {b}
-                arrival[a] = when
-                logs[a] = [when]
-            else:
-                nbrs.add(b)
-                logs[a].append(when)
-            nbrs = adj.get(b)
-            if nbrs is None:
-                adj[b] = {a}
-                arrival[b] = when
-                logs[b] = [when]
-            else:
-                nbrs.add(a)
-                logs[b].append(when)
+        self._edge_times = dict(zip(zip(pu, pv), pt))
         cols = (
             np.ascontiguousarray(us),
             np.ascontiguousarray(vs),
@@ -292,7 +260,7 @@ class TemporalGraph:
     # ------------------------------------------------------------------
     @property
     def num_nodes(self) -> int:
-        return len(self._adj)
+        return len(self._node_arrival)
 
     @property
     def num_edges(self) -> int:
@@ -309,20 +277,14 @@ class TemporalGraph:
         return self._ts[-1] if self._ts else 0.0
 
     def nodes(self) -> Iterator[int]:
-        return iter(self._adj)
+        return iter(self._node_arrival)
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Iterate over ``(u, v, t)`` events in creation order."""
         return zip(self._us, self._vs, self._ts)
 
-    def neighbors(self, node: int) -> set[int]:
-        return self._adj[node]
-
-    def degree(self, node: int) -> int:
-        return len(self._adj[node])
-
     def has_node(self, node: int) -> bool:
-        return node in self._adj
+        return node in self._node_arrival
 
     def has_edge(self, u: int, v: int) -> bool:
         return canonical_pair(u, v) in self._edge_times
@@ -338,32 +300,6 @@ class TemporalGraph:
             return self._edge_times[pair]
         except KeyError:
             raise KeyError(f"edge {pair} not in graph") from None
-
-    # ------------------------------------------------------------------
-    # Temporal queries (Section 6 analysis)
-    # ------------------------------------------------------------------
-    def node_edge_times(self, node: int) -> list[float]:
-        """Sorted creation times of all edges incident to ``node``."""
-        return self._node_edge_times[node]
-
-    def idle_time(self, node: int, now: float) -> float:
-        """Time since ``node`` last created an edge, as of time ``now``.
-
-        Nodes that never created an edge are idle since their arrival.
-        """
-        times = self._node_edge_times[node]
-        # Only events at or before `now` count: binary-search the prefix.
-        i = bisect.bisect_right(times, now)
-        if i == 0:
-            return now - self._node_arrival[node]
-        return now - times[i - 1]
-
-    def recent_edge_count(self, node: int, now: float, window: float) -> int:
-        """Number of edges ``node`` created in ``(now - window, now]``."""
-        times = self._node_edge_times[node]
-        hi = bisect.bisect_right(times, now)
-        lo = bisect.bisect_right(times, now - window)
-        return hi - lo
 
     # ------------------------------------------------------------------
     # Slicing
@@ -392,24 +328,21 @@ class TemporalGraph:
         return list(zip(self._us[start:stop], self._vs[start:stop], self._ts[start:stop]))
 
     def copy(self) -> "TemporalGraph":
-        clone = TemporalGraph.from_stream(self.edges())
-        # Preserve isolated nodes and explicit arrival times.
-        for node, t in self._node_arrival.items():
-            if node not in clone._adj:
-                clone.add_node(node, t)
-            else:
-                clone._node_arrival[node] = t
+        clone = TemporalGraph()
+        clone._load_columns(*self.columns())
+        # Isolated nodes, explicit arrival times and node order.
+        clone._node_arrival = dict(self._node_arrival)
         return clone
 
     # ------------------------------------------------------------------
     # Pickling (worker transport)
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        """Ship only the event columns plus explicit arrivals.
+        """Ship only the event columns plus the node arrivals.
 
-        The dict-of-sets adjacency, per-pair times, and per-node logs are
-        all derivable from the stream, so excluding them makes worker
-        pickles a fraction of the naive size; they are rebuilt on load.
+        The pair index is derivable from the stream, so excluding it
+        makes worker pickles a fraction of the naive size; it is rebuilt
+        on load.  The arrivals keep isolated nodes and the node order.
         """
         return {
             "stream": (
@@ -425,20 +358,16 @@ class TemporalGraph:
         us, vs, ts = state["stream"]
         # The pickled stream came from a live graph, so the validated
         # contract (sorted, loop-free, duplicate-free) holds and the
-        # branch-free column loader can rebuild the derived structures.
+        # column loader can rebuild the pair index.
         self._load_columns(
             np.asarray(us, dtype=np.int64),
             np.asarray(vs, dtype=np.int64),
             np.asarray(ts, dtype=np.float64),
         )
-        for node, t in state["node_arrival"].items():
-            if node not in self._adj:
-                self.add_node(node, t)
-            else:
-                self._node_arrival[node] = t
+        self._node_arrival = state["node_arrival"]
 
     def __contains__(self, node: int) -> bool:
-        return node in self._adj
+        return node in self._node_arrival
 
     def __repr__(self) -> str:
         return (

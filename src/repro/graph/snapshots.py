@@ -17,8 +17,9 @@ amortised pass over the stream (the trace-level
 snapshot, instead of a per-snapshot dict-of-sets rebuild from event 0.
 
 It keeps a reference to the parent :class:`~repro.graph.dyngraph.TemporalGraph`
-so the temporal filters of Section 6 can ask time-aware questions (idle time,
-recent activity) *as of the snapshot time* without copying history.
+so the temporal features of Section 6 (:mod:`repro.temporal.activity`: idle
+time, recent activity) read the trace's event columns *as of the snapshot
+time* without copying history.
 """
 
 from __future__ import annotations
@@ -330,17 +331,6 @@ class Snapshot:
         """Degrees aligned with :attr:`node_list` (fresh float64 copy)."""
         self._structure()
         return self._deg.astype(np.float64)
-
-    # ------------------------------------------------------------------
-    # Temporal passthroughs, evaluated as of the snapshot time
-    # ------------------------------------------------------------------
-    def idle_time(self, node: int) -> float:
-        """Days since ``node`` last created an edge, as of snapshot time."""
-        return self.trace.idle_time(node, self.time)
-
-    def recent_edge_count(self, node: int, window: float) -> int:
-        """Edges ``node`` created in the last ``window`` days."""
-        return self.trace.recent_edge_count(node, self.time, window)
 
     # ------------------------------------------------------------------
     # Interop

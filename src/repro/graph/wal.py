@@ -610,6 +610,74 @@ def prune_checkpoints(directory: "str | os.PathLike[str]", keep: int) -> int:
 # Recovery
 # ---------------------------------------------------------------------------
 @dataclass
+class RecoveryPlan:
+    """Where recovery of an existing WAL directory starts.
+
+    ``start_trace`` is the newest valid checkpoint's columns (``None``
+    when recovery starts from the base trace); ``records`` are the
+    surviving WAL records *past* that checkpoint, still to be replayed.
+    """
+
+    start_trace: "TemporalGraph | None"
+    checkpoint_seq: int
+    records: "list[WalRecord]"
+    tail: WalTail
+    total_records: int
+
+    @property
+    def events(self) -> int:
+        return sum(len(r) for r in self.records)
+
+    def describe(self) -> dict:
+        return {
+            "checkpoint_seq": self.checkpoint_seq,
+            "wal_records": self.total_records,
+            "records_to_replay": len(self.records),
+            "events_to_replay": self.events,
+            "torn_bytes": self.tail.torn_bytes,
+        }
+
+
+def plan_recovery(
+    wal_dir: "str | os.PathLike[str]",
+    base_trace: TemporalGraph,
+    policy,
+    open_log=scan_wal,
+) -> "tuple[object, RecoveryPlan]":
+    """Read an existing WAL directory and pick where recovery starts.
+
+    Fingerprints the base trace + policy, reads the log with
+    ``open_log(path, fingerprint)`` (:func:`scan_wal` read-only, or
+    :meth:`WriteAheadLog.open` to keep appending; either returns
+    ``(handle, records, tail)``), picks the newest valid checkpoint at or
+    below the surviving sequence and rebuilds its trace.  Returns the
+    log handle and the :class:`RecoveryPlan`.
+    """
+    fingerprint = wal_fingerprint(base_trace, policy)
+    wal_path = os.path.join(os.fspath(wal_dir), WAL_FILE)
+    handle, records, tail = open_log(wal_path, fingerprint)
+    checkpoint = newest_valid_checkpoint(
+        wal_dir, fingerprint, max_seq=len(records)
+    )
+    if checkpoint is not None:
+        start_trace = TemporalGraph.from_columns(
+            checkpoint["u"], checkpoint["v"], checkpoint["t"], validated=True
+        )
+        checkpoint_seq = int(checkpoint["seq"])
+    else:
+        start_trace = None
+        checkpoint_seq = 0
+    plan = RecoveryPlan(
+        start_trace=start_trace,
+        checkpoint_seq=checkpoint_seq,
+        records=[r for r in records if r.seq > checkpoint_seq],
+        tail=tail,
+        total_records=len(records),
+    )
+    return handle, plan
+
+
+@dataclass
 class RecoveryResult:
     """Everything :func:`recover_state` established about a WAL directory."""
 
@@ -675,11 +743,11 @@ def recover_state(
 ) -> RecoveryResult:
     """Rebuild the durable engine state from a WAL directory.
 
-    The recovery state machine: fingerprint the base trace + policy →
-    scan the WAL (discarding a torn tail) → pick the newest valid
-    checkpoint at or below the surviving sequence → build the engine from
-    its columns (or the base trace) → replay the remaining records
-    through :meth:`DeltaGraph.apply` → run the mandatory
+    The recovery state machine: :func:`plan_recovery` (fingerprint the
+    base trace + policy → scan the WAL, discarding a torn tail → pick the
+    newest valid checkpoint at or below the surviving sequence) → build
+    the engine from its columns (or the base trace) → replay the records
+    past it through :meth:`DeltaGraph.apply` → run the mandatory
     :func:`~repro.graph.audit.audit_delta` pass.  Raises
     :class:`RecoveryError` when the audit fails — callers must not serve
     from an unaudited recovery.
@@ -689,34 +757,22 @@ def recover_state(
     from repro.graph.delta import DeltaGraph
 
     started = perf_counter()
-    fingerprint = wal_fingerprint(base_trace, policy)
-    wal_path = os.path.join(os.fspath(wal_dir), WAL_FILE)
-    _header, records, tail = scan_wal(wal_path, fingerprint)
-    checkpoint = newest_valid_checkpoint(
-        wal_dir, fingerprint, max_seq=len(records)
+    _header, plan = plan_recovery(wal_dir, base_trace, policy)
+    engine = DeltaGraph(
+        base_trace if plan.start_trace is None else plan.start_trace
     )
-    if checkpoint is not None:
-        start_trace = TemporalGraph.from_columns(
-            checkpoint["u"], checkpoint["v"], checkpoint["t"], validated=True
-        )
-        checkpoint_seq = int(checkpoint["seq"])
-    else:
-        start_trace = base_trace
-        checkpoint_seq = 0
-    engine = DeltaGraph(start_trace)
-    to_replay = [r for r in records if r.seq > checkpoint_seq]
-    events_replayed = replay_records(engine, to_replay)
+    events_replayed = replay_records(engine, plan.records)
     audit = engine.audit()
     duration = perf_counter() - started
     if telemetry.metrics.enabled:
         telemetry.metrics.histogram("wal.recovery_seconds").observe(duration)
     result = RecoveryResult(
         engine=engine,
-        wal_seq=len(records),
-        checkpoint_seq=checkpoint_seq,
-        records_replayed=len(to_replay),
+        wal_seq=plan.total_records,
+        checkpoint_seq=plan.checkpoint_seq,
+        records_replayed=len(plan.records),
         events_replayed=events_replayed,
-        torn_bytes=tail.torn_bytes,
+        torn_bytes=plan.tail.torn_bytes,
         audit=audit,
         duration_s=duration,
     )

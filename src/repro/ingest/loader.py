@@ -40,6 +40,7 @@ from repro.graph.dyngraph import TemporalGraph
 from repro.ingest.errors import RejectRecord, TraceFormatError
 from repro.ingest.policy import IngestPolicy
 from repro.ingest.report import IngestReport
+from repro.utils.jobs import resolve_jobs
 
 #: data lines per parse block; bounds transient memory (the split-token
 #: lists of one block are the largest Python-object allocation on the hot
@@ -695,20 +696,13 @@ def scan_trace(
     ``TemporalGraph``; the auditor and benchmarks use it directly.
 
     ``jobs`` selects the sharded parallel path (``repro.ingest.shard``)
-    when > 1; ``None`` defers to ``$REPRO_JOBS`` (unset: serial) and 1
-    keeps the serial pipeline below.  Both paths produce byte-identical
+    when it resolves to more than one worker
+    (:func:`~repro.utils.jobs.resolve_jobs`: ``None`` defers to
+    ``$REPRO_JOBS``, unset means serial, 0 means one per CPU); one
+    worker keeps the serial pipeline below.  Both paths produce byte-identical
     columns, checksum, taxonomy counts, and rejects sidecar.
     """
-    if jobs is None:
-        # Literal env name (not repro.utils.pool.JOBS_ENV_VAR) so the
-        # serial hot path never imports the shard subsystem or the pool
-        # supervisor just to check it; the shard path's resolve_jobs
-        # re-reads and validates the value.
-        env = os.environ.get("REPRO_JOBS")
-        sharded = bool(env) and env != "1"
-    else:
-        sharded = int(jobs) != 1
-    if sharded:
+    if resolve_jobs(jobs) != 1:
         from repro.ingest.shard import scan_shards
 
         return scan_shards(

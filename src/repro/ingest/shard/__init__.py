@@ -61,7 +61,7 @@ from repro.ingest.shard.worker import (
     parse_shard,
     run_shards,
 )
-from repro.utils.pool import JOBS_ENV_VAR, resolve_jobs
+from repro.utils.jobs import JOBS_ENV_VAR, resolve_jobs
 
 
 def _policy_hash(policy: IngestPolicy) -> str:

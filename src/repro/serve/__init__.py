@@ -29,12 +29,13 @@ Layout (each robustness mechanism is its own importable, testable unit):
 Entry point: ``python -m repro serve --trace edges.txt --port 8080``.
 """
 
+from repro.graph.wal import RecoveryPlan
 from repro.serve.admission import AdmissionQueue, DeadlineExceeded, Job
 from repro.serve.app import DEGRADED_HEADER, LinkPredictionServer
 from repro.serve.breaker import BreakerOpen, CircuitBreaker
 from repro.serve.client import ClientResponse, request, sync_request
 from repro.serve.config import ServeConfig, default_workers
-from repro.serve.durability import DurabilityManager, RecoveryPlan
+from repro.serve.durability import DurabilityManager
 from repro.serve.harness import ServerHarness
 from repro.serve.store import (
     INGEST_FAULT_KEY,

@@ -14,24 +14,15 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, fields
 
-#: environment variable the worker pool is sized from (shared with the
-#: batch runner's process pool).
-JOBS_ENV_VAR = "REPRO_JOBS"
+from repro.utils.jobs import JOBS_ENV_VAR, resolve_jobs
 
 
 def default_workers() -> int:
-    """Worker pool size: ``REPRO_JOBS`` if set, else min(4, cpu count)."""
-    env = os.environ.get(JOBS_ENV_VAR)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(
-                f"{JOBS_ENV_VAR}={env!r} is not an integer"
-            ) from None
-        if value < 1:
-            raise ValueError(f"{JOBS_ENV_VAR} must be >= 1, got {value}")
-        return value
+    """Worker pool size: ``REPRO_JOBS`` if set (read by
+    :func:`~repro.utils.jobs.resolve_jobs`, so 0 means one per CPU),
+    else min(4, cpu count)."""
+    if os.environ.get(JOBS_ENV_VAR):
+        return resolve_jobs()
     return max(1, min(4, os.cpu_count() or 1))
 
 

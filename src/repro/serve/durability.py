@@ -20,7 +20,9 @@ this module decides *when* — the policy layer the server and the
 - **startup** (:meth:`DurabilityManager.attach`): open or create the WAL
   directory.  An existing log is scanned (torn tail truncated, never
   counted as loss — its records were never acknowledged as durable) and
-  returned as a :class:`RecoveryPlan`: the newest valid checkpoint's
+  returned as a :class:`~repro.graph.wal.RecoveryPlan` (from
+  :func:`~repro.graph.wal.plan_recovery`, the start point offline
+  recovery shares): the newest valid checkpoint's
   columns to serve degraded reads from *immediately*, plus the surviving
   records past it for the server to replay in the background before
   ``/readyz`` flips healthy.
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
 from time import monotonic
 
 import numpy as np
@@ -45,10 +46,9 @@ from repro import telemetry
 from repro.graph.dyngraph import TemporalGraph
 from repro.graph.wal import (
     WAL_FILE,
-    WalRecord,
-    WalTail,
+    RecoveryPlan,
     WriteAheadLog,
-    newest_valid_checkpoint,
+    plan_recovery,
     prune_checkpoints,
     wal_fingerprint,
     write_checkpoint,
@@ -56,36 +56,6 @@ from repro.graph.wal import (
 
 #: accepted fsync cadences.
 FSYNC_MODES = ("always", "interval", "never")
-
-
-@dataclass
-class RecoveryPlan:
-    """What :meth:`DurabilityManager.attach` found in an existing WAL dir.
-
-    ``start_trace`` is the newest valid checkpoint's columns (``None``
-    when recovery starts from the base trace); ``records`` are the
-    surviving WAL records *past* that checkpoint, to be replayed through
-    the store before the server reports ready.
-    """
-
-    start_trace: "TemporalGraph | None"
-    checkpoint_seq: int
-    records: "list[WalRecord]" = field(default_factory=list)
-    tail: "WalTail | None" = None
-    total_records: int = 0
-
-    @property
-    def events(self) -> int:
-        return sum(len(r) for r in self.records)
-
-    def describe(self) -> dict:
-        return {
-            "checkpoint_seq": self.checkpoint_seq,
-            "wal_records": self.total_records,
-            "records_to_replay": len(self.records),
-            "events_to_replay": self.events,
-            "torn_bytes": self.tail.torn_bytes if self.tail else 0,
-        }
 
 
 class DurabilityManager:
@@ -142,35 +112,18 @@ class DurabilityManager:
         """
         directory = os.fspath(directory)
         os.makedirs(directory, exist_ok=True)
-        fingerprint = wal_fingerprint(base_trace, policy)
         wal_path = os.path.join(directory, WAL_FILE)
         plan: "RecoveryPlan | None" = None
         if os.path.exists(wal_path):
-            wal, records, tail = WriteAheadLog.open(wal_path, fingerprint)
-            checkpoint = newest_valid_checkpoint(
-                directory, fingerprint, max_seq=len(records)
+            wal, plan = plan_recovery(
+                directory, base_trace, policy, WriteAheadLog.open
             )
-            if checkpoint is not None:
-                start_trace = TemporalGraph.from_columns(
-                    checkpoint["u"],
-                    checkpoint["v"],
-                    checkpoint["t"],
-                    validated=True,
-                )
-                checkpoint_seq = int(checkpoint["seq"])
-            else:
-                start_trace = None
-                checkpoint_seq = 0
-            plan = RecoveryPlan(
-                start_trace=start_trace,
-                checkpoint_seq=checkpoint_seq,
-                records=[r for r in records if r.seq > checkpoint_seq],
-                tail=tail,
-                total_records=len(records),
-            )
+            checkpoint_seq = plan.checkpoint_seq
         else:
             wal = WriteAheadLog.create(
-                wal_path, fingerprint, meta={"base_edges": int(base_trace.num_edges)}
+                wal_path,
+                wal_fingerprint(base_trace, policy),
+                meta={"base_edges": int(base_trace.num_edges)},
             )
             checkpoint_seq = 0
         manager = cls(

@@ -75,14 +75,9 @@ def node_idle_times(snapshot: Snapshot) -> np.ndarray:
     last = np.full(len(index.node_ids), -np.inf)
     np.maximum.at(last, index.eu[:upto], times[:upto])
     np.maximum.at(last, index.ev[:upto], times[:upto])
+    # A snapshot node always has an edge at or before the snapshot time
+    # (its first event is inside the cutoff), so every entry is finite.
     idle = now - last[_global_positions(snapshot)]
-    # A snapshot node always has an edge at or before the snapshot time,
-    # but guard the never-active case (matches TemporalGraph.idle_time).
-    missing = np.flatnonzero(~np.isfinite(idle))
-    if len(missing):
-        node_list = snapshot.node_list
-        for i in missing:
-            idle[i] = now - trace.node_arrival_time(node_list[int(i)])
     snapshot.cache["node_idle_times"] = idle
     return idle
 

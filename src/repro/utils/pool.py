@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import contextlib
 import heapq
-import os
 import time
 from collections import deque
 from collections.abc import Hashable, Iterable
@@ -56,37 +55,8 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:
     from repro.eval.retry import RetryPolicy
 
-#: environment variable consulted when a worker count is unset (the serving
-#: worker pool reads the same name, with its own default).
-JOBS_ENV_VAR = "REPRO_JOBS"
-
 #: driver poll interval while futures are in flight, seconds.
 _TICK_SECONDS = 0.05
-
-
-def resolve_jobs(jobs: "int | None" = None) -> int:
-    """Resolve a worker count: explicit > ``$REPRO_JOBS`` > 1.
-
-    ``0`` (from either source) means "one per CPU".  The library default
-    is deliberately serial — parallelism is opt-in via argument or
-    environment, never a surprise.
-    """
-    if jobs is None:
-        env = os.environ.get(JOBS_ENV_VAR)
-        if not env:
-            return 1
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ValueError(f"{JOBS_ENV_VAR}={env!r} is not an integer") from None
-    jobs = int(jobs)
-    if jobs == 0:
-        return max(1, os.cpu_count() or 1)
-    if jobs < 0:
-        raise ValueError(
-            f"n_jobs must be >= 0 (0 means one per CPU core), got {jobs}"
-        )
-    return jobs
 
 
 class _PoolRebuild(Exception):

@@ -23,6 +23,8 @@ is positive at creation.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -201,6 +203,18 @@ def measure_mechanisms(trace) -> dict:
     newcomer_edges = 0
     idle_samples: list = []
     half = trace.num_edges // 2
+    logs: dict = {}  # every node's sorted edge times, whole trace
+    for u, v, t in trace.edges():
+        logs.setdefault(u, []).append(t)
+        logs.setdefault(v, []).append(t)
+
+    def idle_time(node, now):
+        """Time since the node's last edge at or before ``now`` (since its
+        arrival if there is none)."""
+        times = logs.get(node, [])
+        i = bisect.bisect_right(times, now)
+        return now - (times[i - 1] if i else trace.node_arrival_time(node))
+
     for index, (u, v, t) in enumerate(trace.edges()):
         if tracker.common_neighbors(u, v) > 0:
             if index < half:
@@ -211,7 +225,7 @@ def measure_mechanisms(trace) -> dict:
             newcomer_edges += 1
         else:
             idle_samples.append(
-                min(trace.idle_time(u, t - 1e-9), trace.idle_time(v, t - 1e-9))
+                min(idle_time(u, t - 1e-9), idle_time(v, t - 1e-9))
             )
         tracker.add_edge(u, v)
     edges = trace.num_edges

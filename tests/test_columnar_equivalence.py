@@ -196,15 +196,12 @@ class TestTemporal:
     @given(traces(), st.floats(0.5, 20))
     @settings(max_examples=80, deadline=None)
     def test_idle_and_recent_match_reference(self, stream, window):
-        trace, snapshot, ref = build_both(stream)
+        _, snapshot, ref = build_both(stream)
         idle = node_idle_times(snapshot)
         recent = node_recent_edges(snapshot, window)
         for i, u in enumerate(snapshot.node_list):
             assert idle[i] == ref.idle(u, snapshot.time)
             assert recent[i] == ref.recent(u, snapshot.time, window)
-            # And the scalar trace API agrees with the vectorised kernel.
-            assert idle[i] == trace.idle_time(u, snapshot.time)
-            assert recent[i] == trace.recent_edge_count(u, snapshot.time, window)
 
     @given(traces())
     @settings(max_examples=60, deadline=None)
@@ -248,17 +245,46 @@ class TestViews:
 # ---------------------------------------------------------------------------
 # Pickle round-trips (worker transport)
 # ---------------------------------------------------------------------------
+def assert_same_graph(built: TemporalGraph, trace: TemporalGraph) -> None:
+    """``built`` holds the same stream, node set and arrivals as ``trace``."""
+    assert list(built.edges()) == list(trace.edges())
+    assert built.num_nodes == trace.num_nodes
+    assert set(built.nodes()) == set(trace.nodes())
+    for u in trace.nodes():
+        assert built.node_arrival_time(u) == trace.node_arrival_time(u)
+    for u, v, t in trace.edges():
+        assert built.has_edge(u, v) and built.has_edge(v, u)
+        assert built.edge_time(v, u) == t
+
+
 class TestPickle:
+    """Every way to build a trace — events one by one, trusted columns,
+    unpickling, ``copy()`` — gives the same graph."""
+
     @given(traces())
     @settings(max_examples=40, deadline=None)
     def test_trace_round_trip(self, stream):
         trace = TemporalGraph.from_stream(stream)
-        clone = pickle.loads(pickle.dumps(trace))
-        assert list(clone.edges()) == list(trace.edges())
-        assert sorted(clone.nodes()) == sorted(trace.nodes())
-        for u in trace.nodes():
-            assert clone.neighbors(u) == trace.neighbors(u)
-            assert clone.node_arrival_time(u) == trace.node_arrival_time(u)
+        built = {
+            "from_columns": TemporalGraph.from_columns(
+                *trace.columns(), validated=True
+            ),
+            "pickle": pickle.loads(pickle.dumps(trace)),
+            "copy": trace.copy(),
+        }
+        for graph in built.values():
+            assert_same_graph(graph, trace)
+
+    @given(traces())
+    @settings(max_examples=40, deadline=None)
+    def test_validated_load_lists_nodes_in_first_appearance_order(self, stream):
+        trace = TemporalGraph.from_stream(stream)
+        expected = []
+        for u, v, _ in trace.edges():  # canonical: smaller endpoint first
+            expected.extend(x for x in (u, v) if x not in expected)
+        loaded = TemporalGraph.from_columns(*trace.columns(), validated=True)
+        assert list(loaded.nodes()) == expected
+        assert list(TemporalGraph.from_stream(trace.edges()).nodes()) == expected
 
     @given(traces())
     @settings(max_examples=40, deadline=None)
@@ -277,11 +303,17 @@ class TestPickle:
         )
 
     def test_trace_pickle_preserves_isolated_nodes(self):
-        trace = TemporalGraph.from_stream([(1, 2, 0.0), (2, 3, 1.0)])
+        trace = TemporalGraph()
+        trace.add_node(7, t=0.25)  # arrives before its first edge
+        trace.add_edge(7, 2, 1.0)
+        trace.add_edge(2, 3, 1.5)
         trace.add_node(99, t=0.5)
-        clone = pickle.loads(pickle.dumps(trace))
-        assert clone.has_node(99)
-        assert clone.node_arrival_time(99) == 0.5
+        for clone in (pickle.loads(pickle.dumps(trace)), trace.copy()):
+            assert_same_graph(clone, trace)
+            assert list(clone.nodes()) == list(trace.nodes())
+            assert clone.has_node(99)
+            assert clone.node_arrival_time(99) == 0.5
+            assert clone.node_arrival_time(7) == 0.25
 
     def test_snapshot_sequence_snapshots_pickle_compactly(self):
         stream = [(i, i + 1, float(i)) for i in range(20)]

@@ -15,6 +15,7 @@ from repro.graph.snapshots import Snapshot, new_edges_between, snapshot_sequence
 from repro.metrics.base import all_metric_names, get_metric
 from repro.metrics.candidates import all_nonedge_pairs, two_hop_pairs
 from repro.temporal import FilterParams, TemporalFilter
+from repro.temporal.activity import node_idle_times, node_recent_edges
 from tests.conftest import build_trace
 
 
@@ -89,8 +90,8 @@ class TestDegenerateGraphs:
         trace = build_trace([(0, 1, 5.0), (1, 2, 5.0), (2, 3, 5.0)])
         s = Snapshot(trace, 3)
         assert s.time == 5.0
-        assert s.idle_time(0) == 0.0
-        assert trace.recent_edge_count(1, now=5.0, window=0.5) == 2
+        assert node_idle_times(s)[s.node_pos[0]] == 0.0
+        assert node_recent_edges(s, window=0.5)[s.node_pos[1]] == 2
 
 
 class TestFilterEdgeCases:

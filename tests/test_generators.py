@@ -15,6 +15,7 @@ from repro.generators.social import social_config
 from repro.generators.subscription import subscription_config
 from repro.graph import stats
 from repro.graph.snapshots import Snapshot
+from repro.temporal.activity import node_idle_times
 
 
 def tiny_config(**overrides) -> GrowthConfig:
@@ -149,14 +150,16 @@ class TestStructuralSignatures:
             if prev.has_node(u) and prev.has_node(v)
         ]
         assert future_edges
+        idle = node_idle_times(prev)
+        pos = prev.node_pos
         pos_idle = np.array(
-            [min(prev.idle_time(u), prev.idle_time(v)) for u, v in future_edges]
+            [min(idle[pos[u]], idle[pos[v]]) for u, v in future_edges]
         )
         rng = np.random.default_rng(0)
         nodes = prev.node_list
         neg_idle = np.array(
             [
-                min(prev.idle_time(int(a)), prev.idle_time(int(b)))
+                min(idle[pos[int(a)]], idle[pos[int(b)]])
                 for a, b in rng.choice(nodes, size=(400, 2))
                 if a != b
             ]

@@ -66,8 +66,8 @@ class TestDegreeSaturation:
             config(preferential_prob=0.3, triadic_prob=0.3, degree_saturation=8.0),
             seed=2,
         )
-        loose_max = max(loose.degree(u) for u in loose.nodes())
-        tight_max = max(tight.degree(u) for u in tight.nodes())
+        loose_max = Snapshot(loose, loose.num_edges).degree_array().max()
+        tight_max = Snapshot(tight, tight.num_edges).degree_array().max()
         assert tight_max < loose_max
 
 
@@ -77,12 +77,16 @@ class TestTargetRecency:
         biased = generate_trace(config(target_recency_tau=2.0), seed=6)
 
         def mean_target_idle(trace):
-            # Approximate: idle time of the later-created endpoints at edge
-            # creation, over the last half of the trace.
+            # Approximate: idle time of the fresher endpoint just before
+            # each edge's creation (time since its previous edge, or since
+            # its arrival), over 200 edges from the middle of the trace.
+            last = {u: trace.node_arrival_time(u) for u in trace.nodes()}
             idles = []
-            events = list(trace.edges())[len(list(trace.edges())) // 2 :]
-            for u, v, t in events[:200]:
-                idles.append(min(trace.idle_time(u, t), trace.idle_time(v, t)))
+            events = list(trace.edges())
+            for i, (u, v, t) in enumerate(events):
+                if len(events) // 2 <= i < len(events) // 2 + 200:
+                    idles.append(min(t - last[u], t - last[v]))
+                last[u] = last[v] = t
             return float(np.mean(idles))
 
         # Both endpoints recently active under the bias.

@@ -40,13 +40,13 @@ class TestCleanGraphs:
         report = audit_graph(graph)
         assert report.ok
         assert report.num_edges == graph.num_edges
-        assert len(report.checks_run) == 12
+        assert len(report.checks_run) == 11
         assert "ok" in report.summary()
 
     def test_empty_graph_is_clean(self):
         report = audit_graph(TemporalGraph())
         assert report.ok
-        assert len(report.checks_run) == 12
+        assert len(report.checks_run) == 11
 
     def test_snapshot_check_can_be_skipped(self, graph):
         report = audit_graph(graph, snapshot_check=False)
@@ -133,11 +133,6 @@ class TestBrokenInvariants:
         )
         assert "first_seen_consistent" in violated(audit_graph(graph))
 
-    def test_adjacency_degree_total(self, graph):
-        node = next(iter(graph._adj))
-        graph._adj[node].add(10**9)
-        assert "adjacency_degree_total" in violated(audit_graph(graph))
-
     def test_edge_time_table(self, graph):
         key = next(iter(graph._edge_times))
         del graph._edge_times[key]
@@ -184,15 +179,15 @@ class TestDeltaAudit:
 
         report = audit_delta(delta)
         assert report.ok, report.summary()
-        # the 12 core invariants plus the 4 delta-structure checks.
-        assert len(report.checks_run) == 16
+        # the 11 core invariants plus the 4 delta-structure checks.
+        assert len(report.checks_run) == 15
 
     def test_empty_delta_is_clean(self):
         from repro.graph import DeltaGraph, audit_delta
 
         report = audit_delta(DeltaGraph())
         assert report.ok
-        assert len(report.checks_run) == 16
+        assert len(report.checks_run) == 15
 
     def test_stale_csr_row(self, delta):
         delta._adj_keys = delta._adj_keys.copy()

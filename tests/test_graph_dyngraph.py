@@ -3,6 +3,8 @@
 import pytest
 
 from repro.graph.dyngraph import TemporalGraph
+from repro.graph.snapshots import Snapshot
+from repro.temporal.activity import node_idle_times, node_recent_edges
 
 
 class TestConstruction:
@@ -56,11 +58,13 @@ class TestConstruction:
 
 class TestQueries:
     def test_neighbors(self, tiny_trace):
-        assert tiny_trace.neighbors(0) == {1, 2, 3, 7}
+        full = Snapshot(tiny_trace, tiny_trace.num_edges)
+        assert full.neighbors(0) == {1, 2, 3, 7}
 
     def test_degree(self, tiny_trace):
-        assert tiny_trace.degree(0) == 4
-        assert tiny_trace.degree(7) == 2
+        full = Snapshot(tiny_trace, tiny_trace.num_edges)
+        assert full.degree(0) == 4
+        assert full.degree(7) == 2
 
     def test_contains(self, tiny_trace):
         assert 0 in tiny_trace
@@ -84,31 +88,39 @@ class TestQueries:
 
 
 class TestTemporalQueries:
+    """Section 6's node activity, read from the event columns as of a
+    snapshot's time by :mod:`repro.temporal.activity`."""
+
     def test_node_edge_times_sorted(self, tiny_trace):
-        assert tiny_trace.node_edge_times(0) == [0.0, 2.0, 5.0, 11.0]
+        u, v, t = tiny_trace.columns()
+        assert t[(u == 0) | (v == 0)].tolist() == [0.0, 2.0, 5.0, 11.0]
 
     def test_idle_time_after_last_edge(self, tiny_trace):
-        # Node 3's last edge was at t=5.
-        assert tiny_trace.idle_time(3, 11.0) == 6.0
+        # Node 3's last edge was at t=5; the full snapshot is at t=11.
+        assert _idle(Snapshot(tiny_trace, 12), 3) == 6.0
 
     def test_idle_time_mid_history(self, tiny_trace):
-        # As of t=4.5, node 0's last edge was at t=2.
-        assert tiny_trace.idle_time(0, 4.5) == 2.5
-
-    def test_idle_time_never_active_uses_arrival(self):
-        g = TemporalGraph()
-        g.add_node(9, 2.0)
-        assert g.idle_time(9, 7.0) == 5.0
+        # As of t=4 (the first five edges), node 0's last edge was at t=2.
+        assert _idle(Snapshot(tiny_trace, 5), 0) == 2.0
 
     def test_recent_edge_count_window(self, tiny_trace):
         # Node 0 edges at 0, 2, 5, 11; window (6, 11] catches only t=11.
-        assert tiny_trace.recent_edge_count(0, now=11.0, window=5.0) == 1
+        assert _recent(Snapshot(tiny_trace, 12), 0, window=5.0) == 1
 
     def test_recent_edge_count_full_history(self, tiny_trace):
-        assert tiny_trace.recent_edge_count(0, now=11.0, window=100.0) == 4
+        assert _recent(Snapshot(tiny_trace, 12), 0, window=100.0) == 4
 
     def test_recent_edge_count_respects_now(self, tiny_trace):
-        assert tiny_trace.recent_edge_count(0, now=3.0, window=100.0) == 2
+        # As of t=3 (the first four edges) node 0 has edges at 0 and 2.
+        assert _recent(Snapshot(tiny_trace, 4), 0, window=100.0) == 2
+
+
+def _idle(snapshot, node):
+    return node_idle_times(snapshot)[snapshot.node_pos[node]]
+
+
+def _recent(snapshot, node, window):
+    return node_recent_edges(snapshot, window)[snapshot.node_pos[node]]
 
 
 class TestSlicing:

@@ -9,6 +9,7 @@ from repro.graph.snapshots import (
     new_edges_between,
     snapshot_sequence,
 )
+from repro.temporal.activity import node_idle_times, node_recent_edges
 
 
 class TestSnapshot:
@@ -57,8 +58,8 @@ class TestSnapshot:
     def test_temporal_passthrough(self, tiny_trace):
         s = Snapshot(tiny_trace, 6)  # time = 5.0
         # Node 1's edges before t=5: at 0.0 and 1.0.
-        assert s.idle_time(1) == 4.0
-        assert s.recent_edge_count(1, window=10.0) == 2
+        assert node_idle_times(s)[s.node_pos[1]] == 4.0
+        assert node_recent_edges(s, window=10.0)[s.node_pos[1]] == 2
 
     def test_to_networkx_roundtrip(self, tiny_snapshot):
         g = tiny_snapshot.to_networkx()
@@ -84,7 +85,7 @@ class TestSnapshotView:
     def test_view_temporal_queries_use_full_trace(self, tiny_snapshot):
         view = tiny_snapshot.subgraph({0, 1})
         # Node 0's idle time comes from the full trace, not the view.
-        assert view.idle_time(0) == 0.0
+        assert node_idle_times(view)[view.node_pos[0]] == 0.0
 
     def test_view_is_snapshot(self, tiny_snapshot):
         assert isinstance(tiny_snapshot.subgraph({0, 1}), SnapshotView)

@@ -8,6 +8,7 @@ from repro.eval.ranking import top_k_pairs
 from repro.graph.dyngraph import TemporalGraph
 from repro.graph.snapshots import Snapshot, new_edges_between, snapshot_sequence
 from repro.ml.metrics import roc_auc_score
+from repro.temporal.activity import node_idle_times, node_recent_edges
 from repro.utils.pairs import canonical_pair
 
 
@@ -48,15 +49,17 @@ class TestGraphInvariants:
     @settings(max_examples=60, deadline=None)
     def test_degree_sum_is_twice_edges(self, stream):
         g = TemporalGraph.from_stream(stream)
-        assert sum(g.degree(u) for u in g.nodes()) == 2 * g.num_edges
+        full = Snapshot(g, g.num_edges)
+        assert sum(full.degree(u) for u in g.nodes()) == 2 * g.num_edges
 
     @given(edge_streams())
     @settings(max_examples=60, deadline=None)
     def test_adjacency_symmetry(self, stream):
         g = TemporalGraph.from_stream(stream)
+        full = Snapshot(g, g.num_edges)
         for u in g.nodes():
-            for v in g.neighbors(u):
-                assert u in g.neighbors(v)
+            for v in full.neighbors(u):
+                assert u in full.neighbors(v)
 
     @given(edge_streams())
     @settings(max_examples=60, deadline=None)
@@ -71,20 +74,18 @@ class TestGraphInvariants:
     @settings(max_examples=60, deadline=None)
     def test_idle_time_non_negative_after_any_event(self, stream, now):
         g = TemporalGraph.from_stream(stream)
-        now = max(now, g.end_time)
-        for u in g.nodes():
-            assert g.idle_time(u, now) >= 0
+        snapshot = Snapshot(g, max(1, g.edge_index_at_time(now)))
+        assert (node_idle_times(snapshot) >= 0).all()
 
     @given(edge_streams())
     @settings(max_examples=40, deadline=None)
     def test_recent_count_window_monotone(self, stream):
         g = TemporalGraph.from_stream(stream)
-        now = g.end_time
-        for u in list(g.nodes())[:5]:
-            small = g.recent_edge_count(u, now, 1.0)
-            large = g.recent_edge_count(u, now, 1000.0)
-            assert small <= large
-            assert large == len(g.node_edge_times(u))
+        full = Snapshot(g, g.num_edges)
+        small = node_recent_edges(full, 1.0)
+        large = node_recent_edges(full, 1000.0)
+        assert (small <= large).all()
+        assert np.array_equal(large, full.degree_array())
 
 
 # ---------------------------------------------------------------------------

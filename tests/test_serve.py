@@ -110,11 +110,21 @@ class TestServeConfig:
         assert default_workers() == 3
         assert ServeConfig().resolved_workers == 3
 
-    @pytest.mark.parametrize("value", ["0", "-2", "abc"])
+    @pytest.mark.parametrize("value", ["-2", "abc"])
     def test_bad_env_workers_rejected(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_JOBS", value)
         with pytest.raises(ValueError):
             default_workers()
+
+    def test_zero_env_workers_means_one_per_cpu(self, monkeypatch):
+        # The rule every REPRO_JOBS reader shares (repro.utils.jobs).
+        monkeypatch.setenv("REPRO_JOBS", "0")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert default_workers() == 6
+        monkeypatch.setenv("REPRO_JOBS", " 2")
+        assert default_workers() == 2
+        monkeypatch.delenv("REPRO_JOBS")
+        assert default_workers() == 4  # unset: min(4, CPUs)
 
     def test_describe_reports_resolved_workers(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)

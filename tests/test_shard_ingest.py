@@ -392,6 +392,22 @@ class TestResolveJobs:
         with pytest.raises(ValueError, match="REPRO_JOBS"):
             resolve_jobs(None)
 
+    @pytest.mark.parametrize("value", [" 1", "01", "0"])
+    def test_scan_trace_env_one_worker_stays_serial(
+        self, tmp_path, monkeypatch, value
+    ):
+        """Values that resolve to one worker (0 on a one-CPU host) keep
+        the serial pipeline instead of sharding with a single worker."""
+        from repro.ingest.loader import scan_trace
+
+        path = write_trace_text(tmp_path / "t.txt", n=50, dirty=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setenv(JOBS_ENV_VAR, value)
+        *_, report = scan_trace(path)
+        assert not report.shard_timings
+        *_, report = scan_trace(path, jobs=0)
+        assert not report.shard_timings
+
     def test_load_trace_env_opt_in(self, tmp_path, monkeypatch):
         from repro.ingest import load_trace
 

@@ -21,14 +21,25 @@ from tests.loop_oracle import cn_time_gap
 
 class TestActivityFeatures:
     def test_node_idle_times_alignment(self, tiny_snapshot):
+        now = tiny_snapshot.time
+        last = {}
+        for u, v, t in tiny_snapshot.trace.edges():
+            if t <= now:
+                last[u] = last[v] = t
         idle = node_idle_times(tiny_snapshot)
         for node, idx in tiny_snapshot.node_pos.items():
-            assert idle[idx] == tiny_snapshot.idle_time(node)
+            assert idle[idx] == now - last[node]
 
     def test_node_recent_edges_alignment(self, tiny_snapshot):
+        now = tiny_snapshot.time
+        expected = dict.fromkeys(tiny_snapshot.node_pos, 0)
+        for u, v, t in tiny_snapshot.trace.edges():
+            if now - 3.0 < t <= now:
+                expected[u] += 1
+                expected[v] += 1
         recent = node_recent_edges(tiny_snapshot, window=3.0)
         for node, idx in tiny_snapshot.node_pos.items():
-            assert recent[idx] == tiny_snapshot.recent_edge_count(node, 3.0)
+            assert recent[idx] == expected[node]
 
     def test_cn_time_gap_hand_computed(self, tiny_snapshot):
         # Pair (0, 4): common neighbours {1, 3}.
